@@ -36,9 +36,8 @@ cfg_pillai = search.make_config("pillai", difference=1, max_bits=16)
 recs = search.search_pillai_products(1, cfg=cfg_pillai)
 print("products at difference 1 up to 2^16:")
 for rec in recs:
-    d = rec.data
-    print(f"  {d['x']} = {d['x_witness']}, {d['z']} = {d['z_witness']}, "
-          f"weight {d['weight']}")
+    print(f"  {rec['x']} = {rec['x_witness']}, {rec['z']} = {rec['z_witness']}, "
+          f"weight {rec['weight']}")
 print()
 
 # The survey mode counts solutions cell by cell over (n, m, d) ranges.
@@ -53,5 +52,5 @@ print("nonzero cells:", nonzero)
 print()
 
 # Every record can be re-derived from scratch against its config.
-problems = [rec.verify(cfg_pillai) for rec in recs]
+problems = [search.verify_record(rec, cfg_pillai) for rec in recs]
 print("pillai records re-verified:", all(p == [] for p in problems))

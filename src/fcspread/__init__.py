@@ -54,12 +54,8 @@ from .abc_check import (
     radical_sieve,
 )
 from .search import (
-    FULL_SCALE_BOUNDS,
-    PowerTable,
     RunResult,
     SearchConfig,
-    SolutionRecord,
-    build_power_table,
     make_config,
     plan_chunks,
     run_chunked,
@@ -95,12 +91,8 @@ __all__ = [
     "solve_congruences",
     "is_standard",
     "SearchConfig",
-    "SolutionRecord",
-    "PowerTable",
     "RunResult",
-    "FULL_SCALE_BOUNDS",
     "make_config",
-    "build_power_table",
     "plan_chunks",
     "run_chunked",
     "search_fermat_catalan",

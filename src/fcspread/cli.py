@@ -692,15 +692,22 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         return 0, [f"header is not valid JSON: {exc}"]
+    if not isinstance(header, dict):
+        return 0, ["header: not a JSON object"]
     if header.get("format") != RESULT_LOG_FORMAT:
         return 0, [f"not a result log (format {header.get('format')!r})"]
     if header.get("version") != FORMAT_VERSION:
         return 0, [f"unsupported log version {header.get('version')!r}"]
     sub = header.get("subcommand", "")
     config = header.get("config", {})
+    if not isinstance(sub, str):
+        return 0, [f"header: bad subcommand {sub!r}"]
     search_cfg: Optional[SearchConfig] = None
     if sub.startswith("search "):
-        search_cfg = SearchConfig.from_dict(config)
+        try:
+            search_cfg = SearchConfig.from_dict(config)
+        except Exception as exc:  # the header comes from disk, treat as hostile
+            return 0, [f"header: invalid search config: {type(exc).__name__}: {exc}"]
         if search_cfg.digest() != header.get("config_digest"):
             problems.append("config digest does not match the config")
     elif _digest_params(config) != header.get("config_digest"):
@@ -922,3 +929,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

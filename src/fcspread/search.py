@@ -2,20 +2,28 @@
 
 Search strategy
 ---------------
-Every mode reduces to scanning pairs of perfect powers (P, Q) = (x**n, y**m)
-below the bound M and testing whether P +/- Q completes a qualifying triple:
+Every mode but pillai asks one question: does P +/- Q, for perfect powers
+(P, Q) = (x**n, y**m) below the bound M, hit a target?  One generator,
+`_pairs`, walks the power pairs of one relation -- coprime, non-maxgcd
+(neither power divides the other) or maxgcd (x = w*y) -- over one cached
+table of x**e per exponent, `_powers`; the modes differ only in the target
+they test P +/- Q against:
 
 * fermat-catalan: a triple admitting exponents of weight 1/n + 1/m + 1/k < 1
   has at least two terms with representations of exponent >= 3, or one such
   term next to a literal 1 (two squares already weigh 1, and 1 + y^2 = z^2
-  has no solution), so pairs drawn from the exponent>=3 power table plus an
-  explicit wildcard-1 loop are exhaustive.
-* product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) fix the third
-  term to be a bounded-spread product; the spread budget for each (n, m, d)
-  follows exactly from the weight inequality, so `decompose` is called with
-  the largest admissible spread and nothing more.  Power bases start at 2
-  (the literal 1 belongs to the fermat-catalan wildcard only), except in the
-  maxgcd mode where x = w*y, y >= 1 parametrizes exactly the maxgcd pairs.
+  has no solution), so coprime pairs of exponent >= 3 plus an explicit
+  wildcard-1 loop are exhaustive.  The target is a perfect power or 1.
+* product-target modes (gbtz: coprime, nonmaxgcd3 and fp: non-maxgcd,
+  maxgcd-spread1: maxgcd) and survey (non-maxgcd, both orders of each pair,
+  one record per (n, m, d) cell) fix the third term to be a bounded-spread
+  product.  `_degree_caps` derives the (degree, spread cap) list of a unit
+  exactly from the weight inequality, so `decompose` is called with the
+  largest admissible spread and nothing more.  Power bases start at 2 (the
+  literal 1 belongs to the fermat-catalan wildcard only), except in the
+  maxgcd relation where x = w*y, y >= 1 parametrizes exactly the maxgcd
+  pairs.
+* pillai enumerates the bounded-spread products themselves.
 
 Chunking partitions the (exponent pair, base sub-range) space; chunk results
 merge by record identity, so the final record set is byte-identical no
@@ -31,9 +39,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iterproduct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import arith, families
 from .products import (
@@ -55,11 +63,6 @@ MODES = (
     "pillai",
     "survey",
 )
-
-# Bit sizes the corresponding full-scale verification runs have reached,
-# keyed by the smallest exponent/degree involved (5 stands for every degree
-# from 5 up).  Desk defaults below stay far under these on purpose.
-FULL_SCALE_BOUNDS = {2: 71, 3: 80, 4: 100, 5: 113}
 
 _MODE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "fermat-catalan": {"max_bits": 34, "sign": "plus", "degree": None},
@@ -106,7 +109,7 @@ class SearchConfig:
     difference: Optional[int] = None
     coeffs: Tuple[int, int, int] = (1, 1, 1)
 
-    @property
+    @cached_property  # read for every scanned pair
     def max_value(self) -> int:
         return 1 << self.max_bits
 
@@ -200,86 +203,25 @@ def canon_json(obj: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Power table
+# Power tables and the pair scan
 
 
-class PowerTable:
-    """Deduplicated table of x**e <= bound, x >= 2, e in [min_exp, max_exp].
-
-    Each distinct value keeps every (base, exponent) representation within
-    the exponent range, sorted by exponent ascending.
-    """
-
-    def __init__(self, bound: int, min_exp: int, max_exp: int,
-                 reps: Dict[int, List[Tuple[int, int]]]):
-        self.bound = bound
-        self.min_exp = min_exp
-        self.max_exp = max_exp
-        self._reps = reps
-        self.values: Tuple[int, ...] = tuple(sorted(reps))
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._reps
-
-    def __len__(self) -> int:
-        return len(self._reps)
-
-    def representations(self, v: int) -> List[Tuple[int, int]]:
-        return list(self._reps.get(v, ()))
-
-
-def power_table_estimate(bound: int, min_exp: int, max_exp: int) -> Tuple[int, int]:
-    """(entry count, rough byte cost) for a prospective power table."""
-    entries = 0
-    top = max(2, bound).bit_length() - 1
-    for e in range(min_exp, min(max_exp, top) + 1):
-        entries += max(0, arith.iroot(bound, e)[0] - 1)
-    return entries, entries * 200
-
-
-def build_power_table(
-    bound: int, min_exp: int, max_exp: int, memory_budget: int = 2 << 30
-) -> PowerTable:
-    """Build the deduplicated power table, or refuse with a size estimate."""
-    if bound < 4 or min_exp < 2 or max_exp < min_exp:
-        raise ValueError("need bound >= 4 and 2 <= min_exp <= max_exp")
-    entries, est = power_table_estimate(bound, min_exp, max_exp)
-    if est > memory_budget:
-        raise MemoryError(
-            f"power table would need about {entries} entries (~{est} bytes), "
-            f"over the budget of {memory_budget} bytes"
-        )
-    reps: Dict[int, List[Tuple[int, int]]] = {}
-    top = bound.bit_length() - 1
-    for e in range(min_exp, min(max_exp, top) + 1):
-        x = 2
-        v = x**e
-        while v <= bound:
-            reps.setdefault(v, []).append((x, e))
-            x += 1
-            v = x**e
-    for v in reps:
-        reps[v].sort(key=lambda t: t[1])
-    return PowerTable(bound, min_exp, max_exp, reps)
+@lru_cache(maxsize=128)
+def _powers(M: int, e: int) -> Tuple[int, ...]:
+    """x**e for every base x >= 0 with x**e <= M, indexed by the base."""
+    return tuple(x**e for x in range(arith.iroot(M, e)[0] + 1))
 
 
 @lru_cache(maxsize=8)
 def _power_value_set(bound: int) -> frozenset:
-    """Values x**e <= bound with e >= 3; membership prefilter in workers.
+    """Values x**e <= bound with x >= 2, e >= 3; membership prefilter in workers.
 
     Deliberately wider than any configured exponent window: candidates that
     pass are re-derived exactly (and range-filtered) before recording.
     """
-    values = set()
-    top = bound.bit_length() - 1
-    for e in range(3, top + 1):
-        x = 2
-        v = x**e
-        while v <= bound:
-            values.add(v)
-            x += 1
-            v = x**e
-    return frozenset(values)
+    return frozenset(
+        v for e in range(3, bound.bit_length()) for v in _powers(bound, e)[2:]
+    )
 
 
 def _max_base(M: int, e: int) -> int:
@@ -296,6 +238,47 @@ def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
         return False
     r = math.isqrt(t)
     return r * r == t or t in power_set
+
+
+def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
+           ordered: bool = False) -> Iterator[Tuple[int, int, int, int]]:
+    """Yield (n, m, P, Q) for the power pairs P = x**n, Q = y**m <= M.
+
+    relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
+    divides the other) run x over [lo, hi] and y from 2; "maxgcd" runs y
+    over [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the
+    pairs whose smaller power divides the larger.  Each pair comes once with
+    P >= Q, exponents swapped along with the powers, unless `ordered`: then
+    every (x**n, y**m) comes as it is.  Both bounds must lie in the base
+    range of the table they index.
+    """
+    pn, pm = _powers(M, n), _powers(M, m)
+    if relation == "maxgcd":
+        for y in range(lo, hi + 1):
+            Q = pm[y]
+            for x in range(y, len(pn), y):
+                P = pn[x]
+                if ordered or P >= Q:
+                    yield n, m, P, Q
+                else:
+                    yield m, n, Q, P
+        return
+    coprime = relation == "coprime"
+    # With one exponent and no order, (x, y) and (y, x) give the same pair.
+    same = n == m and not ordered
+    for x in range(lo, hi + 1):
+        P = pn[x]
+        for y in range(2, x if same else len(pm)):
+            Q = pm[y]
+            if coprime:
+                if math.gcd(x, y) != 1:
+                    continue
+            elif (P % Q if P > Q else Q % P) == 0:
+                continue
+            if ordered or P > Q:
+                yield n, m, P, Q
+            else:
+                yield m, n, Q, P
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +303,34 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
     return max(cap, -1)
 
 
-def _clamp_spread(cfg: SearchConfig, cap: int) -> int:
+def _product_cap(cfg: SearchConfig, n: int, m: int, d: int) -> int:
+    """Spread cap of a degree-d product against powers of exponents n, m."""
+    if cfg.mode == "maxgcd-spread1":
+        cap = 1
+    else:
+        cap = _spread_cap(n, m, d, cfg.f_bound, cfg.f_strict)
     if cfg.max_spread is not None:
         cap = min(cap, cfg.max_spread)
     return cap
+
+
+def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int]]:
+    """(degree, spread cap) for each product degree a unit tests P +/- Q at."""
+    n, m = unit["e1"], unit["e2"]
+    if cfg.mode == "survey":
+        # vacuous cells: the product side needs degree > 2
+        degrees = [unit["d"]] if unit["d"] > 2 else []
+    elif cfg.mode in ("fp", "maxgcd-spread1"):
+        degrees = [n]
+    else:
+        degrees = range(max(3, cfg.degree[0]), min(n, m, cfg.degree[1]) + 1)
+    floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
+    caps = []
+    for d in degrees:
+        cap = _product_cap(cfg, n, m, d)
+        if cap >= floor_s:
+            caps.append((d, cap))
+    return caps
 
 
 def _pillai_degree_range(cfg: SearchConfig) -> Tuple[int, int]:
@@ -410,32 +417,6 @@ def _merge_into(acc: Dict[Tuple, Dict[str, Any]], rec: Dict[str, Any]) -> None:
         cur["weight"] = str(min(Fraction(cur["weight"]), Fraction(rec["weight"])))
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    """One search finding; `data` is the log-ready dict."""
-
-    data: Dict[str, Any]
-
-    @property
-    def mode(self) -> str:
-        return self.data["mode"]
-
-    @property
-    def sign(self) -> str:
-        return self.data["sign"]
-
-    def values(self) -> Tuple[int, ...]:
-        d = self.data
-        if "values" in d:
-            return tuple(d["values"])
-        if d["mode"] == "pillai":
-            return (d["x"], d["z"])
-        return (d["p"], d["q"], d["z"])
-
-    def verify(self, cfg: SearchConfig) -> List[str]:
-        return verify_record(self.data, cfg)
-
-
 # ---------------------------------------------------------------------------
 # fermat-catalan mode
 
@@ -510,9 +491,8 @@ def _fc_candidate(cfg: SearchConfig, vx: int, vy: int, vz: int,
 def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
                  acc: Dict[Tuple, Dict[str, Any]]) -> None:
     """Solve for the missing slot given two known term values P >= Q."""
-    A, B, C = cfg.coeffs
     M = cfg.max_value
-    if (A, B, C) == (1, 1, 1):
+    if cfg.coeffs == (1, 1, 1):
         t = P + Q
         if t <= M and _usable_power(t, M, power_set):
             _fc_candidate(cfg, Q, P, t, acc)
@@ -521,6 +501,7 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
             _fc_candidate(cfg, t, Q, P, acc)
         return
     # General coefficients: try every slot layout for the known pair.
+    A, B, C = cfg.coeffs
     for va, vb in ((P, Q), (Q, P)):
         num = A * va + B * vb
         if num % C == 0 and _usable_power(num // C, M, power_set):
@@ -536,21 +517,10 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
 def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
     M = cfg.max_value
-    e1, e2 = unit["e1"], unit["e2"]
     power_set = _power_value_set(M)
-    same = e1 == e2
-    yvals = [(y, y**e2) for y in range(2, _max_base(M, e2) + 1)]
-    for x in range(unit["xlo"], unit["xhi"] + 1):
-        P = x**e1
-        for y, Q in yvals:
-            if same and y >= x:
-                break
-            if Q == P or math.gcd(x, y) != 1:
-                continue
-            if P >= Q:
-                _fc_try_pair(cfg, P, Q, power_set, acc)
-            else:
-                _fc_try_pair(cfg, Q, P, power_set, acc)
+    for _, _, P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"],
+                             unit["xlo"], unit["xhi"]):
+        _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
 def _run_fc_one_unit(cfg: SearchConfig, unit: Dict[str, Any],
@@ -580,15 +550,13 @@ def _run_fc_wild_unit(cfg: SearchConfig, unit: Dict[str, Any],
 
 def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
                   sign: str, n: int, m: int, P: int, Q: int, Z: int, d: int,
-                  wits: Sequence[ProductDecomposition],
-                  cell: Optional[Tuple[int, int, int]] = None) -> None:
+                  wits: Sequence[ProductDecomposition]) -> None:
     if not wits:
         return
     g, quality = arith.gcd_quality(P, Q)
     weight = min(Fraction(1, n) + Fraction(1, m) + w.weight for w in wits)
     witnesses = sorted(list(w.factors) for w in wits)
     rec: Dict[str, Any] = {
-        "mode": cfg.mode,
         "sign": sign,
         "p": P,
         "q": Q,
@@ -608,23 +576,10 @@ def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
         y = arith.iroot(Q, n)[0]
         st = families.is_standard(x, y, n, Z, sign)
         rec["standard"] = list(st) if st else False
-    if cell is not None:
-        del rec["mode"]
-        key = ("survey", cell)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = {
-                "mode": "survey",
-                "cell": list(cell),
-                "count": 1,
-                "solutions": [rec],
-            }
-        else:
-            cur["solutions"] = _merged_sorted(
-                cur["solutions"], [rec], _solution_sort_key
-            )
-            cur["count"] = len(cur["solutions"])
-        return
+    if cfg.mode == "survey":
+        rec = {"mode": "survey", "cell": [n, m, d], "count": 1, "solutions": [rec]}
+    else:
+        rec["mode"] = cfg.mode
     _merge_into(acc, rec)
 
 
@@ -632,137 +587,36 @@ def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
     return ("plus", "minus") if cfg.sign == "both" else (cfg.sign,)
 
 
-def _run_prodpair_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """gbtz and nonmaxgcd3 units: powers x**n vs y**m, x in the split range."""
-    M = cfg.max_value
+def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
+                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
+    """Test x**n +/- y**m against bounded-spread products of the unit's degrees."""
     n, m = unit["e1"], unit["e2"]
-    deg_lo = max(3, cfg.degree[0])
-    deg_hi = cfg.degree[1]
-    signs = _signs(cfg)
-    same = n == m
-    coprime_mode = cfg.mode == "gbtz"
+    survey = cfg.mode == "survey"
+    if survey:  # every cell is reported, empty ones included
+        cell = [n, m, unit["d"]]
+        acc.setdefault(("survey", tuple(cell)),
+                       {"mode": "survey", "cell": cell, "count": 0, "solutions": []})
+    caps = _degree_caps(cfg, unit)
+    if not caps:
+        return
+    M = cfg.max_value
+    relation = {"gbtz": "coprime", "maxgcd-spread1": "maxgcd"}.get(
+        cfg.mode, "nonmaxgcd")
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
-    degs = []
-    for d in range(deg_lo, min(n, m, deg_hi) + 1):
-        cap = _clamp_spread(cfg, _spread_cap(n, m, d, cfg.f_bound, cfg.f_strict))
-        if cap >= floor_s:
-            degs.append((d, cap))
-    if not degs:
-        return
-    yvals = [(y, y**m) for y in range(2, _max_base(M, m) + 1)]
-    for x in range(unit["xlo"], unit["xhi"] + 1):
-        P = x**n
-        for y, Q in yvals:
-            if same and y >= x:
-                break
-            if Q == P:
-                continue
-            if coprime_mode:
-                if math.gcd(x, y) != 1:
-                    continue
-            elif math.gcd(P, Q) == min(P, Q):
-                continue
-            for sign in signs:
-                if sign == "plus":
-                    Z = P + Q
-                    if Z > M:
-                        continue
-                else:
-                    Z = abs(P - Q)
-                if P >= Q:
-                    bn, bm, bp, bq = n, m, P, Q
-                else:
-                    bn, bm, bp, bq = m, n, Q, P
-                for d, cap in degs:
-                    wits = decompose(Z, d, cap)
-                    if floor_s:
-                        wits = [w for w in wits if w.spread >= floor_s]
-                    _emit_product(
-                        cfg, acc, sign=sign, n=bn, m=bm,
-                        P=bp, Q=bq, Z=Z, d=d, wits=wits,
-                    )
-
-
-def _run_fp_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                 acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """fp units: x**n +/- y**n = Z of degree n, spread <= n-4, non-maxgcd."""
-    M = cfg.max_value
-    n = unit["e1"]
     signs = _signs(cfg)
-    cap = _clamp_spread(cfg, _spread_cap(n, n, n, cfg.f_bound, cfg.f_strict))
-    if cap < 0:
-        return
-    for x in range(unit["xlo"], unit["xhi"] + 1):
-        P = x**n
-        for y in range(2, x):
-            if x % y == 0:
-                continue  # maxgcd pairs excluded
-            Q = y**n
-            for sign in signs:
-                Z = P + Q if sign == "plus" else P - Q
-                if Z > M:
-                    continue
-                wits = decompose(Z, n, cap)
-                _emit_product(
-                    cfg, acc, sign=sign, n=n, m=n, P=P, Q=Q, Z=Z, d=n, wits=wits
-                )
-
-
-def _run_maxgcd_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                     acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """maxgcd-spread1 units: x = w*y, Z of degree n and spread <= 1."""
-    M = cfg.max_value
-    n = unit["e1"]
-    signs = _signs(cfg)
-    cap = _clamp_spread(cfg, 1)
-    if cap < 0:
-        return
-    xmax = _max_base(M, n)
-    for y in range(unit["xlo"], unit["xhi"] + 1):
-        Q = y**n
-        for w in range(1, xmax // y + 1):
-            P = (w * y) ** n
-            for sign in signs:
-                if sign == "minus" and w == 1:
-                    continue
-                Z = P + Q if sign == "plus" else P - Q
-                if Z > M:
-                    continue
-                wits = decompose(Z, n, cap)
-                _emit_product(
-                    cfg, acc, sign=sign, n=n, m=n, P=P, Q=Q, Z=Z, d=n, wits=wits
-                )
-
-
-def _run_survey_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                     acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    n, m, d = unit["e1"], unit["e2"], unit["d"]
-    acc.setdefault(
-        ("survey", (n, m, d)),
-        {"mode": "survey", "cell": [n, m, d], "count": 0, "solutions": []},
-    )
-    if d <= 2:
-        return  # vacuous cells: the product side needs degree > 2
-    M = cfg.max_value
-    signs = _signs(cfg)
-    cap = _clamp_spread(cfg, _spread_cap(n, m, d, cfg.f_bound, cfg.f_strict))
-    if cap < 0:
-        return
-    yvals = [(y, y**m) for y in range(2, _max_base(M, m) + 1)]
-    for x in range(2, _max_base(M, n) + 1):
-        P = x**n
-        for y, Q in yvals:
-            if Q == P or math.gcd(P, Q) == min(P, Q):
+    # survey units are never split, so they carry no base range of their own
+    lo, hi = (2, _max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
+    for bn, bm, P, Q in _pairs(M, relation, n, m, lo, hi, ordered=survey):
+        for sign in signs:
+            Z = P + Q if sign == "plus" else P - Q
+            if not 1 <= Z <= M:
                 continue
-            for sign in signs:
-                Z = P + Q if sign == "plus" else P - Q
-                if not 1 <= Z <= M:
-                    continue
+            for d, cap in caps:
                 wits = decompose(Z, d, cap)
+                if floor_s:
+                    wits = [w for w in wits if w.spread >= floor_s]
                 _emit_product(
-                    cfg, acc, sign=sign, n=n, m=m, P=P, Q=Q, Z=Z, d=d,
-                    wits=wits, cell=(n, m, d),
+                    cfg, acc, sign=sign, n=bn, m=bm, P=P, Q=Q, Z=Z, d=d, wits=wits
                 )
 
 
@@ -807,10 +661,7 @@ _UNIT_RUNNERS = {
     "fcpair": _run_fc_pair_unit,
     "fcone": _run_fc_one_unit,
     "fcwild": _run_fc_wild_unit,
-    "prodpair": _run_prodpair_unit,
-    "fp": _run_fp_unit,
-    "maxgcd": _run_maxgcd_unit,
-    "survey": _run_survey_unit,
+    "product": _run_product_unit,
     "pillai": _run_pillai_unit,
 }
 
@@ -857,7 +708,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                 if _spread_cap(n, m, d_best, cfg.f_bound, cfg.f_strict) < floor_s:
                     continue
                 units.append(
-                    {"kind": "prodpair", "e1": n, "e2": m, "xlo": 2,
+                    {"kind": "product", "e1": n, "e2": m, "xlo": 2,
                      "xhi": _max_base(M, n),
                      "cost": (_max_base(M, n) - 1) * (_max_base(M, m) - 1)}
                 )
@@ -870,7 +721,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
             if _spread_cap(n, n, n, cfg.f_bound, cfg.f_strict) < 0:
                 continue
             units.append(
-                {"kind": "fp", "e1": n, "e2": n, "xlo": 3, "xhi": nb,
+                {"kind": "product", "e1": n, "e2": n, "xlo": 3, "xhi": nb,
                  "cost": nb * nb // 2}
             )
     elif cfg.mode == "maxgcd-spread1":
@@ -880,7 +731,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
             if nb < 1:
                 continue
             units.append(
-                {"kind": "maxgcd", "e1": n, "e2": n, "xlo": 1, "xhi": nb,
+                {"kind": "product", "e1": n, "e2": n, "xlo": 1, "xhi": nb,
                  "cost": nb * 8}
             )
     elif cfg.mode == "survey":
@@ -892,7 +743,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                 cost = (_max_base(M, n) - 1) * (_max_base(M, m) - 1)
                 for d in range(dlo, dhi + 1):
                     units.append(
-                        {"kind": "survey", "e1": n, "e2": m, "d": d,
+                        {"kind": "product", "e1": n, "e2": m, "d": d,
                          "xlo": 0, "xhi": 0,
                          "cost": max(cost, 0) if d > 2 else 0}
                     )
@@ -912,12 +763,6 @@ def _unit_order_key(u: Dict[str, Any]) -> Tuple:
     return (u["kind"], u["e1"], u.get("e2", 0), u.get("d", 0), u["xlo"])
 
 
-def _splittable(unit: Dict[str, Any]) -> bool:
-    return unit["kind"] in ("fcpair", "fcone", "prodpair", "fp", "maxgcd") and (
-        unit["xhi"] > unit["xlo"]
-    )
-
-
 def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     """Deterministic chunk plan: a list of unit lists covering the search.
 
@@ -930,8 +775,8 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     while len(pieces) < n_chunks:
         pieces.sort(key=lambda u: (-u["cost"],) + _unit_order_key(u))
         head = pieces[0]
-        if not _splittable(head):
-            break
+        if head["xhi"] <= head["xlo"]:
+            break  # units without a base range (xlo == xhi == 0) do not split
         mid = (head["xlo"] + head["xhi"]) // 2
         left = dict(head, xhi=mid, cost=head["cost"] // 2)
         right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
@@ -970,7 +815,7 @@ CHECKPOINT_FORMAT = "fcspread-checkpoint"
 
 
 class CheckpointMismatch(ValueError):
-    """Checkpoint file does not fit this run (format or config digest)."""
+    """Checkpoint file does not fit this run, or does not hold a valid state."""
 
 
 def _checkpoint_cursor(done: Dict[str, Any], total: int) -> int:
@@ -988,14 +833,42 @@ def save_checkpoint(path: str, state: Dict[str, Any]) -> None:
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise CheckpointMismatch(f"cannot read checkpoint {path}: {exc}") from None
     if (
-        state.get("format") != CHECKPOINT_FORMAT
+        not isinstance(state, dict)
+        or state.get("format") != CHECKPOINT_FORMAT
         or state.get("version") != FORMAT_VERSION
     ):
         raise CheckpointMismatch(f"unrecognized checkpoint format in {path}")
+    for key, kind in (("config_digest", str), ("plan_digest", str),
+                      ("n_chunks", int), ("done", dict)):
+        if not isinstance(state.get(key), kind):
+            raise CheckpointMismatch(f"checkpoint {path} lacks a valid {key!r}")
+    if state["n_chunks"] < 1:
+        raise CheckpointMismatch(f"checkpoint {path} lacks a valid 'n_chunks'")
     return state
+
+
+def _check_done(done: Dict[str, Any], n_plan: int, cfg: SearchConfig) -> None:
+    """Refuse checkpointed chunks outside the plan and records that fail to verify."""
+    chunk_ids = {str(i) for i in range(n_plan)}
+    for key, records in done.items():
+        if key not in chunk_ids or not isinstance(records, list):
+            raise CheckpointMismatch(f"checkpoint chunk {key!r} does not fit the plan")
+        for rec in records:
+            try:
+                problems = verify_record(rec, cfg)
+            except Exception as exc:  # the checkpoint comes from disk
+                problems = [f"verification raised {type(exc).__name__}: {exc}"]
+            if problems:
+                raise CheckpointMismatch(
+                    f"checkpoint chunk {key} holds a record that fails "
+                    f"verification: {problems[0]}"
+                )
 
 
 @dataclass
@@ -1055,6 +928,15 @@ def run_chunked(
             )
         n_chunks = state["n_chunks"]
     plan = plan_chunks(cfg, n_chunks)
+    plan_digest = hashlib.sha256(canon_json(plan).encode()).hexdigest()
+    if resume:
+        if state["plan_digest"] != plan_digest:
+            raise CheckpointMismatch(
+                "checkpoint plan digest mismatch: "
+                f"{state['plan_digest']} != {plan_digest}"
+            )
+        _check_done(state["done"], len(plan), cfg)
+    state["plan_digest"] = plan_digest
     state["chunks_total"] = len(plan)
     done: Dict[str, List[Dict[str, Any]]] = state["done"]
     pending = [i for i in range(len(plan)) if str(i) not in done]
@@ -1094,31 +976,28 @@ def run_chunked(
 # Public search entry points
 
 
-def search_fermat_catalan(cfg: SearchConfig, threads: int = 1) -> List[SolutionRecord]:
+def search_fermat_catalan(cfg: SearchConfig, threads: int = 1) -> List[Dict[str, Any]]:
     """Exhaustive fermat-catalan search below 2**cfg.max_bits."""
     if cfg.mode != "fermat-catalan":
         raise ValueError("config mode must be fermat-catalan")
-    res = run_chunked(cfg, n_chunks=max(1, threads), threads=threads)
-    return [SolutionRecord(r) for r in res.records]
+    return run_chunked(cfg, n_chunks=max(1, threads), threads=threads).records
 
 
-def search_product_target(cfg: SearchConfig, threads: int = 1) -> List[SolutionRecord]:
+def search_product_target(cfg: SearchConfig, threads: int = 1) -> List[Dict[str, Any]]:
     """Search a product-target mode (gbtz/nonmaxgcd3/fp/maxgcd-spread1)."""
     if cfg.mode not in ("gbtz", "nonmaxgcd3", "fp", "maxgcd-spread1"):
         raise ValueError(f"not a product-target mode: {cfg.mode}")
-    res = run_chunked(cfg, n_chunks=max(1, threads), threads=threads)
-    return [SolutionRecord(r) for r in res.records]
+    return run_chunked(cfg, n_chunks=max(1, threads), threads=threads).records
 
 
 def search_pillai_products(difference: int, cfg: Optional[SearchConfig] = None,
-                           **overrides: Any) -> List[SolutionRecord]:
+                           **overrides: Any) -> List[Dict[str, Any]]:
     """Pairs of bounded-spread products at the given difference."""
     if cfg is None:
         cfg = make_config("pillai", difference=difference, **overrides)
     elif cfg.difference != difference:
         raise ValueError("difference argument disagrees with config")
-    res = run_chunked(cfg)
-    return [SolutionRecord(r) for r in res.records]
+    return run_chunked(cfg).records
 
 
 def survey_combinations(cfg: SearchConfig) -> Dict[Tuple[int, int, int], int]:
@@ -1143,6 +1022,8 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
 
     M = cfg.max_value
     mode = rec.get("mode")
+    if mode != cfg.mode:
+        return [f"record mode {mode!r} does not match the config mode {cfg.mode!r}"]
     if mode == "survey":
         check(len(rec["solutions"]) == rec["count"], "count != len(solutions)")
         n, m, d = rec["cell"]
@@ -1206,10 +1087,7 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
         check(_weight_ok(cfg, w), "pair weight over bound")
         check(str(w) == rec["weight"], "stored weight mismatch")
         return problems
-    if mode in ("gbtz", "nonmaxgcd3", "fp", "maxgcd-spread1"):
-        return _verify_product_core(rec, cfg)
-    problems.append(f"unknown mode {mode!r}")
-    return problems
+    return _verify_product_core(rec, cfg)
 
 
 def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
@@ -1255,10 +1133,7 @@ def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
             check(n == m == d, "mode requires matching exponents and degree")
         if mode == "gbtz":
             check(d <= min(n, m), "degree above smallest exponent")
-        structural = 1 if mode == "maxgcd-spread1" else _spread_cap(
-            n, m, d, cfg.f_bound, cfg.f_strict
-        )
-        caps[(n, m)] = _clamp_spread(cfg, structural)
+        caps[(n, m)] = _product_cap(cfg, n, m, d)
     check(rec["witness"] == rec["witnesses"][0] == min(rec["witnesses"]),
           "canonical witness is not the lexicographic minimum")
     best = None

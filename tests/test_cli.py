@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -161,6 +162,22 @@ def test_search_checkpoint_digest_mismatch(tmp_path):
          "--output", str(tmp_path / "x.jsonl")]
     )
     assert code == EXIT_USAGE
+
+
+def test_search_resume_refuses_corrupt_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    for text in (None, "{not json", "[1, 2]",
+                 json.dumps({"format": "fcspread-checkpoint", "version": 1})):
+        if text is not None:  # None: the checkpoint file does not exist
+            ckpt.write_text(text)
+        code = cli.run(
+            ["search", "fc", "--max-bits", "10", "--threads", "1",
+             "--checkpoint", str(ckpt), "--resume",
+             "--output", str(tmp_path / "x.jsonl")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_search_usage_errors(tmp_path):
@@ -428,6 +445,28 @@ def test_verify_log_catches_tampering(tmp_path, capsys):
     assert cli.run(["verify-log", str(tmp_path / "missing.jsonl")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("corrupt, problem", [
+    (lambda h: h["config"].update(max_bits="x"), "header: invalid search config"),
+    (lambda h: h["config"].pop("mode"), "header: invalid search config"),
+    (lambda h: h.update(subcommand=5), "header: bad subcommand"),
+])
+def test_verify_log_reports_bad_header(tmp_path, capsys, corrupt, problem):
+    _, _, _, _, out = _run(
+        tmp_path, ["search", "fc", "--max-bits", "10", "--threads", "1"]
+    )
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    corrupt(header)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert _verify(bad) == EXIT_FINDINGS
+    captured = capsys.readouterr()
+    assert f"{bad}: {problem}" in captured.out
+    assert "Traceback" not in captured.err
+    assert cli.verify_log_lines(["[1]"]) == (0, ["header: not a JSON object"])
+
+
 def test_verify_log_emits_manifest_only(tmp_path, capsys):
     _, _, _, _, out = _run(tmp_path, ["factor", "12"], name="f.jsonl")
     capsys.readouterr()
@@ -460,6 +499,19 @@ def test_no_subcommand_and_help(capsys):
     assert cli.run(["--help"]) == EXIT_OK
     assert cli.run(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["fcspread", "fcspread.cli"])
+def test_python_m_runs_cli(module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "factor", "12"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout.splitlines()[1])["factors"] == [[2, 2], [3, 1]]
 
 
 def test_console_script_installed(tmp_path):

@@ -1,6 +1,8 @@
-"""Search engine: power tables, all seven modes, chunking and checkpoints."""
+"""Search engine: the pair scan, all seven modes, chunking and checkpoints."""
 
+import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -10,7 +12,6 @@ from fcspread import search
 from fcspread.search import (
     CheckpointMismatch,
     SearchConfig,
-    build_power_table,
     canon_json,
     make_config,
     run_chunked,
@@ -30,49 +31,52 @@ def _assert_all_verify(records, cfg):
 
 
 # ---------------------------------------------------------------------------
-# power table
+# pair scan
 
 
-def test_build_power_table_examples():
-    t = build_power_table(100, 3, 100)
-    assert set(t.values) == {8, 16, 27, 32, 64, 81}
-    assert t.representations(64) == [(4, 3), (2, 6)]
-    assert 27 in t and 28 not in t
-    assert len(t) == 6
-
-    t = build_power_table(8, 2, 2)
-    assert set(t.values) == {4}
-
-
-def test_build_power_table_against_comprehension():
+def test_power_value_set_against_comprehension():
     bound = 10**6
-    t = build_power_table(bound, 3, 100)
     want = {
         x**e
         for e in range(3, bound.bit_length())
         for x in range(2, int(round(bound ** (1 / e))) + 2)
         if x**e <= bound
     }
-    assert set(t.values) == want
-    for v in (4096, 59049, 2**19):
-        got = t.representations(v)
-        assert got == sorted(
-            ((x, e) for x, e in (
-                (x, e)
-                for e in range(3, 101)
-                for x in range(2, 2**7)
-            ) if x**e == v),
-            key=lambda be: be[1],
-        )
+    assert search._power_value_set(bound) == want
+    assert search._power_value_set(100) == {8, 16, 27, 32, 64, 81}
 
 
-def test_build_power_table_budget():
-    with pytest.raises(MemoryError):
-        build_power_table(10**6, 2, 3, memory_budget=100)
-    with pytest.raises(ValueError):
-        build_power_table(3, 3, 5)
-    with pytest.raises(ValueError):
-        build_power_table(100, 1, 5)
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("n, m", [(3, 3), (2, 2), (3, 4), (4, 3), (2, 5)])
+@pytest.mark.parametrize("relation", ["coprime", "nonmaxgcd", "maxgcd"])
+def test_pairs_against_brute_force(relation, n, m, ordered):
+    M = 5000
+    top = {e: max(b for b in range(1, M) if b**e <= M) for e in (n, m)}
+
+    def related(x, y):
+        P, Q = x**n, y**m
+        if relation == "maxgcd":
+            return x % y == 0
+        if x < 2 or y < 2:
+            return False
+        if relation == "coprime":
+            return math.gcd(x, y) == 1
+        return max(P, Q) % min(P, Q) != 0
+
+    want = set()
+    for x in range(1, top[n] + 1):
+        for y in range(1, top[m] + 1):
+            if related(x, y):
+                P, Q = x**n, y**m
+                want.add((n, m, P, Q) if ordered or P >= Q else (m, n, Q, P))
+    # the scanned base range split in two, as plan_chunks splits a unit
+    lo, hi = (1, top[m]) if relation == "maxgcd" else (2, top[n])
+    mid = (lo + hi) // 2
+    got = list(search._pairs(M, relation, n, m, lo, mid, ordered))
+    got += search._pairs(M, relation, n, m, mid + 1, hi, ordered)
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert want
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ def test_pillai_verify_and_api():
     recs = _records(cfg)
     _assert_all_verify(recs, cfg)
     sols = search.search_pillai_products(1, cfg)
-    assert [s.values() for s in sols] == [(8, 9)]
+    assert [(s["x"], s["z"]) for s in sols] == [(8, 9)]
     with pytest.raises(ValueError):
         search.search_pillai_products(2, cfg)
 
@@ -362,6 +366,43 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(CheckpointMismatch):
         search.load_checkpoint(str(path))
+    cfg = make_config("fermat-catalan", max_bits=10)
+    run_chunked(cfg, n_chunks=2, checkpoint_path=str(path), max_chunks=1)
+    state = json.loads(path.read_text())
+    broken = ["{not json", "[1, 2]", json.dumps(dict(state, n_chunks=0))] + [
+        json.dumps({k: v for k, v in state.items() if k != key})
+        for key in ("config_digest", "plan_digest", "n_chunks", "done")
+    ]
+    for text in broken:
+        path.write_text(text)
+        with pytest.raises(CheckpointMismatch):
+            search.load_checkpoint(str(path))
+
+
+def test_checkpoint_binds_plan_and_verifies_records(tmp_path):
+    cfg = make_config("fermat-catalan", max_bits=13)
+    ckpt = tmp_path / "run.ckpt"
+    run_chunked(cfg, n_chunks=4, checkpoint_path=str(ckpt), max_chunks=2)
+    state = json.loads(ckpt.read_text())
+    plan = search.plan_chunks(cfg, 4)
+    assert state["plan_digest"] == hashlib.sha256(canon_json(plan).encode()).hexdigest()
+
+    def refused(**changes):
+        path = tmp_path / "tampered.ckpt"
+        path.write_text(json.dumps(dict(state, **changes)))
+        with pytest.raises(CheckpointMismatch):
+            run_chunked(cfg, checkpoint_path=str(path), resume=True)
+
+    fake = {"mode": "fermat-catalan", "sign": "plus", "values": [1, 2, 3],
+            "coeffs": [1, 1, 1], "reps": [[], [], []], "assignment": [0, 0, 0],
+            "weight": "0"}
+    refused(done=dict(state["done"], **{"0": state["done"]["0"] + [fake]}))
+    other = _records(make_config("nonmaxgcd3", max_bits=24))[0]
+    refused(done=dict(state["done"], **{"0": [other]}))
+    refused(done=dict(state["done"], **{"0": [{"mode": "fermat-catalan"}]}))
+    refused(done=dict(state["done"], **{"4": []}))
+    refused(plan_digest="0" * 64)
+    assert run_chunked(cfg, checkpoint_path=str(ckpt), resume=True).completed
 
 
 def test_run_result_candidates_vs_records():
