@@ -364,6 +364,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     n_chunks = args.chunks if args.chunks is not None else max(16, 4 * threads)
     if threads < 1 or n_chunks < 1:
         raise UsageError("--threads and --chunks must be >= 1")
+    if args.resume and not args.checkpoint:
+        raise UsageError("--resume needs --checkpoint")
     result = search.run_chunked(
         cfg,
         n_chunks=n_chunks,

@@ -9,11 +9,23 @@ Every mode but pillai asks one question: does P +/- Q, for perfect powers
 table of x**e per exponent, `_powers`; the modes differ only in the target
 they test P +/- Q against:
 
-* fermat-catalan: a triple admitting exponents of weight 1/n + 1/m + 1/k < 1
-  has at least two terms with representations of exponent >= 3, or one such
-  term next to a literal 1 (two squares already weigh 1, and 1 + y^2 = z^2
-  has no solution), so coprime pairs of exponent >= 3 plus an explicit
-  wildcard-1 loop are exhaustive.  The target is a perfect power or 1.
+* fermat-catalan: the target is a perfect power or 1.  Triples with a
+  literal 1 come from the wildcard units (fcone, fcwild); the others from
+  coprime pairs of powers of exponent >= 3.  A pair unit (e1 <= e2) is
+  scanned only if it can carry the two largest exponents of an admissible
+  assignment, i.e. some third exponent e3 <= e1 completes an admissible
+  weight (`_fc_pair_needed`); under the default strict bound 1 this drops
+  cube x cube, since 1/3 + 1/3 + 1/3 is not below 1.  The kept units reach
+  every triple that any pair of exponents >= 3 reaches.  That is
+  exhaustive while no admissible assignment has two squares (weight >=
+  1 + 1/max_exp); under a wider bound, a triple with only one term of
+  exponent >= 3 is not found.  With coefficients (1, 1, 1) and M <= 2**62
+  a pair unit first forms x**n +/- y**m in int64 numpy blocks of at most
+  2**14 cells and keeps the cells whose sum or difference is 1, in the
+  sorted power table or a square (`_maybe_usable`, a superset of the exact
+  test); only those are checked for coprimality and passed to the exact
+  `_fc_try_pair`.  Other coefficients and larger bounds run the scalar
+  `_pairs` loop.
 * product-target modes (gbtz: coprime, nonmaxgcd3 and fp: non-maxgcd,
   maxgcd-spread1: maxgcd) and survey (non-maxgcd, both orders of each pair,
   one record per (n, m, d) cell) fix the third term to be a bounded-spread
@@ -33,6 +45,7 @@ matter the chunk plan, thread count or completion order.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -42,6 +55,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iterproduct
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import arith, families
 from .products import (
@@ -240,6 +255,70 @@ def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
     return r * r == t or t in power_set
 
 
+# Bound and block size of the int64 prefilter in front of `_fc_try_pair`.
+# With P, Q <= 2**62, P + Q <= 2**63 and |P - Q| < 2**62; the one sum that
+# overflows int64 (P = Q = 2**62) wraps negative and is rejected as < 1.
+# Blocks of 2**14 cells keep the temporaries near 1 MB.
+_PREFILTER_MAX = 1 << 62
+_PREFILTER_CELLS = 1 << 14
+
+
+@lru_cache(maxsize=128)
+def _powers_i64(M: int, e: int) -> np.ndarray:
+    return np.array(_powers(M, e), dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def _usable_table_i64(M: int) -> np.ndarray:
+    """Sorted int64 copy of `_power_value_set(M)` plus the wildcard 1."""
+    return np.array(sorted(_power_value_set(M) | {1}), dtype=np.int64)
+
+
+def _maybe_usable(t: np.ndarray, M: int, table: np.ndarray) -> np.ndarray:
+    """Vector prefilter: True wherever `_usable_power(t, M, ...)` may hold.
+
+    Sound for int64 t and M <= 2**62: 1 and the powers of exponent >= 3 are
+    found by exact search in `table`; a square t = k*k <= 2**62 has
+    |sqrt(float(t)) - k| < 2**-20, so the truncated root r is k - 1 or k and
+    one of (r-1)**2, r**2, (r+1)**2 (each < 2**63) equals t.  Values < 1
+    are rejected, which `_fc_try_pair` never tests.
+    """
+    ok = (t >= 1) & (t <= M)
+    t = np.where(ok, t, 1)
+    idx = np.searchsorted(table, t)
+    hit = table[np.minimum(idx, len(table) - 1)] == t
+    r = np.sqrt(t.astype(np.float64)).astype(np.int64)
+    for k in (r - 1, r, r + 1):
+        hit |= k * k == t
+    return ok & hit
+
+
+def _fc_prefiltered_cells(M: int, n: int, m: int, lo: int,
+                          hi: int) -> Iterator[Tuple[int, int]]:
+    """Bases (x, y) of `_pairs(M, "coprime", n, m, lo, hi)` that may matter.
+
+    A superset of the cells where x**n + y**m or |x**n - y**m| passes
+    `_usable_power`, in blocks of at most `_PREFILTER_CELLS` cells; gcd and,
+    for n == m, the y < x order are left to the caller.
+    """
+    pn, pm = _powers_i64(M, n), _powers_i64(M, m)
+    table = _usable_table_i64(M)
+    same = n == m
+    cols = max(1, min(len(pm) - 2, _PREFILTER_CELLS))
+    rows = max(1, _PREFILTER_CELLS // cols)
+    for x0 in range(lo, hi + 1, rows):
+        x1 = min(x0 + rows, hi + 1)
+        P = pn[x0:x1, None]
+        yend = x1 - 1 if same else len(pm)  # same: y < x <= x1 - 1
+        for y0 in range(2, yend, cols):
+            Q = pm[None, y0:min(y0 + cols, yend)]
+            keep = _maybe_usable(P + Q, M, table)
+            keep |= _maybe_usable(np.abs(P - Q), M, table)
+            rows_i, cols_j = np.nonzero(keep)
+            for i, j in zip(rows_i.tolist(), cols_j.tolist()):
+                yield x0 + i, y0 + j
+
+
 def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
            ordered: bool = False) -> Iterator[Tuple[int, int, int, int]]:
     """Yield (n, m, P, Q) for the power pairs P = x**n, Q = y**m <= M.
@@ -425,6 +504,28 @@ def _fc_exp_range(cfg: SearchConfig) -> Tuple[int, int]:
     return max(3, cfg.min_exp), min(cfg.max_exp, cfg.max_bits)
 
 
+def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
+    """Whether the pair unit (e1 <= e2) can find a record no other unit finds.
+
+    A triple with a term 1 comes from the fcone or fcwild units.  Any other
+    triple a pair unit reaches has two terms u, v with representations of exponents
+    p, q >= 3 in range.  Take an admissible assignment A and raise the
+    exponents of u and v to p and q where those are larger: the weight can
+    only fall.  If the smallest exponent now exceeds min_exp_cap, A's
+    smallest sat on u (say) and w's exponent is above the cap, so put u's
+    back.  Either way an admissible assignment has its two largest
+    exponents e_a >= e_b >= 3, and its third e_c <= e_b completes the
+    weight.  The unit (e_b, e_a) reaches the triple through the terms that
+    carry them, and records depend only on the values, so it suffices; it
+    passes this test because e3 = min(e1, max_exp, min_exp_cap) is the
+    largest allowed third exponent and weighs least.
+    """
+    e3 = min(e1, cfg.max_exp, cfg.min_exp_cap)
+    # 1/e1 + 1/e2 + 1/e3 as one Fraction: the plan asks this for every pair
+    return e3 >= max(2, cfg.min_exp) and _weight_ok(
+        cfg, Fraction(e2 * e3 + e1 * e3 + e1 * e2, e1 * e2 * e3))
+
+
 def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
     """Representations of a term value within the configured exponent range.
 
@@ -518,9 +619,17 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
     M = cfg.max_value
     power_set = _power_value_set(M)
-    for _, _, P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"],
-                             unit["xlo"], unit["xhi"]):
-        _fc_try_pair(cfg, P, Q, power_set, acc)
+    n, m, lo, hi = unit["e1"], unit["e2"], unit["xlo"], unit["xhi"]
+    if cfg.coeffs != (1, 1, 1) or M > _PREFILTER_MAX:
+        for _, _, P, Q in _pairs(M, "coprime", n, m, lo, hi):
+            _fc_try_pair(cfg, P, Q, power_set, acc)
+        return
+    pn, pm = _powers(M, n), _powers(M, m)
+    same = n == m
+    for x, y in _fc_prefiltered_cells(M, n, m, lo, hi):
+        if (y < x or not same) and math.gcd(x, y) == 1:
+            P, Q = pn[x], pm[y]
+            _fc_try_pair(cfg, max(P, Q), min(P, Q), power_set, acc)
 
 
 def _run_fc_one_unit(cfg: SearchConfig, unit: Dict[str, Any],
@@ -686,6 +795,8 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                  "xhi": _max_base(M, e1), "cost": n1}
             )
             for e2 in exps[i:]:
+                if not _fc_pair_needed(cfg, e1, e2):
+                    continue
                 n2 = _max_base(M, e2) - 1
                 units.append(
                     {"kind": "fcpair", "e1": e1, "e2": e2, "xlo": 2,
@@ -771,26 +882,32 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
-    pieces = _mode_units(cfg)
-    while len(pieces) < n_chunks:
-        pieces.sort(key=lambda u: (-u["cost"],) + _unit_order_key(u))
-        head = pieces[0]
+
+    def entry(u: Dict[str, Any]) -> Tuple[Tuple, Dict[str, Any]]:
+        # Unique per piece (split halves differ in xlo), so dicts never compare.
+        return (-u["cost"],) + _unit_order_key(u), u
+
+    heap = [entry(u) for u in _mode_units(cfg)]
+    heapq.heapify(heap)
+    while len(heap) < n_chunks:
+        head = heap[0][1]
         if head["xhi"] <= head["xlo"]:
             break  # units without a base range (xlo == xhi == 0) do not split
         mid = (head["xlo"] + head["xhi"]) // 2
         left = dict(head, xhi=mid, cost=head["cost"] // 2)
         right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
-        pieces = [left, right] + pieces[1:]
-    pieces.sort(key=_unit_order_key)
+        heapq.heapreplace(heap, entry(left))
+        heapq.heappush(heap, entry(right))
+    pieces = sorted((u for _, u in heap), key=_unit_order_key)
     groups: List[List[Dict[str, Any]]] = [
         [] for _ in range(min(n_chunks, max(len(pieces), 1)))
     ]
-    loads = [0] * len(groups)
+    loads = [(0, g) for g in range(len(groups))]  # least load, then lowest g
     order = sorted(range(len(pieces)), key=lambda i: (-pieces[i]["cost"], i))
     for i in order:
-        g = loads.index(min(loads))
+        load, g = loads[0]
         groups[g].append(pieces[i])
-        loads[g] += max(pieces[i]["cost"], 1)
+        heapq.heapreplace(loads, (load + max(pieces[i]["cost"], 1), g))
     for g in groups:
         g.sort(key=_unit_order_key)
     return groups

@@ -14,7 +14,9 @@ them on success; on failure the line is part of the assertion message):
  6. the radical bound margin is nonnegative on 10**5 enumerated products
     with spread + 1 < degree and values up to 2**64,
  7. on the range where exhaustive classification of a + b = c is feasible,
-    independent brute-force oracles agree exactly with every search mode,
+    independent brute-force oracles agree exactly with every search mode
+    (7b: and with the Fermat-Catalan exponent-pair plan under other
+    weight bounds and exponent limits),
  8. the parametric families produce verified solutions (and the documented
     failure case fails in the expected way),
  9. chunked, threaded and interrupted-then-resumed runs emit byte-identical
@@ -30,8 +32,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from fcspread import arith, cli, families, search
+from fcspread import cli, families, search
 from fcspread.families import IdentityFailure, KnownSolution
 from fcspread.products import SpreadConstraints, decompose, enumerate_products
 from fcspread.products import spread_lemma_margin
@@ -220,34 +223,37 @@ def _verify_all(records, cfg):
         assert problems == [], (rec, problems)
 
 
-def _brute_fc(limit):
+def _brute_fc(limit, f_bound=Fraction(1), strict=True, min_exp=2, max_exp=113,
+              min_exp_cap=113):
     """Classify every a + b = c <= limit directly: all terms 1 or perfect
-    powers, pairwise coprime, best exponent weight strictly below 1."""
+    powers x**e with min_exp <= e <= max_exp, pairwise coprime, and some
+    choice of one exponent per power term whose weight sum(1/e) is under
+    f_bound and whose smallest exponent is at most min_exp_cap."""
+    exps = {
+        v: [e for e in es if e <= max_exp]
+        for v, es in _power_exps(limit, max(2, min_exp)).items()
+        if es[0] <= max_exp
+    }
     inv = np.full(limit + 1, np.inf)
     inv[1] = 0.0
-    e = 2
-    while 2**e <= limit:
-        x = 2
-        while x**e <= limit:
-            if 1.0 / e < inv[x**e]:
-                inv[x**e] = 1.0 / e
-            x += 1
-        e += 1
+    for v, es in exps.items():
+        inv[v] = 1.0 / es[-1]
     found = set()
     for c in range(3, limit + 1):
         half = c // 2
         w = inv[1 : half + 1] + inv[c - 1 : c - half - 1 : -1] + inv[c]
-        for a in (np.nonzero(w < 1.0 + 1e-9)[0] + 1).tolist():
+        for a in (np.nonzero(w <= float(f_bound) + 1e-9)[0] + 1).tolist():
             b = c - a
             if math.gcd(a, b) != 1:
                 continue
-            weight = Fraction(0)
-            for v in (a, b, c):
-                if v > 1:
-                    exps = [k for _, k in arith.perfect_power_exponents(v)]
-                    weight += Fraction(1, max(exps))
-            if weight < 1:
-                found.add((a, b, c))
+            for combo in itertools.product(
+                *[exps[v] if v > 1 else [0] for v in (a, b, c)]
+            ):
+                weight = sum(Fraction(1, e) for e in combo if e)
+                under = weight < f_bound if strict else weight <= f_bound
+                if under and min(e for e in combo if e) <= min_exp_cap:
+                    found.add((a, b, c))
+                    break
     return found
 
 
@@ -437,6 +443,58 @@ def test_07_brute_force_oracles_match_every_mode():
         f" ({n_rec} solutions cross-checked in {dt:.1f}s)",
     )
     assert msg
+
+
+_FC_PLAN_CONFIGS = {
+    "f9/10": dict(f_bound=Fraction(9, 10)),
+    "f1": dict(),
+    "f1-nonstrict": dict(f_strict=False),
+    "f13/12-nonstrict": dict(f_bound=Fraction(13, 12), f_strict=False),
+    "f5/4": dict(f_bound=Fraction(5, 4)),
+    "min_exp4": dict(min_exp=4),
+    "max_exp5": dict(max_exp=5),
+    "min_exp_cap3": dict(min_exp_cap=3),
+    # two squares are admissible, yet the plan drops cube x cube: with the
+    # third exponent capped at 2, 1/3 + 1/3 + 1/2 is over the bound
+    "min_exp_cap2-f21/20": dict(min_exp_cap=2, f_bound=Fraction(21, 20),
+                                f_strict=False),
+    "min_exp_cap2-f5/4": dict(min_exp_cap=2, f_bound=Fraction(5, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FC_PLAN_CONFIGS))
+def test_07b_fc_pair_plan_matches_brute_force(name):
+    bits = 13
+    cfg = search.make_config("fermat-catalan", max_bits=bits,
+                             **_FC_PLAN_CONFIGS[name])
+    brute = _brute_fc(2**bits, cfg.f_bound, cfg.f_strict, cfg.min_exp,
+                      cfg.max_exp, cfg.min_exp_cap)
+    # The pair scan reaches a triple through a term 1 or through two terms
+    # with representations of exponent >= 3.  Every admissible triple is
+    # reachable unless an assignment with two squares can be admissible.
+    high = _power_exps(2**bits, max(3, cfg.min_exp))
+    reach = {
+        t for t in brute
+        if 1 in t
+        or sum(any(e <= cfg.max_exp for e in high.get(v, [])) for v in t) >= 2
+    }
+    two_squares = cfg.min_exp <= 2 <= cfg.min_exp_cap and any(
+        (w < cfg.f_bound if cfg.f_strict else w <= cfg.f_bound)
+        for w in (1 + Fraction(1, e) for e in range(2, cfg.max_exp + 1))
+    )
+    res = search.run_chunked(cfg, n_chunks=4)
+    _verify_all(res.records, cfg)
+    engine = {tuple(r["values"]) for r in res.records}
+    # With min_exp >= 3 the range holds no triple (a coprime a + b = c with
+    # every term a power of exponent >= 3 would be a Beal counterexample).
+    nonempty = bool(reach) or cfg.min_exp > 2
+    ok = engine == reach and nonempty and (two_squares or reach == brute)
+    msg = _line("7b", ok, f"{name}: engine {len(engine)}, reachable "
+                f"{len(reach)} of {len(brute)} brute-force triples")
+    if not two_squares:
+        assert reach == brute, msg
+    assert engine == reach, msg
+    assert nonempty, msg
 
 
 def test_08_parametric_families_produce_verified_solutions():

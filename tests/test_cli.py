@@ -180,6 +180,15 @@ def test_search_resume_refuses_corrupt_checkpoint(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_search_resume_needs_checkpoint(tmp_path, capsys):
+    code = cli.run(["search", "fc", "--max-bits", "10", "--resume",
+                    "--output", str(tmp_path / "x.jsonl")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--checkpoint" in err
+    assert "Traceback" not in err
+
+
 def test_search_usage_errors(tmp_path):
     out = str(tmp_path / "x.jsonl")
     assert cli.run(["search", "fc", "--max-bits", "0", "--output", out]) == EXIT_USAGE

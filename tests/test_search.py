@@ -6,9 +6,10 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fcspread import search
+from fcspread import arith, search
 from fcspread.search import (
     CheckpointMismatch,
     SearchConfig,
@@ -77,6 +78,94 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
     assert len(got) == len(set(got))
     assert set(got) == want
     assert want
+
+
+def test_prefilter_keeps_every_usable_value():
+    M = 1 << 16
+    power_set = search._power_value_set(M)
+    t = np.arange(1, M + 2, dtype=np.int64)
+    kept = search._maybe_usable(t, M, search._usable_table_i64(M))
+    usable = np.array([search._usable_power(v, M, power_set) for v in t.tolist()])
+    assert usable.any() and not (usable & ~kept).any()
+
+    # Near the int64 limit, against a few table powers of its own.
+    M = 1 << 62
+    powers = {b**e for e in range(3, 63)
+              for b in (arith.iroot(M, e)[0], arith.iroot(M, e)[0] - 1) if b >= 2}
+    table = np.array(sorted(powers | {1}), dtype=np.int64)
+    values = {1, M, M + 1} | powers
+    for k in range(2**31 - 40, 2**31 + 2):
+        values |= {k * k - 1, k * k, k * k + 1, (k - 1) ** 2, (k + 1) ** 2}
+    values = sorted(v for v in values if v < 2**63)
+    kept = search._maybe_usable(np.array(values, dtype=np.int64), M, table)
+    usable = np.array([search._usable_power(v, M, powers) for v in values])
+    assert usable.sum() > 40 and not (usable & ~kept).any()
+    assert not kept[values.index(M + 1)]
+    assert not kept[values.index((2**31 - 1) ** 2 + 1)]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40, 1 << 14])
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3), (5, 5)])
+def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
+    # With a prefilter that keeps everything, the blocks must tile the scan.
+    monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
+    monkeypatch.setattr(search, "_maybe_usable",
+                        lambda t, M, table: np.ones(t.shape, dtype=bool))
+    M = 1 << 16
+    hi = search._max_base(M, n)
+    for lo_, hi_ in ((2, hi), (2, hi // 2), (hi // 2 + 1, hi)):
+        got = [(x, y) for x, y in search._fc_prefiltered_cells(M, n, m, lo_, hi_)
+               if y < x or n != m]
+        want = [(x, y) for x in range(lo_, hi_ + 1)
+                for y in range(2, x if n == m else search._max_base(M, m) + 1)]
+        assert sorted(got) == want
+
+
+@pytest.mark.parametrize("cells", [7, 1 << 14])
+def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
+    monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
+    # f_bound 3/2 keeps every exponent pair, (3, 3) included
+    cfg = make_config("fermat-catalan", max_bits=20, f_bound=Fraction(3, 2))
+    M = cfg.max_value
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "fcpair"]
+    assert {(u["e1"], u["e2"]) for u in units} >= {(3, 3), (3, 4), (4, 4)}
+    fast, slow = {}, {}
+    for u in units:
+        search._run_fc_pair_unit(cfg, u, fast)
+        for _, _, P, Q in search._pairs(M, "coprime", u["e1"], u["e2"],
+                                        u["xlo"], u["xhi"]):
+            search._fc_try_pair(cfg, P, Q, search._power_value_set(M), slow)
+    assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
+    assert len(fast) > 5
+
+
+def test_fc_pair_needed_enumerates_third_exponents():
+    def weight_ok(cfg, w):
+        return w < cfg.f_bound if cfg.f_strict else w <= cfg.f_bound
+
+    for f_bound in (Fraction(9, 10), Fraction(1), Fraction(21, 20),
+                    Fraction(13, 12), Fraction(5, 4)):
+        for strict in (True, False):
+            for min_exp, max_exp, cap in ((2, 113, 113), (3, 113, 113),
+                                          (4, 113, 113), (2, 5, 113),
+                                          (2, 113, 3), (2, 113, 2),
+                                          (2, 113, 1), (3, 7, 4)):
+                cfg = make_config("fermat-catalan", max_bits=30, f_bound=f_bound,
+                                  f_strict=strict, min_exp=min_exp,
+                                  max_exp=max_exp, min_exp_cap=cap)
+                for e1 in range(3, min(max_exp, 12) + 1):
+                    for e2 in range(e1, min(max_exp, 12) + 1):
+                        third = any(
+                            e3 <= cap and weight_ok(cfg, Fraction(1, e1)
+                                                    + Fraction(1, e2)
+                                                    + Fraction(1, e3))
+                            for e3 in range(max(2, min_exp), e1 + 1)
+                        )
+                        assert search._fc_pair_needed(cfg, e1, e2) == third, (
+                            cfg, e1, e2)
+    default = make_config("fermat-catalan")
+    assert not search._fc_pair_needed(default, 3, 3)
+    assert search._fc_pair_needed(default, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +401,40 @@ def test_chunk_plan_covers_and_balances():
         assert all(plan)
     with pytest.raises(ValueError):
         search.plan_chunks(cfg, 0)
+
+
+def _plan_chunks_resorting(cfg, n_chunks):
+    """plan_chunks as a plain loop that re-sorts every piece on each split."""
+    pieces = search._mode_units(cfg)
+    while len(pieces) < n_chunks:
+        pieces.sort(key=lambda u: (-u["cost"],) + search._unit_order_key(u))
+        head = pieces[0]
+        if head["xhi"] <= head["xlo"]:
+            break
+        mid = (head["xlo"] + head["xhi"]) // 2
+        left = dict(head, xhi=mid, cost=head["cost"] // 2)
+        right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
+        pieces = [left, right] + pieces[1:]
+    pieces.sort(key=search._unit_order_key)
+    groups = [[] for _ in range(min(n_chunks, max(len(pieces), 1)))]
+    loads = [0] * len(groups)
+    for i in sorted(range(len(pieces)), key=lambda i: (-pieces[i]["cost"], i)):
+        g = loads.index(min(loads))
+        groups[g].append(pieces[i])
+        loads[g] += max(pieces[i]["cost"], 1)
+    for g in groups:
+        g.sort(key=search._unit_order_key)
+    return groups
+
+
+@pytest.mark.parametrize("mode", search.MODES)
+def test_plan_chunks_matches_resorting_loop(mode):
+    extra = {"pillai": {"difference": 1},
+             "survey": {"n_range": (3, 6), "m_range": (3, 6)}}.get(mode, {})
+    cfg = make_config(mode, **extra)
+    for n_chunks in (1, 16, 64, 300):
+        assert search.plan_chunks(cfg, n_chunks) == _plan_chunks_resorting(
+            cfg, n_chunks)
 
 
 def test_records_independent_of_chunking_and_threads():
