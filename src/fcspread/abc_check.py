@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
 
 import mpmath
@@ -50,6 +51,11 @@ class AbcTriple:
             raise ValueError(f"{self.a} + {self.b} != {self.c}")
         if math.gcd(self.a, self.b) != 1:
             raise ValueError(f"gcd({self.a}, {self.b}) != 1")
+
+    @cached_property  # factoring is the cost of every check on the triple
+    def radicals(self) -> Tuple[int, int, int]:
+        """(rad(a), rad(b), rad(c)), pairwise coprime since gcd(a, b) = 1."""
+        return arith.radical(self.a), arith.radical(self.b), arith.radical(self.c)
 
     @classmethod
     def of(cls, a: int, b: int, c: Optional[int] = None) -> "AbcTriple":
@@ -126,15 +132,9 @@ class AbcReport:
         }
 
 
-def _radicals(t: AbcTriple) -> Tuple[int, int, int]:
-    # a + b = c with gcd(a, b) = 1 forces pairwise coprimality.
-    assert math.gcd(t.a, t.c) == 1 and math.gcd(t.b, t.c) == 1
-    return arith.radical(t.a), arith.radical(t.b), arith.radical(t.c)
-
-
 def check_explicit(t: AbcTriple) -> AbcReport:
     """Exact check of c < max(rad(ab), rad(ac), rad(bc)) * rad(abc)^(7/8)."""
-    ra, rb, rc = _radicals(t)
+    ra, rb, rc = t.radicals
     rad_ab, rad_ac, rad_bc = ra * rb, ra * rc, rb * rc
     rad_abc = ra * rb * rc
     max_rad = max(rad_ab, rad_ac, rad_bc)
@@ -152,7 +152,7 @@ def check_explicit(t: AbcTriple) -> AbcReport:
 
 def quality(t: AbcTriple) -> Any:
     """ln(c) / ln(rad(abc)) at 96 bits of working precision."""
-    ra, rb, rc = _radicals(t)
+    ra, rb, rc = t.radicals
     rad_abc = ra * rb * rc
     assert rad_abc >= 2, "rad 1 is impossible for a coprime triple with c >= 2"
     with mpmath.workprec(96):
@@ -198,7 +198,7 @@ def check_classic(t: AbcTriple, eps: RationalLike, C: RationalLike = 1) -> str:
     epsF, CF = Fraction(eps), Fraction(C)
     if epsF <= 0 or CF <= 0:
         raise ValueError("eps and C must be positive")
-    ra, rb, rc = _radicals(t)
+    ra, rb, rc = t.radicals
     cmp = _compare_power(t.c, ra * rb * rc, 1 + epsF, CF)
     if cmp == "lt":
         return "pass"
@@ -271,13 +271,13 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    rad = radical_sieve(limit, memory_budget)
-    est = (limit + 1) * 24
+    est = (limit + 1) * 24  # the sieve plus two log tables; checked before any is built
     if est > memory_budget:
         raise MemoryError(
             f"scan tables to {limit} need about {est} bytes, "
             f"over the budget of {memory_budget} bytes"
         )
+    rad = radical_sieve(limit, memory_budget)
     lg, lgr = _log_tables(rad)
     ln2_7 = 7.0 * math.log(2.0)
     cs = np.arange(3, limit + 1)

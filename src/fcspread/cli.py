@@ -16,6 +16,7 @@ verification), 2 usage or configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,6 @@ import os
 import sys
 import traceback
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import abc_check, arith, families, products, search
@@ -142,41 +142,47 @@ def _write_log(
 
 
 def _emit(
+    args: argparse.Namespace,
     subcommand: str,
     params: Dict[str, Any],
-    digest: str,
     records: Sequence[Dict[str, Any]],
-    totals: Dict[str, int],
-    exit_code: int,
-    started: str,
+    exit_code: int = EXIT_OK,
+    /,
     *,
-    output: Optional[str] = None,
-    input_path: Optional[str] = None,
-    checkpoint: Optional[str] = None,
     log: bool = True,
+    **counts: int,
 ) -> int:
+    """Write the result log and the manifest of one run; return exit_code.
+
+    The manifest totals count the records; `counts` overrides any of
+    chunks, candidates, records and errors (positional-only parameters keep
+    the name `records` free for that).  `output`, `input`, `checkpoint` and
+    `started` are read from args.
+    """
+    output = getattr(args, "output", None)
     header = {
         "format": RESULT_LOG_FORMAT,
         "version": FORMAT_VERSION,
         "subcommand": subcommand,
         "config": params,
-        "config_digest": digest,
+        "config_digest": _digest_params(params),
     }
     if log:
         _write_log(output, header, records)
+    n = len(records)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": FORMAT_VERSION,
         "package_version": _package_version(),
         "subcommand": subcommand,
         "config": params,
-        "config_digest": digest,
-        "input": input_path,
+        "config_digest": header["config_digest"],
+        "input": getattr(args, "input", None),
         "output": output,
-        "checkpoint": checkpoint,
-        "started": started,
+        "checkpoint": getattr(args, "checkpoint", None),
+        "started": args.started,
         "finished": _now(),
-        "totals": totals,
+        "totals": {"chunks": 0, "candidates": n, "records": n, "errors": 0, **counts},
         "exit_code": exit_code,
     }
     if output:
@@ -188,16 +194,6 @@ def _emit(
 
 # ---------------------------------------------------------------------------
 # Records for identities, decompositions and basic arithmetic
-
-
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
 
 
 def identity_record(sol: families.KnownSolution) -> Dict[str, Any]:
@@ -213,7 +209,7 @@ def identity_record(sol: families.KnownSolution) -> Dict[str, Any]:
         "y_factors": list(dy.factors),
         "z_factors": list(dz.factors),
         "weight": str(sol.weight()),
-        "checks": _jsonify(sol.checks),
+        "checks": search.jsonify(sol.checks),
     }
 
 
@@ -326,30 +322,11 @@ def verify_arith_record(rec: Dict[str, Any]) -> List[str]:
 # Subcommand handlers
 
 
-_SEARCH_OPTION_KEYS = (
-    "max_bits",
-    "sign",
-    "min_exp",
-    "max_exp",
-    "min_exp_cap",
-    "degree",
-    "n_range",
-    "m_range",
-    "max_spread",
-    "f_bound",
-    "f_strict",
-    "q_bound",
-    "m_bound",
-    "difference",
-    "coeffs",
-)
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
-    started = _now()
     mode = "fermat-catalan" if args.mode == "fc" else args.mode
     file_cfg = _load_config_file(args.config)
-    overrides = _merge_options(file_cfg, args, _SEARCH_OPTION_KEYS)
+    keys = [f.name for f in dataclasses.fields(SearchConfig) if f.name != "mode"]
+    overrides = _merge_options(file_cfg, args, keys)
     for key in ("degree", "n_range", "m_range"):
         if isinstance(overrides.get(key), str):
             overrides[key] = _parse_range(overrides[key])
@@ -357,7 +334,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         overrides["coeffs"] = _parse_coeffs(overrides["coeffs"])
     try:
         cfg = search.make_config(mode, **overrides)
-        cfg.validate()
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
     threads = args.threads if args.threads is not None else os.cpu_count() or 1
@@ -374,32 +350,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
         threads=threads,
     )
     ok, summary = search.expectation_report(cfg, result.records)
-    totals = {
-        "chunks": result.chunks_run,
-        "candidates": result.candidates,
-        "records": len(result.records),
-        "errors": 0,
-    }
-    exit_code = EXIT_OK if ok else EXIT_FINDINGS
     sys.stderr.write(
         f"search {args.mode}: {len(result.records)} records from "
         f"{result.chunks_run}/{result.chunks_total} chunks; {summary}\n"
     )
     return _emit(
+        args,
         f"search {args.mode}",
         cfg.semantic_dict(),
-        cfg.digest(),
         result.records,
-        totals,
-        exit_code,
-        started,
-        output=args.output,
-        checkpoint=args.checkpoint,
+        EXIT_OK if ok else EXIT_FINDINGS,
+        chunks=result.chunks_run,
+        candidates=result.candidates,
     )
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    started = _now()
     file_cfg = _load_config_file(args.config)
     merged = _merge_options(file_cfg, args, ("degree", "max_spread"))
     if "degree" not in merged:
@@ -425,40 +391,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     records.sort(key=lambda r: (r["degree"], r["factors"]))
-    totals = {"chunks": 0, "candidates": len(records), "records": len(records), "errors": 0}
     sys.stderr.write(f"decompose {args.value}: {len(records)} decompositions\n")
-    return _emit(
-        "decompose",
-        params,
-        _digest_params(params),
-        records,
-        totals,
-        EXIT_OK,
-        started,
-        output=args.output,
-    )
+    return _emit(args, "decompose", params, records)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    started = _now()
     family = args.family
-    exit_code = EXIT_OK
     try:
         record, params, exit_code = _gen_record(args, family)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    totals = {"chunks": 0, "candidates": 1, "records": 1, "errors": 0}
     sys.stderr.write(f"gen {family}: {'ok' if exit_code == EXIT_OK else 'identity fails'}\n")
-    return _emit(
-        f"gen {family}",
-        params,
-        _digest_params(params),
-        [record],
-        totals,
-        exit_code,
-        started,
-        output=args.output,
-    )
+    return _emit(args, f"gen {family}", params, [record], exit_code)
 
 
 def _gen_record(
@@ -500,7 +444,6 @@ def _gen_record(
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    started = _now()
     sols = (
         families.fermat_catalan_catalog()
         if args.which == "fc"
@@ -513,18 +456,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             if max(v for v, _ in sol.terms) > (1 << args.max_bits):
                 continue
         records.append(identity_record(sol))
-    totals = {"chunks": 0, "candidates": len(sols), "records": len(records), "errors": 0}
     sys.stderr.write(f"catalog {args.which}: {len(records)} entries\n")
-    return _emit(
-        f"catalog {args.which}",
-        params,
-        _digest_params(params),
-        records,
-        totals,
-        EXIT_OK,
-        started,
-        output=args.output,
-    )
+    return _emit(args, f"catalog {args.which}", params, records, candidates=len(sols))
 
 
 def _parse_classic(specs: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
@@ -541,7 +474,6 @@ def _parse_classic(specs: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
 
 
 def _cmd_abc_check(args: argparse.Namespace) -> int:
-    started = _now()
     file_cfg = _load_config_file(args.config)
     classic = _parse_classic(args.classic) or [
         (str(e), str(c)) for e, c in file_cfg.get("classic", [])
@@ -556,22 +488,13 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
     else:
         text = sys.stdin.read()
     parsed = abc_check.parse_triples(text)
-    records = []
-    failures = 0
-    for t in parsed.triples:
-        rec = abc_check.report(t, classic).to_dict()
-        rec["kind"] = "abc-check"
-        records.append(rec)
-        if not rec["explicit_pass"]:
-            failures += 1
+    records = [
+        dict(abc_check.report(t, classic).to_dict(), kind="abc-check")
+        for t in parsed.triples
+    ]
+    failures = sum(not rec["explicit_pass"] for rec in records)
     for err in parsed.errors:
         sys.stderr.write(f"abc check: {err}\n")
-    totals = {
-        "chunks": 0,
-        "candidates": len(parsed.triples),
-        "records": len(records),
-        "errors": len(parsed.errors),
-    }
     if failures:
         exit_code = EXIT_FINDINGS
     elif parsed.errors:
@@ -583,54 +506,31 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
         f"{len(parsed.errors)} parse errors\n"
     )
     return _emit(
-        "abc check",
-        params,
-        _digest_params(params),
-        records,
-        totals,
-        exit_code,
-        started,
-        output=args.output,
-        input_path=args.input,
+        args, "abc check", params, records, exit_code, errors=len(parsed.errors)
     )
 
 
 def _cmd_abc_scan(args: argparse.Namespace) -> int:
-    started = _now()
     file_cfg = _load_config_file(args.config)
     limit = args.limit if args.limit is not None else int(file_cfg.get("limit", 10**5))
-    params = {"limit": limit}
     try:
         violations = abc_check.brute_force_scan(limit, args.memory_budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    records = []
-    for t in violations:
-        rec = abc_check.check_explicit(t).to_dict()
-        rec["kind"] = "abc-scan"
-        records.append(rec)
-    totals = {
-        "chunks": 0,
-        "candidates": len(records),
-        "records": len(records),
-        "errors": 0,
-    }
-    exit_code = EXIT_OK if not records else EXIT_FINDINGS
+    records = [
+        dict(abc_check.check_explicit(t).to_dict(), kind="abc-scan") for t in violations
+    ]
     sys.stderr.write(f"abc scan: {len(records)} violations up to {limit}\n")
     return _emit(
+        args,
         "abc scan",
-        params,
-        _digest_params(params),
+        {"limit": limit},
         records,
-        totals,
-        exit_code,
-        started,
-        output=args.output,
+        EXIT_FINDINGS if records else EXIT_OK,
     )
 
 
 def _cmd_abc_filter(args: argparse.Namespace) -> int:
-    started = _now()
     file_cfg = _load_config_file(args.config)
     merged = _merge_options(file_cfg, args, ("limit", "eps", "q_bound"))
     limit = int(merged.get("limit", 1000))
@@ -641,48 +541,16 @@ def _cmd_abc_filter(args: argparse.Namespace) -> int:
         pairs = abc_check.excess_pairs(limit, q_bound, eps)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from None
-    records = []
-    for p in pairs:
-        rec = dict(p)
-        rec["kind"] = "abc-filter"
-        records.append(rec)
-    totals = {
-        "chunks": 0,
-        "candidates": len(records),
-        "records": len(records),
-        "errors": 0,
-    }
+    records = [dict(p, kind="abc-filter") for p in pairs]
     sys.stderr.write(f"abc filter: {len(records)} pairs up to {limit}\n")
-    return _emit(
-        "abc filter",
-        params,
-        _digest_params(params),
-        records,
-        totals,
-        EXIT_OK,
-        started,
-        output=args.output,
-    )
+    return _emit(args, "abc filter", params, records)
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    started = _now()
     kind = "factorization" if args.op == "factor" else "radical"
     if args.n < 1:
         raise UsageError("n must be >= 1")
-    params = {"n": args.n}
-    record = _arith_record(kind, args.n)
-    totals = {"chunks": 0, "candidates": 1, "records": 1, "errors": 0}
-    return _emit(
-        args.op,
-        params,
-        _digest_params(params),
-        [record],
-        totals,
-        EXIT_OK,
-        started,
-        output=args.output,
-    )
+    return _emit(args, args.op, {"n": args.n}, [_arith_record(kind, args.n)])
 
 
 def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
@@ -744,36 +612,27 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
 
 
 def _cmd_verify_log(args: argparse.Namespace) -> int:
-    started = _now()
     try:
-        with open(args.log, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read log: {exc}") from None
     checked, problems = verify_log_lines(lines)
     for p in problems:
-        sys.stdout.write(f"{args.log}: {p}\n")
-    exit_code = EXIT_OK if not problems else EXIT_FINDINGS
+        sys.stdout.write(f"{args.input}: {p}\n")
     sys.stderr.write(
         f"verify-log: {checked} records checked, {len(problems)} problems\n"
     )
-    totals = {
-        "chunks": 0,
-        "candidates": checked,
-        "records": checked,
-        "errors": len(problems),
-    }
-    params = {"log": args.log}
     return _emit(
+        args,
         "verify-log",
-        params,
-        _digest_params(params),
+        {"log": args.input},
         [],
-        totals,
-        exit_code,
-        started,
-        input_path=args.log,
+        EXIT_FINDINGS if problems else EXIT_OK,
         log=False,
+        candidates=checked,
+        records=checked,
+        errors=len(problems),
     )
 
 
@@ -891,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_flt.set_defaults(handler=_cmd_abc_filter)
 
     p_ver = sub.add_parser("verify-log", help="recompute every record in a log")
-    p_ver.add_argument("log", metavar="PATH")
+    p_ver.add_argument("input", metavar="PATH")
     p_ver.set_defaults(handler=_cmd_verify_log)
 
     for op in ("factor", "radical"):
@@ -913,6 +772,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "handler", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
+    args.started = _now()
     try:
         return args.handler(args)
     except (UsageError, CheckpointMismatch) as exc:

@@ -44,6 +44,7 @@ matter the chunk plan, thread count or completion order.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -137,14 +138,14 @@ class SearchConfig:
             raise ValueError(f"bad sign {self.sign!r}")
         if not 2 <= self.min_exp <= self.max_exp:
             raise ValueError("need 2 <= min_exp <= max_exp")
-        if self.degree is not None:
-            lo, hi = self.degree
-            if not 1 <= lo <= hi:
-                raise ValueError(f"bad degree range {self.degree}")
+        for name in ("degree", "n_range", "m_range"):
+            rng = getattr(self, name)
+            if rng is not None and not (len(rng) == 2 and 1 <= rng[0] <= rng[1]):
+                raise ValueError(f"bad {name} range {rng}")
         if self.max_spread is not None and self.max_spread < 0:
             raise ValueError("max_spread must be >= 0")
-        if any(c < 1 for c in self.coeffs):
-            raise ValueError("coefficients must be positive")
+        if len(self.coeffs) != 3 or any(c < 1 for c in self.coeffs):
+            raise ValueError("coeffs must be three positive integers")
         if self.coeffs != (1, 1, 1) and self.mode != "fermat-catalan":
             raise ValueError("coefficients apply to fermat-catalan mode only")
         if self.mode == "pillai" and (self.difference is None or self.difference < 1):
@@ -154,31 +155,12 @@ class SearchConfig:
 
     def semantic_dict(self) -> Dict[str, Any]:
         """Fields that define the search result (no execution parameters)."""
-        return {
-            "format": FORMAT_VERSION,
-            "mode": self.mode,
-            "max_bits": self.max_bits,
-            "sign": self.sign,
-            "min_exp": self.min_exp,
-            "max_exp": self.max_exp,
-            "min_exp_cap": self.min_exp_cap,
-            "degree": list(self.degree) if self.degree else None,
-            "n_range": list(self.n_range) if self.n_range else None,
-            "m_range": list(self.m_range) if self.m_range else None,
-            "max_spread": self.max_spread,
-            "f_bound": str(self.f_bound),
-            "f_strict": self.f_strict,
-            "q_bound": None if self.q_bound is None else str(self.q_bound),
-            "m_bound": None if self.m_bound is None else str(self.m_bound),
-            "difference": self.difference,
-            "coeffs": list(self.coeffs),
-        }
+        d = {f.name: jsonify(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        d["format"] = FORMAT_VERSION
+        return d
 
     def digest(self) -> str:
         return hashlib.sha256(canon_json(self.semantic_dict()).encode()).hexdigest()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return self.semantic_dict()
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SearchConfig":
@@ -210,6 +192,17 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
     cfg = SearchConfig(mode=mode, **values)
     cfg.validate()
     return cfg
+
+
+def jsonify(value: Any) -> Any:
+    """Fractions as strings and tuples as lists, recursively, for the log format."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
 
 
 def canon_json(obj: Any) -> str:
@@ -889,7 +882,7 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
 
     heap = [entry(u) for u in _mode_units(cfg)]
     heapq.heapify(heap)
-    while len(heap) < n_chunks:
+    while heap and len(heap) < n_chunks:  # a plan with no units is one empty group
         head = heap[0][1]
         if head["xhi"] <= head["xlo"]:
             break  # units without a base range (xlo == xhi == 0) do not split

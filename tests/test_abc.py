@@ -201,10 +201,17 @@ def test_scan_matches_naive_exhaustive():
     assert got == naive == []
 
 
-def test_scan_memory_budget():
+def test_scan_memory_budget(monkeypatch):
     # sieve fits but the log tables do not
     with pytest.raises(MemoryError):
         brute_force_scan(10**5, memory_budget=10**6)
+
+    def no_sieve(*args):
+        raise AssertionError("the sieve was built before the budget check")
+
+    monkeypatch.setattr(abc_check, "radical_sieve", no_sieve)
+    with pytest.raises(MemoryError, match="scan tables"):
+        brute_force_scan(10**6, memory_budget=10**7)
 
 
 def test_count_high_quality():
@@ -302,6 +309,17 @@ def test_verify_abc_record_round_trip():
     assert "scan records must be violations" in "".join(
         abc_check.verify_abc_record(scan_rec, {})
     )
+
+
+def test_radicals_factored_once_per_triple(monkeypatch):
+    calls = []
+    radical = arith.radical
+    monkeypatch.setattr(arith, "radical", lambda n: calls.append(n) or radical(n))
+    rec = _check_record(AbcTriple(5, 27, 32), [("1/10", 1)])
+    assert sorted(calls) == [5, 27, 32]
+    calls.clear()
+    assert abc_check.verify_abc_record(rec, {}) == []
+    assert sorted(calls) == [5, 27, 32]
 
 
 def test_verify_abc_filter_record():

@@ -1,5 +1,6 @@
 """Command line behavior: logs, manifests, exit codes, verification."""
 
+import hashlib
 import io
 import json
 import os
@@ -95,6 +96,15 @@ def test_search_modes_with_expectations(tmp_path):
     )
     assert code == EXIT_OK and records == []
     assert _verify(out) == EXIT_OK
+
+    # no exponent pair fits under max_exp 2: the plan is one empty chunk
+    code, _, records, manifest, _ = _run(
+        tmp_path,
+        ["search", "gbtz", "--max-bits", "10", "--max-exp", "2", "--threads", "1"],
+        name="none.jsonl",
+    )
+    assert code == EXIT_OK and records == []
+    assert manifest["totals"]["chunks"] == 1
 
     code, _, records, _, out = _run(
         tmp_path,
@@ -203,7 +213,7 @@ def test_search_usage_errors(tmp_path):
                     "--output", out]) == EXIT_USAGE
 
 
-def test_search_config_file_precedence(tmp_path):
+def test_search_config_file_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"max_bits": 12}))
     _, header, _, _, _ = _run(
@@ -228,6 +238,21 @@ def test_search_config_file_precedence(tmp_path):
     arr.write_text("[1, 2]")
     assert cli.run(["search", "fc", "--config", str(arr),
                     "--output", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
+
+    # malformed ranges and coefficients are refused up front, not mid-run
+    capsys.readouterr()
+    for mode, shape in (
+        ("survey", {"n_range": [5], "m_range": [2, 3]}),
+        ("survey", {"n_range": [5, 3], "m_range": [2, 3]}),
+        ("survey", {"n_range": [2, 3], "m_range": [0, 3]}),
+        ("fc", {"coeffs": [1, 2]}),
+    ):
+        shaped = tmp_path / "shape.json"
+        shaped.write_text(json.dumps(dict(shape, max_bits=10)))
+        assert cli.run(["search", mode, "--config", str(shaped), "--threads", "1",
+                        "--output", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +514,60 @@ def test_verify_log_emits_manifest_only(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+# The README example of each subcommand with its manifest values: exit code,
+# totals (chunks, candidates, records, errors), input and checkpoint.
+README_EXAMPLES = [
+    pytest.param(
+        "search fc --max-bits 34 --max-exp 113 --threads 1 --checkpoint run.ckpt",
+        EXIT_OK, (16, 5, 5, 0), None, "run.ckpt", id="search",
+    ),
+    pytest.param("decompose 4352 --degree 3 --max-spread 1",
+                 EXIT_OK, (0, 1, 1, 0), None, None, id="decompose"),
+    pytest.param("gen standard --v 1 --w 2 --n 3",
+                 EXIT_OK, (0, 1, 1, 0), None, None, id="gen"),
+    pytest.param("catalog fc --max-bits 14",
+                 EXIT_OK, (0, 10, 5, 0), None, None, id="catalog"),
+    pytest.param("abc check --input triples.txt --classic 1/4",
+                 EXIT_USAGE, (0, 3, 3, 1), "triples.txt", None, id="abc-check"),
+    pytest.param("abc scan --limit 1000000",
+                 EXIT_OK, (0, 0, 0, 0), None, None, id="abc-scan"),
+    pytest.param("abc filter --limit 100 --eps 1/5 --q-bound 1",
+                 EXIT_OK, (0, 41, 41, 0), None, None, id="abc-filter"),
+    pytest.param("factor 720", EXIT_OK, (0, 1, 1, 0), None, None, id="factor"),
+    pytest.param("radical 720", EXIT_OK, (0, 1, 1, 0), None, None, id="radical"),
+    pytest.param("verify-log run.jsonl",
+                 EXIT_OK, (0, 1, 1, 0), "run.jsonl", None, id="verify-log"),
+]
+
+
+@pytest.mark.parametrize("cmd, code, totals, input_path, checkpoint", README_EXAMPLES)
+def test_emission_path(tmp_path, monkeypatch, capsys, cmd, code, totals,
+                       input_path, checkpoint):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triples.txt").write_text("1 8 9\n2 6436341\n2 4\n3 125\n")
+    assert cli.run(["radical", "720", "--output", "run.jsonl"]) == EXIT_OK
+    argv = cmd.split()
+    capsys.readouterr()
+    if argv[0] == "verify-log":  # no result log; the manifest goes to stderr
+        output, headers = None, []
+        assert cli.run(argv) == code
+        manifest = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    else:
+        output = "out.jsonl"
+        assert cli.run(argv + ["--output", output]) == code
+        headers = [json.loads((tmp_path / output).read_text().splitlines()[0])]
+        manifest = json.loads((tmp_path / (output + ".manifest.json")).read_text())
+    for doc in headers + [manifest]:
+        digest = hashlib.sha256(search.canon_json(doc["config"]).encode()).hexdigest()
+        assert doc["config_digest"] == digest
+        assert cmd.startswith(doc["subcommand"])
+    keys = ("chunks", "candidates", "records", "errors")
+    assert manifest["totals"] == dict(zip(keys, totals))
+    assert (manifest["input"], manifest["output"], manifest["checkpoint"]) == (
+        input_path, output, checkpoint)
+    assert manifest["exit_code"] == code
 
 
 def test_stdout_log_and_stderr_manifest(capsys):

@@ -189,15 +189,29 @@ def test_make_config_defaults_and_validation():
         make_config("survey")  # n_range/m_range required
     with pytest.raises(ValueError):
         make_config("gbtz", coeffs=(2, 1, 1))
+    for shape in ({"n_range": (5,)}, {"n_range": (5, 3)}, {"m_range": (0, 3)},
+                  {"m_range": (2, 3, 4)}):
+        with pytest.raises(ValueError):
+            make_config("survey", **dict({"n_range": (2, 3), "m_range": (2, 3)},
+                                         **shape))
+    with pytest.raises(ValueError):
+        make_config("fermat-catalan", coeffs=(1, 2))
 
 
 def test_config_round_trip_and_digest():
     cfg = make_config("fermat-catalan", max_bits=14, f_bound="41/42")
-    again = SearchConfig.from_dict(cfg.to_dict())
+    again = SearchConfig.from_dict(cfg.semantic_dict())
     assert again == cfg
     assert again.digest() == cfg.digest()
     other = make_config("fermat-catalan", max_bits=15, f_bound="41/42")
     assert other.digest() != cfg.digest()
+    # digests name result logs and checkpoints, so they must never drift
+    assert make_config("fermat-catalan", max_bits=35).digest() == (
+        "9ab87823a945fabc330bffccde4515454004e661c7349af1c2fc0bb4b4de0f8c")
+    survey = make_config("survey", max_bits=22, n_range=(2, 5), m_range=(2, 5),
+                         degree=(2, 5))
+    assert survey.digest() == (
+        "052fc8a6e6324ed0c6a339098a1b1fac872b4018a83912afc72abb1005884990")
 
 
 def test_spread_cap():
@@ -435,6 +449,18 @@ def test_plan_chunks_matches_resorting_loop(mode):
     for n_chunks in (1, 16, 64, 300):
         assert search.plan_chunks(cfg, n_chunks) == _plan_chunks_resorting(
             cfg, n_chunks)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("gbtz", {"max_exp": 2}),
+    ("fp", {"degree": (2, 3)}),
+    ("maxgcd-spread1", {"degree": (1, 1)}),
+])
+def test_zero_unit_plan_is_one_empty_group(mode, extra):
+    cfg = make_config(mode, max_bits=10, **extra)
+    assert search._mode_units(cfg) == []
+    assert search.plan_chunks(cfg, 1) == search.plan_chunks(cfg, 16) == [[]]
+    assert _records(cfg, n_chunks=16) == []
 
 
 def test_records_independent_of_chunking_and_threads():
