@@ -31,10 +31,18 @@ they test P +/- Q against:
   one record per (n, m, d) cell) fix the third term to be a bounded-spread
   product.  `_degree_caps` derives the (degree, spread cap) list of a unit
   exactly from the weight inequality, so `decompose` is called with the
-  largest admissible spread and nothing more.  Power bases start at 2 (the
-  literal 1 belongs to the fermat-catalan wildcard only), except in the
-  maxgcd relation where x = w*y, y >= 1 parametrizes exactly the maxgcd
-  pairs.
+  largest admissible spread and nothing more.  For the coprime and
+  non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
+  blocks and keeps a cell only if x**n + y**m or |x**n - y**m| has, for
+  some (degree d, spread cap s) of the unit, a divisor in a window one
+  wider on each side than [root - s, root], root its integer d-th root,
+  which holds the smallest factor of every qualifying decomposition
+  (`_maybe_product`, a superset of the exact test).  The relation test
+  and `decompose` see only those survivors.  The maxgcd relation and
+  larger bounds run the scalar `_pairs` loop.  Power bases start at 2
+  (the literal 1 belongs to the fermat-catalan wildcard only), except in
+  the maxgcd relation where x = w*y, y >= 1 parametrizes exactly the
+  maxgcd pairs.
 * pillai enumerates the bounded-spread products themselves.
 
 Chunking partitions the (exponent pair, base sub-range) space; chunk results
@@ -55,7 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iterproduct
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -130,6 +139,9 @@ class SearchConfig:
         return 1 << self.max_bits
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):  # a config-file null is no default
+            if f.default is not None and getattr(self, f.name) is None:
+                raise ValueError(f"{f.name} must not be null")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.max_bits <= 128:
@@ -248,12 +260,14 @@ def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
     return r * r == t or t in power_set
 
 
-# Bound and block size of the int64 prefilter in front of `_fc_try_pair`.
-# With P, Q <= 2**62, P + Q <= 2**63 and |P - Q| < 2**62; the one sum that
-# overflows int64 (P = Q = 2**62) wraps negative and is rejected as < 1.
-# Blocks of 2**14 cells keep the temporaries near 1 MB.
+# Bound and block size of the int64 pair prefilter in front of the exact
+# tests.  With P, Q <= 2**62, P + Q <= 2**63 and |P - Q| < 2**62; the one sum
+# that overflows int64 (P = Q = 2**62) wraps negative, and every predicate
+# rejects values < 1.  Blocks of 2**14 cells keep the temporaries near 1 MB.
 _PREFILTER_MAX = 1 << 62
 _PREFILTER_CELLS = 1 << 14
+
+Keep = Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=128)
@@ -286,17 +300,43 @@ def _maybe_usable(t: np.ndarray, M: int, table: np.ndarray) -> np.ndarray:
     return ok & hit
 
 
-def _fc_prefiltered_cells(M: int, n: int, m: int, lo: int,
-                          hi: int) -> Iterator[Tuple[int, int]]:
-    """Bases (x, y) of `_pairs(M, "coprime", n, m, lo, hi)` that may matter.
+def _maybe_product(t: np.ndarray, M: int,
+                   caps: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Vector prefilter: True wherever some `decompose(t, d, s)` of `caps` may hit.
 
-    A superset of the cells where x**n + y**m or |x**n - y**m| passes
-    `_usable_power`, in blocks of at most `_PREFILTER_CELLS` cells; gcd and,
-    for n == m, the y < x order are left to the caller.
+    `decompose` finds the smallest factor b of a qualifying decomposition in
+    [max(1, root - s), root], root = floor(t**(1/d)), and t % b == 0.  For
+    int64 1 <= t <= 2**62 and d >= 3 the float root t**(1/d) is below 2**21
+    and off by far less than 1 (float(t) and the exponent 1/d each carry a
+    relative error near 2**-53, magnified at most ln(2**62) < 43 times), so
+    its floor r is root - 1, root or root + 1, and the s + 3 bases from
+    lo = max(1, r - s - 1) up cover that range.  Keeping t when one of them
+    divides t can therefore only let extra values through.
+    """
+    ok = (t >= 1) & (t <= M)
+    t = np.where(ok, t, 1)
+    tf = t.astype(np.float64)
+    hit = np.zeros(t.shape, dtype=bool)
+    for d, s in caps:
+        if arith.iroot(M, d)[0] <= s + 1:
+            return ok  # lo = 1 for every t <= M, and 1 divides everything
+        b = np.maximum(np.power(tf, 1.0 / d).astype(np.int64) - s - 1, 1)
+        for _ in range(s + 3):
+            hit |= np.fmod(t, b) == 0
+            b += 1
+    return ok & hit
+
+
+def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
+                       same: bool) -> Iterator[Tuple[int, int]]:
+    """Bases x in [lo, hi], y >= 2 where x**n + y**m or |x**n - y**m| passes `keep`.
+
+    The cells come in blocks of at most `_PREFILTER_CELLS`, row by row; with
+    `same` the scan is the triangle y < x.  `keep` maps an int64 array to a
+    bool array and must be True wherever the caller's exact test may hold.
+    Needs M <= `_PREFILTER_MAX`.
     """
     pn, pm = _powers_i64(M, n), _powers_i64(M, m)
-    table = _usable_table_i64(M)
-    same = n == m
     cols = max(1, min(len(pm) - 2, _PREFILTER_CELLS))
     rows = max(1, _PREFILTER_CELLS // cols)
     for x0 in range(lo, hi + 1, rows):
@@ -305,15 +345,16 @@ def _fc_prefiltered_cells(M: int, n: int, m: int, lo: int,
         yend = x1 - 1 if same else len(pm)  # same: y < x <= x1 - 1
         for y0 in range(2, yend, cols):
             Q = pm[None, y0:min(y0 + cols, yend)]
-            keep = _maybe_usable(P + Q, M, table)
-            keep |= _maybe_usable(np.abs(P - Q), M, table)
-            rows_i, cols_j = np.nonzero(keep)
+            hit = keep(P + Q) | keep(np.abs(P - Q))
+            rows_i, cols_j = np.nonzero(hit)
             for i, j in zip(rows_i.tolist(), cols_j.tolist()):
-                yield x0 + i, y0 + j
+                if not same or y0 + j < x0 + i:  # a block can reach past y < x
+                    yield x0 + i, y0 + j
 
 
 def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
-           ordered: bool = False) -> Iterator[Tuple[int, int, int, int]]:
+           ordered: bool = False,
+           keep: Optional[Keep] = None) -> Iterator[Tuple[int, int, int, int]]:
     """Yield (n, m, P, Q) for the power pairs P = x**n, Q = y**m <= M.
 
     relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
@@ -323,6 +364,10 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     P >= Q, exponents swapped along with the powers, unless `ordered`: then
     every (x**n, y**m) comes as it is.  Both bounds must lie in the base
     range of the table they index.
+
+    With a vector predicate `keep` and M <= `_PREFILTER_MAX`, the coprime
+    and nonmaxgcd relations visit only the cells of `_prefiltered_cells`;
+    the maxgcd relation does not take one.
     """
     pn, pm = _powers(M, n), _powers(M, m)
     if relation == "maxgcd":
@@ -338,9 +383,14 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     coprime = relation == "coprime"
     # With one exponent and no order, (x, y) and (y, x) give the same pair.
     same = n == m and not ordered
-    for x in range(lo, hi + 1):
+    if keep is not None and M <= _PREFILTER_MAX:
+        rows: Iterable[Tuple[int, Iterable[int]]] = (
+            (x, (y,)) for x, y in _prefiltered_cells(M, n, m, lo, hi, keep, same))
+    else:
+        rows = ((x, range(2, x if same else len(pm))) for x in range(lo, hi + 1))
+    for x, ys in rows:
         P = pn[x]
-        for y in range(2, x if same else len(pm)):
+        for y in ys:
             Q = pm[y]
             if coprime:
                 if math.gcd(x, y) != 1:
@@ -612,17 +662,12 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
     M = cfg.max_value
     power_set = _power_value_set(M)
-    n, m, lo, hi = unit["e1"], unit["e2"], unit["xlo"], unit["xhi"]
-    if cfg.coeffs != (1, 1, 1) or M > _PREFILTER_MAX:
-        for _, _, P, Q in _pairs(M, "coprime", n, m, lo, hi):
-            _fc_try_pair(cfg, P, Q, power_set, acc)
-        return
-    pn, pm = _powers(M, n), _powers(M, m)
-    same = n == m
-    for x, y in _fc_prefiltered_cells(M, n, m, lo, hi):
-        if (y < x or not same) and math.gcd(x, y) == 1:
-            P, Q = pn[x], pm[y]
-            _fc_try_pair(cfg, max(P, Q), min(P, Q), power_set, acc)
+    keep = None
+    if cfg.coeffs == (1, 1, 1):  # other coefficients solve for other slots
+        keep = lambda t: _maybe_usable(t, M, _usable_table_i64(M))  # noqa: E731
+    for _, _, P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
+                             unit["xhi"], keep=keep):
+        _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
 def _run_fc_one_unit(cfg: SearchConfig, unit: Dict[str, Any],
@@ -655,7 +700,10 @@ def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
                   wits: Sequence[ProductDecomposition]) -> None:
     if not wits:
         return
-    g, quality = arith.gcd_quality(P, Q)
+    x, y = arith.iroot(P, n)[0], arith.iroot(Q, m)[0]
+    g = math.gcd(P, Q)
+    # rad(gcd(x**n, y**m)) == rad(gcd(x, y)): factor the gcd of the bases
+    quality = Fraction(g, arith.radical(math.gcd(x, y)))
     weight = min(Fraction(1, n) + Fraction(1, m) + w.weight for w in wits)
     witnesses = sorted(list(w.factors) for w in wits)
     rec: Dict[str, Any] = {
@@ -674,8 +722,6 @@ def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
         "coprime": g == 1,
     }
     if cfg.mode == "maxgcd-spread1":
-        x = arith.iroot(P, n)[0]
-        y = arith.iroot(Q, n)[0]
         st = families.is_standard(x, y, n, Z, sign)
         rec["standard"] = list(st) if st else False
     if cfg.mode == "survey":
@@ -708,7 +754,10 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     signs = _signs(cfg)
     # survey units are never split, so they carry no base range of their own
     lo, hi = (2, _max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
-    for bn, bm, P, Q in _pairs(M, relation, n, m, lo, hi, ordered=survey):
+    keep = None
+    if relation != "maxgcd":
+        keep = lambda t: _maybe_product(t, M, caps)  # noqa: E731
+    for bn, bm, P, Q in _pairs(M, relation, n, m, lo, hi, ordered=survey, keep=keep):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -1215,6 +1264,9 @@ def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
     check(P + Q == Z if sign == "plus" else P - Q == Z, "identity fails")
     g = math.gcd(P, Q)
     check(rec["gcd"] == g, "stored gcd wrong")
+    # factors g itself, independent of the search's gcd-of-bases shortcut
+    check(g >= 1 and rec["gcd_quality"] == str(Fraction(g, arith.radical(g))),
+          "stored gcd_quality wrong")
     check(rec["maxgcd"] == (g == min(P, Q)), "maxgcd flag wrong")
     check(rec["coprime"] == (g == 1), "coprime flag wrong")
     mode = cfg.mode

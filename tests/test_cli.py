@@ -246,6 +246,9 @@ def test_search_config_file_precedence(tmp_path, capsys):
         ("survey", {"n_range": [5, 3], "m_range": [2, 3]}),
         ("survey", {"n_range": [2, 3], "m_range": [0, 3]}),
         ("fc", {"coeffs": [1, 2]}),
+        ("fc", {"f_bound": None}),  # a null is not the dataclass default
+        ("fc", {"f_strict": None}),
+        ("gbtz", {"f_bound": None}),
     ):
         shaped = tmp_path / "shape.json"
         shaped.write_text(json.dumps(dict(shape, max_bits=10)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fcspread import arith, search
+from fcspread.products import decompose
 from fcspread.search import (
     CheckpointMismatch,
     SearchConfig,
@@ -47,6 +48,10 @@ def test_power_value_set_against_comprehension():
     assert search._power_value_set(100) == {8, 16, 27, 32, 64, 81}
 
 
+def _keep_all(t):
+    return np.ones(t.shape, dtype=bool)
+
+
 @pytest.mark.parametrize("ordered", [False, True])
 @pytest.mark.parametrize("n, m", [(3, 3), (2, 2), (3, 4), (4, 3), (2, 5)])
 @pytest.mark.parametrize("relation", ["coprime", "nonmaxgcd", "maxgcd"])
@@ -73,10 +78,13 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
     # the scanned base range split in two, as plan_chunks splits a unit
     lo, hi = (1, top[m]) if relation == "maxgcd" else (2, top[n])
     mid = (lo + hi) // 2
-    got = list(search._pairs(M, relation, n, m, lo, mid, ordered))
-    got += search._pairs(M, relation, n, m, mid + 1, hi, ordered)
-    assert len(got) == len(set(got))
-    assert set(got) == want
+    # the int64 cell blocks, with a prefilter that keeps everything, visit
+    # the same pairs as the scalar loop
+    for keep in (None,) if relation == "maxgcd" else (None, _keep_all):
+        got = list(search._pairs(M, relation, n, m, lo, mid, ordered, keep))
+        got += search._pairs(M, relation, n, m, mid + 1, hi, ordered, keep)
+        assert len(got) == len(set(got))
+        assert set(got) == want
     assert want
 
 
@@ -109,12 +117,11 @@ def test_prefilter_keeps_every_usable_value():
 def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
     # With a prefilter that keeps everything, the blocks must tile the scan.
     monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
-    monkeypatch.setattr(search, "_maybe_usable",
-                        lambda t, M, table: np.ones(t.shape, dtype=bool))
     M = 1 << 16
     hi = search._max_base(M, n)
     for lo_, hi_ in ((2, hi), (2, hi // 2), (hi // 2 + 1, hi)):
-        got = [(x, y) for x, y in search._fc_prefiltered_cells(M, n, m, lo_, hi_)
+        got = [(x, y) for x, y in search._prefiltered_cells(M, n, m, lo_, hi_,
+                                                             _keep_all, n == m)
                if y < x or n != m]
         want = [(x, y) for x in range(lo_, hi_ + 1)
                 for y in range(2, x if n == m else search._max_base(M, m) + 1)]
@@ -137,6 +144,95 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
             search._fc_try_pair(cfg, P, Q, search._power_value_set(M), slow)
     assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
     assert len(fast) > 5
+
+
+def test_product_prefilter_keeps_every_decomposable_value():
+    M = 1 << 16
+    t = np.arange(1, M + 2, dtype=np.int64)
+    for d in range(3, 9):
+        for s in range(0, 5):
+            kept = search._maybe_product(t, M, [(d, s)])
+            for v in t[~kept].tolist():
+                assert v > M or not decompose(v, d, s), (v, d, s)
+            assert not kept[-1]  # M + 1
+            if d == 3:  # a cube root near 40 leaves few divisor candidates
+                assert kept[:-1].mean() < 0.25, (d, s)
+
+    # Near the int64 limit: powers, their neighbours and products b**(d-1)*(b+s).
+    M = 1 << 62
+    for d in range(3, 9):
+        root = arith.iroot(M, d)[0]
+        for s in range(0, 5):
+            values = set()
+            for k in range(root - 30, root + 2):
+                values |= {k**d - 1, k**d, k**d + 1, k ** (d - 1) * (k + s)}
+            values = sorted(v for v in values if 1 <= v < 2**63)
+            kept = search._maybe_product(np.array(values, dtype=np.int64), M,
+                                         [(d, s)])
+            hits = [bool(v <= M and decompose(v, d, s)) for v in values]
+            assert sum(hits) > 20
+            assert all(k for k, h in zip(kept.tolist(), hits) if h), (d, s)
+            assert not search._maybe_product(np.array([M + 1]), M, [(d, s)])[0]
+
+
+def _scalar_product_unit(cfg, unit, acc):
+    """`_run_product_unit` as the plain `_pairs` + `decompose` loop."""
+    n, m = unit["e1"], unit["e2"]
+    survey = cfg.mode == "survey"
+    if survey:
+        cell = [n, m, unit["d"]]
+        acc.setdefault(("survey", tuple(cell)),
+                       {"mode": "survey", "cell": cell, "count": 0, "solutions": []})
+    caps = search._degree_caps(cfg, unit)
+    M = cfg.max_value
+    relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
+    lo, hi = (2, search._max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
+    for bn, bm, P, Q in search._pairs(M, relation, n, m, lo, hi, ordered=survey):
+        for sign in search._signs(cfg):
+            Z = P + Q if sign == "plus" else P - Q
+            if 1 <= Z <= M:
+                for d, cap in caps:
+                    wits = [w for w in decompose(Z, d, cap)
+                            if w.spread >= (cfg.mode == "nonmaxgcd3")]
+                    search._emit_product(cfg, acc, sign=sign, n=bn, m=bm, P=P,
+                                         Q=Q, Z=Z, d=d, wits=wits)
+
+
+@pytest.mark.parametrize("cells", [7, 1 << 14])
+@pytest.mark.parametrize("mode, extra", [
+    ("gbtz", {"max_bits": 20, "f_bound": Fraction(3, 2)}),
+    ("nonmaxgcd3", {"max_bits": 24}),
+    ("fp", {"max_bits": 24, "f_bound": Fraction(2)}),
+    ("survey", {"max_bits": 18, "n_range": (3, 5), "m_range": (3, 5),
+                "degree": (3, 5)}),
+])
+def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
+                                                    monkeypatch):
+    monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
+    cfg = make_config(mode, **extra)
+    units = search._mode_units(cfg)
+    if mode == "survey":  # both n == m and n != m cells
+        assert {u["e1"] == u["e2"] for u in units} == {True, False}
+    fast, slow = {}, {}
+    for u in units:
+        search._run_product_unit(cfg, u, fast)
+        _scalar_product_unit(cfg, u, slow)
+    assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
+    found = [r for r in fast.values() if r.get("count", 1)]
+    assert len(found) >= 2, mode
+
+
+def test_search_gcd_quality_matches_full_factoring():
+    cfg = make_config("maxgcd-spread1", max_bits=36)
+    recs = _records(cfg)
+    assert len(recs) > 5 and any(r["gcd_quality"] != "1" for r in recs)
+    for rec in recs:
+        g, quality = arith.gcd_quality(rec["p"], rec["q"])
+        assert (rec["gcd"], rec["gcd_quality"]) == (g, str(quality))
+    _assert_all_verify(recs, cfg)
+    rec = next(r for r in recs if r["gcd_quality"] != "1")
+    assert verify_record(dict(rec, gcd_quality="1"), cfg) == [
+        "stored gcd_quality wrong"]
 
 
 def test_fc_pair_needed_enumerates_third_exponents():
@@ -196,6 +292,16 @@ def test_make_config_defaults_and_validation():
                                          **shape))
     with pytest.raises(ValueError):
         make_config("fermat-catalan", coeffs=(1, 2))
+    # None stands for "not given" only where the dataclass default is None
+    for name in ("f_bound", "f_strict", "min_exp", "max_exp", "min_exp_cap",
+                 "coeffs"):
+        with pytest.raises(ValueError, match=name):
+            make_config("gbtz", **{name: None})
+    for name in ("max_bits", "sign"):
+        with pytest.raises(ValueError, match=name):
+            SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None})
+                         ).validate()
+    assert make_config("gbtz", max_spread=None, q_bound=None).max_spread is None
 
 
 def test_config_round_trip_and_digest():
