@@ -186,14 +186,14 @@ def _scalar_product_unit(cfg, unit, acc):
     caps = search._degree_caps(cfg, unit)
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
+    floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
     lo, hi = (2, search._max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
     for bn, bm, P, Q in search._pairs(M, relation, n, m, lo, hi, ordered=survey):
         for sign in search._signs(cfg):
             Z = P + Q if sign == "plus" else P - Q
             if 1 <= Z <= M:
                 for d, cap in caps:
-                    wits = [w for w in decompose(Z, d, cap)
-                            if w.spread >= (cfg.mode == "nonmaxgcd3")]
+                    wits = [w for w in decompose(Z, d, cap) if w.spread >= floor_s]
                     search._emit_product(cfg, acc, sign=sign, n=bn, m=bm, P=P,
                                          Q=Q, Z=Z, d=d, wits=wits)
 
