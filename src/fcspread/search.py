@@ -26,23 +26,26 @@ they test P +/- Q against:
   test); only those are checked for coprimality and passed to the exact
   `_fc_try_pair`.  Other coefficients and larger bounds run the scalar
   `_pairs` loop.
-* product-target modes (gbtz: coprime, nonmaxgcd3 and fp: non-maxgcd,
-  maxgcd-spread1: maxgcd) and survey (non-maxgcd, both orders of each pair,
-  one record per (n, m, d) cell) fix the third term to be a bounded-spread
-  product.  `_degree_caps` derives the (degree, spread cap) list of a unit
-  exactly from the weight inequality, so `decompose` is called with the
-  largest admissible spread and nothing more.  For the coprime and
-  non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
-  blocks and keeps a cell only if x**n + y**m or |x**n - y**m| has, for
-  some (degree d, spread cap s) of the unit, a divisor in a window one
-  wider on each side than [root - s, root], root its integer d-th root,
-  which holds the smallest factor of every qualifying decomposition
-  (`_maybe_product`, a superset of the exact test).  The relation test
-  and `decompose` see only those survivors.  The maxgcd relation and
-  larger bounds run the scalar `_pairs` loop.  Power bases start at 2
-  (the literal 1 belongs to the fermat-catalan wildcard only), except in
-  the maxgcd relation where x = w*y, y >= 1 parametrizes exactly the
-  maxgcd pairs.
+* product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
+  (both orders of each pair, one record per (n, m, d) cell) fix the third
+  term to be a bounded-spread product.  The plan, the scan and
+  `verify_record` read one rule: `_PRODUCT_MODES` gives each mode's pair
+  relation and least witness spread, `_degree_caps` each exponent pair's
+  (degree, spread cap) list, the cap exact from the weight inequality so
+  that `decompose` is called with the largest admissible spread and nothing
+  more.  Units with an empty list are not planned (survey cells are, and
+  report 0), and a record that no unit can give fails verification
+  (`_scan_caps`).  For the coprime and non-maxgcd relations with M <= 2**62,
+  `_pairs` walks the same int64 blocks and keeps a cell only if x**n + y**m
+  or |x**n - y**m| has, for some (degree d, spread cap s) of the unit, a
+  divisor in a window one wider on each side than [root - s, root], root its
+  integer d-th root, which holds the smallest factor of every qualifying
+  decomposition (`_maybe_product`, a superset of the exact test).  The
+  relation test and `decompose` see only those survivors.  The maxgcd
+  relation and larger bounds run the scalar `_pairs` loop.  Power bases
+  start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
+  except in the maxgcd relation where x = w*y, y >= 1 parametrizes exactly
+  the maxgcd pairs.
 * pillai enumerates the bounded-spread products themselves.
 
 Chunking partitions the (exponent pair, base sub-range) space; chunk results
@@ -154,6 +157,8 @@ class SearchConfig:
             rng = getattr(self, name)
             if rng is not None and not (len(rng) == 2 and 1 <= rng[0] <= rng[1]):
                 raise ValueError(f"bad {name} range {rng}")
+        if self.mode == "nonmaxgcd3" and self.degree != (3, 3):
+            raise ValueError("nonmaxgcd3 mode takes degree 3 only")
         if self.max_spread is not None and self.max_spread < 0:
             raise ValueError("max_spread must be >= 0")
         if len(self.coeffs) != 3 or any(c < 1 for c in self.coeffs):
@@ -425,31 +430,35 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
     return max(cap, -1)
 
 
-def _product_cap(cfg: SearchConfig, n: int, m: int, d: int) -> int:
-    """Spread cap of a degree-d product against powers of exponents n, m."""
-    if cfg.mode == "maxgcd-spread1":
-        cap = 1
-    else:
-        cap = _spread_cap(n, m, d, cfg.f_bound, cfg.f_strict)
-    if cfg.max_spread is not None:
-        cap = min(cap, cfg.max_spread)
-    return cap
+# Pair relation and least witness spread of each product mode.
+_PRODUCT_MODES: Dict[str, Tuple[str, int]] = {
+    "gbtz": ("coprime", 0),
+    "nonmaxgcd3": ("nonmaxgcd", 1),
+    "fp": ("nonmaxgcd", 0),
+    "maxgcd-spread1": ("maxgcd", 0),
+    "survey": ("nonmaxgcd", 0),
+}
 
 
 def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int]]:
-    """(degree, spread cap) for each product degree a unit tests P +/- Q at."""
+    """(degree, spread cap) for each product degree a unit tests P +/- Q at.
+
+    A degree whose cap is below the mode's least witness spread is dropped.
+    """
     n, m = unit["e1"], unit["e2"]
     if cfg.mode == "survey":
-        # vacuous cells: the product side needs degree > 2
         degrees = [unit["d"]] if unit["d"] > 2 else []
     elif cfg.mode in ("fp", "maxgcd-spread1"):
         degrees = [n]
     else:
         degrees = range(max(3, cfg.degree[0]), min(n, m, cfg.degree[1]) + 1)
-    floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
+    floor_s = _PRODUCT_MODES[cfg.mode][1]
     caps = []
     for d in degrees:
-        cap = _product_cap(cfg, n, m, d)
+        cap = 1 if cfg.mode == "maxgcd-spread1" else _spread_cap(
+            n, m, d, cfg.f_bound, cfg.f_strict)
+        if cfg.max_spread is not None:
+            cap = min(cap, cfg.max_spread)
         if cap >= floor_s:
             caps.append((d, cap))
     return caps
@@ -748,9 +757,7 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     if not caps:
         return
     M = cfg.max_value
-    relation = {"gbtz": "coprime", "maxgcd-spread1": "maxgcd"}.get(
-        cfg.mode, "nonmaxgcd")
-    floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
+    relation, floor_s = _PRODUCT_MODES[cfg.mode]
     signs = _signs(cfg)
     # survey units are never split, so they carry no base range of their own
     lo, hi = (2, _max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
@@ -845,8 +852,6 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                      "xhi": _max_base(M, e1), "cost": n1 * n2}
                 )
     elif cfg.mode in ("gbtz", "nonmaxgcd3"):
-        deg_lo, deg_hi = cfg.degree
-        floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
         elo = max(3, cfg.min_exp)
         ehi = min(cfg.max_exp, cfg.max_bits)
         for n in range(elo, ehi + 1):
@@ -855,11 +860,6 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
             for m in range(n, ehi + 1):
                 if _max_base(M, m) < 2:
                     break
-                d_best = min(n, m, deg_hi)
-                if d_best < max(3, deg_lo):
-                    continue
-                if _spread_cap(n, m, d_best, cfg.f_bound, cfg.f_strict) < floor_s:
-                    continue
                 units.append(
                     {"kind": "product", "e1": n, "e2": m, "xlo": 2,
                      "xhi": _max_base(M, n),
@@ -869,24 +869,20 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
         lo, hi = cfg.degree
         for n in range(max(4, lo), hi + 1):
             nb = _max_base(M, n)
-            if nb < 3:
-                continue
-            if _spread_cap(n, n, n, cfg.f_bound, cfg.f_strict) < 0:
-                continue
-            units.append(
-                {"kind": "product", "e1": n, "e2": n, "xlo": 3, "xhi": nb,
-                 "cost": nb * nb // 2}
-            )
+            if nb >= 3:
+                units.append(
+                    {"kind": "product", "e1": n, "e2": n, "xlo": 3, "xhi": nb,
+                     "cost": nb * nb // 2}
+                )
     elif cfg.mode == "maxgcd-spread1":
         lo, hi = cfg.degree
         for n in range(max(2, lo), hi + 1):
             nb = _max_base(M, n)
-            if nb < 1:
-                continue
-            units.append(
-                {"kind": "product", "e1": n, "e2": n, "xlo": 1, "xhi": nb,
-                 "cost": nb * 8}
-            )
+            if nb >= 1:
+                units.append(
+                    {"kind": "product", "e1": n, "e2": n, "xlo": 1, "xhi": nb,
+                     "cost": nb * 8}
+                )
     elif cfg.mode == "survey":
         nlo, nhi = cfg.n_range
         mlo, mhi = cfg.m_range
@@ -909,6 +905,9 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
             )
     else:  # pragma: no cover
         raise ValueError(cfg.mode)
+    if cfg.mode in _PRODUCT_MODES and cfg.mode != "survey":
+        # a survey cell is reported even where it admits no product
+        units = [u for u in units if _degree_caps(cfg, u)]
     return units
 
 
@@ -1144,7 +1143,7 @@ def search_fermat_catalan(cfg: SearchConfig, threads: int = 1) -> List[Dict[str,
 
 def search_product_target(cfg: SearchConfig, threads: int = 1) -> List[Dict[str, Any]]:
     """Search a product-target mode (gbtz/nonmaxgcd3/fp/maxgcd-spread1)."""
-    if cfg.mode not in ("gbtz", "nonmaxgcd3", "fp", "maxgcd-spread1"):
+    if cfg.mode not in _PRODUCT_MODES or cfg.mode == "survey":
         raise ValueError(f"not a product-target mode: {cfg.mode}")
     return run_chunked(cfg, n_chunks=max(1, threads), threads=threads).records
 
@@ -1186,13 +1185,13 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
     if mode == "survey":
         check(len(rec["solutions"]) == rec["count"], "count != len(solutions)")
         n, m, d = rec["cell"]
+        check((n, m, d) in _scan_caps(cfg), "cell outside the survey ranges")
         for sol in rec["solutions"]:
             check(sol["d"] == d, "solution degree disagrees with cell")
             check([n, m] in sol["assignments"] or [m, n] in sol["assignments"],
                   "solution exponents disagree with cell")
-            problems.extend(
-                _verify_product_core(sol, cfg, prefix=f"cell {rec['cell']}: ")
-            )
+            problems.extend(_verify_product_core(
+                sol, cfg, prefix=f"cell {rec['cell']}: ", ordered=True))
         return problems
     if mode == "fermat-catalan":
         vx, vy, vz = rec["values"]
@@ -1249,8 +1248,20 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
     return _verify_product_core(rec, cfg)
 
 
+@lru_cache(maxsize=16)
+def _scan_caps(cfg: SearchConfig) -> Dict[Tuple[int, int, int], int]:
+    """Spread cap of every unit's (e1, e2, degree); a survey cell without one has -1."""
+    caps = {}
+    for unit in _mode_units(cfg):
+        if cfg.mode == "survey":
+            caps[unit["e1"], unit["e2"], unit["d"]] = -1
+        for d, cap in _degree_caps(cfg, unit):
+            caps[unit["e1"], unit["e2"], d] = cap
+    return caps
+
+
 def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
-                         prefix: str = "") -> List[str]:
+                         prefix: str = "", ordered: bool = False) -> List[str]:
     problems: List[str] = []
 
     def check(ok: bool, msg: str) -> None:
@@ -1269,33 +1280,19 @@ def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
           "stored gcd_quality wrong")
     check(rec["maxgcd"] == (g == min(P, Q)), "maxgcd flag wrong")
     check(rec["coprime"] == (g == 1), "coprime flag wrong")
-    mode = cfg.mode
-    if mode == "survey":
-        check(g != min(P, Q), "survey requires non-maxgcd pairs")
-        check(d > 2, "survey degree must exceed 2")
-    else:
-        check(P >= Q, "terms not in canonical order")
-    if mode == "gbtz":
-        check(g == 1, "gbtz requires coprime terms")
-        check(cfg.degree[0] <= d <= cfg.degree[1], "degree outside range")
-    elif mode == "nonmaxgcd3":
-        check(g != min(P, Q), "nonmaxgcd3 requires non-maxgcd pairs")
-        check(d == 3, "nonmaxgcd3 degree must be 3")
-    elif mode == "fp":
-        check(g != min(P, Q), "fp requires non-maxgcd pairs")
-    elif mode == "maxgcd-spread1":
-        check(g == min(P, Q), "mode requires maxgcd pairs")
-    floor_s = 1 if mode == "nonmaxgcd3" else 0
+    relation, floor_s = _PRODUCT_MODES[cfg.mode]
+    check({"coprime": g == 1, "nonmaxgcd": g != min(P, Q),
+           "maxgcd": g == min(P, Q)}[relation],
+          f"{cfg.mode} requires {relation} pairs")
+    check(ordered or P >= Q, "terms not in canonical order")
+    scan = _scan_caps(cfg)
     caps = {}
     for n, m in rec["assignments"]:
-        rn, exact_n = arith.iroot(P, n)
-        rm, exact_m = arith.iroot(Q, m)
-        check(exact_n and exact_m, f"assignment ({n},{m}) is not a power pair")
-        if mode in ("fp", "maxgcd-spread1"):
-            check(n == m == d, "mode requires matching exponents and degree")
-        if mode == "gbtz":
-            check(d <= min(n, m), "degree above smallest exponent")
-        caps[(n, m)] = _product_cap(cfg, n, m, d)
+        check(arith.iroot(P, n)[1] and arith.iroot(Q, m)[1],
+              f"assignment ({n},{m}) is not a power pair")
+        key = (n, m, d) if ordered else (min(n, m), max(n, m), d)
+        check(key in scan, f"assignment ({n},{m}) at degree {d} is not scanned")
+        caps[(n, m)] = scan.get(key, -1)
     check(rec["witness"] == rec["witnesses"][0] == min(rec["witnesses"]),
           "canonical witness is not the lexicographic minimum")
     best = None
@@ -1312,7 +1309,7 @@ def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
                 best = w
     check(best is not None and str(best) == rec["weight"],
           "stored weight mismatch")
-    if mode == "maxgcd-spread1":
+    if cfg.mode == "maxgcd-spread1":
         n = rec["assignments"][0][0]
         x, y = arith.iroot(P, n)[0], arith.iroot(Q, n)[0]
         st = families.is_standard(x, y, n, Z, sign)

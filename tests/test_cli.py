@@ -249,6 +249,7 @@ def test_search_config_file_precedence(tmp_path, capsys):
         ("fc", {"f_bound": None}),  # a null is not the dataclass default
         ("fc", {"f_strict": None}),
         ("gbtz", {"f_bound": None}),
+        ("nonmaxgcd3", {"degree": [3, 5]}),  # the degree-3 mode
     ):
         shaped = tmp_path / "shape.json"
         shaped.write_text(json.dumps(dict(shape, max_bits=10)))
@@ -256,6 +257,11 @@ def test_search_config_file_precedence(tmp_path, capsys):
                         "--output", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+    assert cli.run(["search", "nonmaxgcd3", "--degree", "4..6", "--threads", "1",
+                    "--max-bits", "10", "--output", str(tmp_path / "x.jsonl")]
+                   ) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 3" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

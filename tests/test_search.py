@@ -302,6 +302,11 @@ def test_make_config_defaults_and_validation():
             SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None})
                          ).validate()
     assert make_config("gbtz", max_spread=None, q_bound=None).max_spread is None
+    # nonmaxgcd3 is the degree-3 mode; another degree range is refused
+    assert make_config("nonmaxgcd3").degree == (3, 3)
+    for degree in ((4, 6), (3, 5), (2, 3)):
+        with pytest.raises(ValueError, match="degree"):
+            make_config("nonmaxgcd3", degree=degree)
 
 
 def test_config_round_trip_and_digest():
@@ -561,6 +566,8 @@ def test_plan_chunks_matches_resorting_loop(mode):
     ("gbtz", {"max_exp": 2}),
     ("fp", {"degree": (2, 3)}),
     ("maxgcd-spread1", {"degree": (1, 1)}),
+    # nonmaxgcd3 wants spread >= 1, and max_spread allows only 0
+    ("nonmaxgcd3", {"f_bound": Fraction(3, 2), "max_spread": 0}),
 ])
 def test_zero_unit_plan_is_one_empty_group(mode, extra):
     cfg = make_config(mode, max_bits=10, **extra)
@@ -660,6 +667,26 @@ def test_checkpoint_binds_plan_and_verifies_records(tmp_path):
     assert run_chunked(cfg, checkpoint_path=str(ckpt), resume=True).completed
 
 
+def test_checkpoint_refuses_records_outside_the_scan(tmp_path):
+    cfg = make_config("maxgcd-spread1", max_bits=20)  # degrees 5..10
+    ckpt = tmp_path / "run.ckpt"
+    run_chunked(cfg, n_chunks=4, checkpoint_path=str(ckpt), max_chunks=2)
+    state = json.loads(ckpt.read_text())
+    # 8**3 - 4**3 = 448 = 7*8*8: a true degree-3 record, outside this scan
+    injected = next(
+        r for r in _records(make_config("maxgcd-spread1", max_bits=20,
+                                        degree=(3, 4)))
+        if (r["p"], r["q"], r["z"], r["d"]) == (512, 64, 448, 3))
+    assert verify_record(injected, cfg)
+    path = tmp_path / "tampered.ckpt"
+    done = dict(state["done"], **{"0": state["done"]["0"] + [injected]})
+    path.write_text(json.dumps(dict(state, done=done)))
+    with pytest.raises(CheckpointMismatch, match="not scanned"):
+        run_chunked(cfg, checkpoint_path=str(path), resume=True)
+    resumed = run_chunked(cfg, checkpoint_path=str(ckpt), resume=True)
+    assert resumed.completed and len(resumed.records) == 6
+
+
 def test_run_result_candidates_vs_records():
     cfg = make_config("fermat-catalan", max_bits=13)
     res = run_chunked(cfg, n_chunks=16)
@@ -688,6 +715,64 @@ def test_verify_record_flags_tampering():
     assert verify_record(dict(rec, z=rec["z"] + 1), cfg)
     assert verify_record(dict(rec, witness=[1, 2, 3]), cfg)
     assert verify_record(dict(rec, gcd=7), cfg)
+
+
+def test_verify_record_refuses_records_outside_the_scan():
+    def refused(records, cfg):
+        for rec in records:
+            problems = verify_record(rec, cfg)
+            assert problems and "is not scanned" in problems[0], (rec, problems)
+
+    # every record a product search writes passes under its own config
+    for mode, extra in (
+        ("gbtz", {"max_bits": 20, "f_bound": Fraction(3, 2)}),
+        ("nonmaxgcd3", {"max_bits": 24, "f_bound": Fraction(5, 4),
+                        "max_spread": 3}),
+        ("fp", {"max_bits": 24, "f_bound": Fraction(3)}),
+        ("maxgcd-spread1", {"max_bits": 30, "degree": (3, 4)}),
+        # cells (n, m) with n > m whose mirror (m, n) is not scanned
+        ("survey", {"max_bits": 18, "n_range": (4, 6), "m_range": (3, 4),
+                    "degree": (2, 5), "f_bound": Fraction(3, 2)}),
+    ):
+        cfg = make_config(mode, **extra)
+        recs = _records(cfg, n_chunks=4)
+        assert len([r for r in recs if r.get("count", 1)]) >= 3, mode
+        _assert_all_verify(recs, cfg)
+
+    # maxgcd-spread1 records of degrees 3..4 under the default degrees 5..10
+    low = _records(make_config("maxgcd-spread1", max_bits=30, degree=(3, 4)))
+    assert len(low) == 24
+    refused(low, make_config("maxgcd-spread1", max_bits=30))
+
+    # fp records with n = 4 when the scan starts at n = 5
+    fp = _records(make_config("fp", max_bits=24, f_bound=Fraction(3)))
+    n4 = [r for r in fp if r["d"] == 4]
+    assert len(n4) == 32
+    refused(n4, make_config("fp", max_bits=24, f_bound=Fraction(3),
+                            degree=(5, 21)))
+
+    # gbtz products start at degree 3: 27 + 8 = 35 = 5*7 is not scanned
+    cfg = make_config("gbtz", max_bits=20, f_bound=Fraction(3), degree=(2, 10))
+    weight = Fraction(2, 3) + search.analyze([5, 7]).weight
+    crafted = {"mode": "gbtz", "sign": "plus", "p": 27, "q": 8, "z": 35, "d": 2,
+               "assignments": [[3, 3]], "witnesses": [[5, 7]], "witness": [5, 7],
+               "weight": str(weight), "gcd": 1, "gcd_quality": "1",
+               "maxgcd": False, "coprime": True}
+    assert verify_record(crafted, cfg)[0] == (
+        "assignment (3,3) at degree 2 is not scanned")
+
+    # gbtz scans coprime pairs only
+    for rec in _records(make_config("nonmaxgcd3", max_bits=24)):
+        assert verify_record(dict(rec, mode="gbtz"),
+                             make_config("gbtz", max_bits=24)) == [
+            "gbtz requires coprime pairs"]
+
+    # a survey cell outside the configured ranges
+    cfg = make_config("survey", max_bits=18, n_range=(3, 4), m_range=(3, 4),
+                      degree=(2, 6))
+    cell = {"mode": "survey", "cell": [5, 5, 5], "count": 0, "solutions": []}
+    assert verify_record(cell, cfg) == ["cell outside the survey ranges"]
+    assert verify_record(dict(cell, cell=[4, 3, 2]), cfg) == []
 
 
 def test_search_entry_points_guard_mode():
