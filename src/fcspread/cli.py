@@ -660,8 +660,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
                    help="weight bound, e.g. 1 or 41/42")
     p.add_argument("--f-strict", dest="f_strict", action="store_true",
                    default=None, help="require weight strictly under the bound")
-    p.add_argument("--q-bound", dest="q_bound", metavar="RAT",
-                   help="gcd quality bound g/rad(g)")
     p.add_argument("--m-bound", dest="m_bound", metavar="RAT",
                    help="spread^2/base bound")
     p.add_argument("--min-exp", dest="min_exp", type=int, metavar="N")

@@ -80,7 +80,7 @@ from .products import (
     enumerate_products,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MODES = (
     "fermat-catalan",
@@ -109,6 +109,19 @@ _MODE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "survey": {"max_bits": 24, "sign": "both", "degree": (3, 6)},
 }
 
+# The fields each mode reads.  The digest covers only these; any other field
+# must keep its mode default (`_MODE_DEFAULTS`, else the dataclass default).
+_MODE_FIELDS: Dict[str, Tuple[str, ...]] = {
+    mode: ("max_bits",) + tuple(fields.split()) for mode, fields in {
+        "fermat-catalan": "min_exp max_exp min_exp_cap f_bound f_strict coeffs",
+        "gbtz": "sign min_exp max_exp degree max_spread f_bound f_strict",
+        "nonmaxgcd3": "sign min_exp max_exp degree max_spread f_bound f_strict",
+        "fp": "sign degree max_spread f_bound f_strict",
+        "maxgcd-spread1": "sign degree max_spread",
+        "pillai": "degree max_spread f_bound f_strict m_bound difference",
+        "survey": "sign degree n_range m_range max_spread f_bound f_strict",
+    }.items()}
+
 
 def _parse_fraction(v: Union[str, int, float, Fraction, None]) -> Optional[Fraction]:
     if v is None or isinstance(v, Fraction):
@@ -118,7 +131,7 @@ def _parse_fraction(v: Union[str, int, float, Fraction, None]) -> Optional[Fract
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Resolved search configuration; semantic fields feed the digest."""
+    """Resolved search configuration; the fields its mode reads feed the digest."""
 
     mode: str
     max_bits: int
@@ -132,7 +145,6 @@ class SearchConfig:
     max_spread: Optional[int] = None
     f_bound: Fraction = Fraction(1)
     f_strict: bool = True
-    q_bound: Optional[Fraction] = None
     m_bound: Optional[Fraction] = None
     difference: Optional[int] = None
     coeffs: Tuple[int, int, int] = (1, 1, 1)
@@ -142,11 +154,15 @@ class SearchConfig:
         return 1 << self.max_bits
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):  # a config-file null is no default
-            if f.default is not None and getattr(self, f.name) is None:
-                raise ValueError(f"{f.name} must not be null")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        reads, defaults = ("mode",) + _MODE_FIELDS[self.mode], _MODE_DEFAULTS[self.mode]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.default is not None and value is None:  # a file's null is no default
+                raise ValueError(f"{f.name} must not be null")
+            if f.name not in reads and value != defaults.get(f.name, f.default):
+                raise ValueError(f"{self.mode} mode does not use {f.name}")
         if not 1 <= self.max_bits <= 128:
             raise ValueError("max_bits must be in 1..128")
         if self.sign not in ("plus", "minus", "both"):
@@ -163,21 +179,19 @@ class SearchConfig:
             raise ValueError("max_spread must be >= 0")
         if len(self.coeffs) != 3 or any(c < 1 for c in self.coeffs):
             raise ValueError("coeffs must be three positive integers")
-        if self.coeffs != (1, 1, 1) and self.mode != "fermat-catalan":
-            raise ValueError("coefficients apply to fermat-catalan mode only")
         if self.mode == "pillai" and (self.difference is None or self.difference < 1):
             raise ValueError("pillai mode needs a positive difference")
         if self.mode == "survey" and (self.n_range is None or self.m_range is None):
             raise ValueError("survey mode needs n_range and m_range")
 
     def semantic_dict(self) -> Dict[str, Any]:
-        """Fields that define the search result (no execution parameters)."""
-        d = {f.name: jsonify(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        """The mode, the format and the fields the mode reads."""
+        d = {f: jsonify(getattr(self, f)) for f in ("mode",) + _MODE_FIELDS[self.mode]}
         d["format"] = FORMAT_VERSION
         return d
 
     def digest(self) -> str:
-        return hashlib.sha256(canon_json(self.semantic_dict()).encode()).hexdigest()
+        return _sha256(self.semantic_dict())
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SearchConfig":
@@ -200,7 +214,7 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
         if v is not None or k not in values:
             values[k] = v
     values.pop("mode", None)
-    for key in ("f_bound", "q_bound", "m_bound"):
+    for key in ("f_bound", "m_bound"):
         if values.get(key) is not None:
             values[key] = _parse_fraction(values[key])
     for key in ("degree", "n_range", "m_range", "coeffs"):
@@ -225,6 +239,10 @@ def jsonify(value: Any) -> Any:
 def canon_json(obj: Any) -> str:
     """Canonical JSON used for digests and byte-deterministic logs."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(obj: Any) -> str:
+    return hashlib.sha256(canon_json(obj).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +505,7 @@ def _record_sort_key(rec: Dict[str, Any]) -> Tuple:
             tuple(rec["z_witness"]),
             tuple(rec["x_witness"]),
         )
-    return (
-        max(rec["p"], rec["z"]),
-        min(rec["p"], rec["z"]),
-        rec["q"],
-        rec["sign"],
-        rec["d"],
-    )
+    return _solution_sort_key(rec)
 
 
 def _solution_sort_key(sol: Dict[str, Any]) -> Tuple:
@@ -976,13 +988,6 @@ class CheckpointMismatch(ValueError):
     """Checkpoint file does not fit this run, or does not hold a valid state."""
 
 
-def _checkpoint_cursor(done: Dict[str, Any], total: int) -> int:
-    cur = -1
-    while cur + 1 < total and str(cur + 1) in done:
-        cur += 1
-    return cur
-
-
 def save_checkpoint(path: str, state: Dict[str, Any]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -1003,7 +1008,7 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     ):
         raise CheckpointMismatch(f"unrecognized checkpoint format in {path}")
     for key, kind in (("config_digest", str), ("plan_digest", str),
-                      ("n_chunks", int), ("done", dict)):
+                      ("n_chunks", int), ("done", dict), ("done_sha256", dict)):
         if not isinstance(state.get(key), kind):
             raise CheckpointMismatch(f"checkpoint {path} lacks a valid {key!r}")
     if state["n_chunks"] < 1:
@@ -1011,10 +1016,10 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     return state
 
 
-def _check_done(done: Dict[str, Any], n_plan: int, cfg: SearchConfig) -> None:
-    """Refuse checkpointed chunks outside the plan and records that fail to verify."""
+def _check_done(state: Dict[str, Any], n_plan: int, cfg: SearchConfig) -> None:
+    """Refuse chunks outside the plan, unverified records and altered record lists."""
     chunk_ids = {str(i) for i in range(n_plan)}
-    for key, records in done.items():
+    for key, records in state["done"].items():
         if key not in chunk_ids or not isinstance(records, list):
             raise CheckpointMismatch(f"checkpoint chunk {key!r} does not fit the plan")
         for rec in records:
@@ -1027,6 +1032,8 @@ def _check_done(done: Dict[str, Any], n_plan: int, cfg: SearchConfig) -> None:
                     f"checkpoint chunk {key} holds a record that fails "
                     f"verification: {problems[0]}"
                 )
+        if state["done_sha256"].get(key) != _sha256(records):
+            raise CheckpointMismatch(f"checkpoint chunk {key} fails its sha256")
 
 
 @dataclass
@@ -1072,8 +1079,7 @@ def run_chunked(
         "config": cfg.semantic_dict(),
         "n_chunks": n_chunks,
         "done": {},
-        "cursor": -1,
-        "chunks_total": None,
+        "done_sha256": {},
     }
     if resume:
         if not checkpoint_path:
@@ -1086,16 +1092,15 @@ def run_chunked(
             )
         n_chunks = state["n_chunks"]
     plan = plan_chunks(cfg, n_chunks)
-    plan_digest = hashlib.sha256(canon_json(plan).encode()).hexdigest()
+    plan_digest = _sha256(plan)
     if resume:
         if state["plan_digest"] != plan_digest:
             raise CheckpointMismatch(
                 "checkpoint plan digest mismatch: "
                 f"{state['plan_digest']} != {plan_digest}"
             )
-        _check_done(state["done"], len(plan), cfg)
+        _check_done(state, len(plan), cfg)
     state["plan_digest"] = plan_digest
-    state["chunks_total"] = len(plan)
     done: Dict[str, List[Dict[str, Any]]] = state["done"]
     pending = [i for i in range(len(plan)) if str(i) not in done]
     to_run = pending if max_chunks is None else pending[:max_chunks]
@@ -1103,7 +1108,7 @@ def run_chunked(
 
     def note(idx: int, records: List[Dict[str, Any]]) -> None:
         done[str(idx)] = records
-        state["cursor"] = _checkpoint_cursor(done, len(plan))
+        state["done_sha256"][str(idx)] = _sha256(records)
         if checkpoint_path:
             save_checkpoint(checkpoint_path, state)
 

@@ -12,6 +12,7 @@ import pytest
 
 from fcspread import cli, search
 from fcspread.cli import EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
+from fcspread.search import FORMAT_VERSION
 
 
 def _run(tmp_path, argv, name="out.jsonl"):
@@ -39,7 +40,7 @@ def test_search_fc_log_manifest_and_verify(tmp_path):
     )
     assert code == EXIT_OK
     assert header["format"] == "fcspread-result-log"
-    assert header["version"] == 1
+    assert header["version"] == FORMAT_VERSION
     assert header["subcommand"] == "search fc"
     assert header["config"]["mode"] == "fermat-catalan"
     assert header["config"]["max_bits"] == 14
@@ -177,7 +178,8 @@ def test_search_checkpoint_digest_mismatch(tmp_path):
 def test_search_resume_refuses_corrupt_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "run.ckpt"
     for text in (None, "{not json", "[1, 2]",
-                 json.dumps({"format": "fcspread-checkpoint", "version": 1})):
+                 json.dumps({"format": "fcspread-checkpoint",
+                             "version": FORMAT_VERSION})):
         if text is not None:  # None: the checkpoint file does not exist
             ckpt.write_text(text)
         code = cli.run(
@@ -210,6 +212,8 @@ def test_search_usage_errors(tmp_path):
     assert cli.run(["search", "gbtz", "--coeffs", "2,1,1", "--max-bits", "10",
                     "--output", out]) == EXIT_USAGE
     assert cli.run(["search", "fc", "--max-bits", "10", "--degree", "5..3",
+                    "--output", out]) == EXIT_USAGE
+    assert cli.run(["search", "fc", "--max-bits", "10", "--q-bound", "1",
                     "--output", out]) == EXIT_USAGE
 
 
@@ -250,6 +254,7 @@ def test_search_config_file_precedence(tmp_path, capsys):
         ("fc", {"f_strict": None}),
         ("gbtz", {"f_bound": None}),
         ("nonmaxgcd3", {"degree": [3, 5]}),  # the degree-3 mode
+        ("fc", {"difference": 3}),  # a field fc does not read
     ):
         shaped = tmp_path / "shape.json"
         shaped.write_text(json.dumps(dict(shape, max_bits=10)))
@@ -262,6 +267,15 @@ def test_search_config_file_precedence(tmp_path, capsys):
                    ) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree 3" in err and "Traceback" not in err
+    # a field the mode does not read is refused, not folded into the digest
+    for argv, field in ((["pillai", "--difference", "1", "--sign", "minus"], "sign"),
+                        (["gbtz", "--m-bound", "1"], "m_bound"),
+                        (["maxgcd-spread1", "--f-bound", "1/2"], "f_bound")):
+        assert cli.run(["search"] + argv + ["--max-bits", "10", "--threads", "1",
+                                            "--output", str(tmp_path / "x.jsonl")]
+                       ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[0]} mode does not use {field}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def test_make_config_defaults_and_validation():
         with pytest.raises(ValueError, match=name):
             SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None})
                          ).validate()
-    assert make_config("gbtz", max_spread=None, q_bound=None).max_spread is None
+    assert make_config("gbtz", max_spread=None).max_spread is None
     # nonmaxgcd3 is the degree-3 mode; another degree range is refused
     assert make_config("nonmaxgcd3").degree == (3, 3)
     for degree in ((4, 6), (3, 5), (2, 3)):
@@ -318,11 +318,45 @@ def test_config_round_trip_and_digest():
     assert other.digest() != cfg.digest()
     # digests name result logs and checkpoints, so they must never drift
     assert make_config("fermat-catalan", max_bits=35).digest() == (
-        "9ab87823a945fabc330bffccde4515454004e661c7349af1c2fc0bb4b4de0f8c")
+        "aebe0de369a7452faa5a0e86dd0c1d0c2b64507cf8961612bf6bf76f59c8a945")
     survey = make_config("survey", max_bits=22, n_range=(2, 5), m_range=(2, 5),
                          degree=(2, 5))
     assert survey.digest() == (
-        "052fc8a6e6324ed0c6a339098a1b1fac872b4018a83912afc72abb1005884990")
+        "38452dd5e5d0d2ca57295f6c20fbb7b18efa8d3ee54e2853c16c892ca72b1739")
+
+
+# What each mode reads; every other field must keep its mode default.
+_READS = {
+    "fermat-catalan": "min_exp max_exp min_exp_cap f_bound f_strict coeffs",
+    "gbtz": "sign min_exp max_exp degree max_spread f_bound f_strict",
+    "nonmaxgcd3": "sign min_exp max_exp degree max_spread f_bound f_strict",
+    "fp": "sign degree max_spread f_bound f_strict",
+    "maxgcd-spread1": "sign degree max_spread",
+    "pillai": "degree max_spread f_bound f_strict m_bound difference",
+    "survey": "sign degree n_range m_range max_spread f_bound f_strict",
+}
+_REQUIRED = {"pillai": {"difference": 1},
+             "survey": {"n_range": (2, 4), "m_range": (2, 4)}}
+_AWAY = {"sign": "minus", "min_exp": 3, "max_exp": 50, "min_exp_cap": 5,
+         "degree": (3, 4), "n_range": (2, 3), "m_range": (2, 3), "max_spread": 1,
+         "f_bound": Fraction(1, 2), "f_strict": False, "m_bound": Fraction(1),
+         "difference": 3, "coeffs": (1, 2, 3)}
+
+
+@pytest.mark.parametrize("mode", search.MODES)
+def test_config_holds_only_the_fields_its_mode_reads(mode):
+    assert set(_AWAY) == set(SearchConfig.__dataclass_fields__) - {"mode", "max_bits"}
+    reads = {"max_bits"} | set(_READS[mode].split())
+    cfg = make_config(mode, **_REQUIRED.get(mode, {}))
+    for name, value in _AWAY.items():
+        if name in reads:
+            continue
+        assert getattr(cfg, name) != value, name
+        with pytest.raises(ValueError, match=f"^{mode} mode does not use {name}$"):
+            make_config(mode, **dict(_REQUIRED.get(mode, {}), **{name: value}))
+    assert set(cfg.semantic_dict()) == {"mode", "format"} | reads
+    again = SearchConfig.from_dict(cfg.semantic_dict())
+    assert again == cfg and again.digest() == cfg.digest()
 
 
 def test_spread_cap():
@@ -633,7 +667,7 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     state = json.loads(path.read_text())
     broken = ["{not json", "[1, 2]", json.dumps(dict(state, n_chunks=0))] + [
         json.dumps({k: v for k, v in state.items() if k != key})
-        for key in ("config_digest", "plan_digest", "n_chunks", "done")
+        for key in ("config_digest", "plan_digest", "n_chunks", "done", "done_sha256")
     ]
     for text in broken:
         path.write_text(text)
@@ -682,6 +716,23 @@ def test_checkpoint_refuses_records_outside_the_scan(tmp_path):
     done = dict(state["done"], **{"0": state["done"]["0"] + [injected]})
     path.write_text(json.dumps(dict(state, done=done)))
     with pytest.raises(CheckpointMismatch, match="not scanned"):
+        run_chunked(cfg, checkpoint_path=str(path), resume=True)
+    resumed = run_chunked(cfg, checkpoint_path=str(ckpt), resume=True)
+    assert resumed.completed and len(resumed.records) == 6
+
+
+def test_checkpoint_binds_the_records_of_each_done_chunk(tmp_path):
+    cfg = make_config("maxgcd-spread1", max_bits=20)
+    ckpt = tmp_path / "run.ckpt"
+    run_chunked(cfg, n_chunks=4, checkpoint_path=str(ckpt), max_chunks=2)
+    state = json.loads(ckpt.read_text())
+    # every record still verifies, but the larger done chunk has lost them all
+    largest = max(state["done"], key=lambda k: len(state["done"][k]))
+    assert state["done"][largest]
+    path = tmp_path / "emptied.ckpt"
+    done = dict(state["done"], **{largest: []})
+    path.write_text(json.dumps(dict(state, done=done)))
+    with pytest.raises(CheckpointMismatch, match="fails its sha256"):
         run_chunked(cfg, checkpoint_path=str(path), resume=True)
     resumed = run_chunked(cfg, checkpoint_path=str(ckpt), resume=True)
     assert resumed.completed and len(resumed.records) == 6
