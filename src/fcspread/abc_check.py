@@ -8,10 +8,12 @@ small-denominator parameters get the same exact integer treatment, anything
 else is decided by escalating-precision evaluation that reports "borderline"
 instead of guessing when the margin stays inside its own error bound.
 
-The brute-force scan walks every coprime split a + b = c <= limit.  A numpy
+The brute-force scan covers every coprime split a + b = c <= limit.  A numpy
 radical sieve plus two sound log-space prefilters (derived from the target
 inequality itself, with a generous slack that can only over-include) shrink
-the candidate set to a handful of pairs, each confirmed in exact integers.
+the candidate set to a handful of pairs, each confirmed in exact integers;
+the second prefilter bounds the smaller radical of a and b, so each c visits
+only its few small-radical partners instead of all c/2 splits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 import numpy as np
@@ -225,35 +227,95 @@ def report(t: AbcTriple,
 
 
 def radical_sieve(limit: int, memory_budget: int = 4 << 30) -> np.ndarray:
-    """rad(n) for n in 0..limit as int64 (rad(0) = 0, rad(1) = 1)."""
+    """rad(n) for n in 0..limit as int64 (rad(0) = 0, rad(1) = 1).
+
+    Only the primes p <= isqrt(limit) are sieved: each multiplies rad over
+    its multiples and `smooth` by its full power.  What is left of n after
+    dividing out smooth(n) is 1 or the single prime factor of n above
+    isqrt(limit), which completes rad(n).
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    est = (limit + 1) * 8
+    est = (limit + 1) * 24  # rad, smooth and the quotient n // smooth(n)
     if est > memory_budget:
         raise MemoryError(
             f"radical sieve to {limit} needs about {est} bytes, "
             f"over the budget of {memory_budget} bytes"
         )
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
     rad = np.ones(limit + 1, dtype=np.int64)
     rad[0] = 0
-    for p in range(2, limit + 1):
-        if rad[p] == 1:  # untouched by any smaller prime, so p is prime
-            rad[p::p] *= p
+    smooth = np.ones(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_prime).tolist():
+        rad[p::p] *= p
+        q = p
+        while q <= limit:
+            smooth[q::q] *= p
+            q *= p
+    np.floor_divide(np.arange(limit + 1, dtype=np.int64), smooth, out=smooth)
+    rad *= smooth
     return rad
 
 
 def _log_tables(rad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n = len(rad)
-    lg = np.zeros(n)
-    lg[1:] = np.log(np.arange(1, n, dtype=np.float64))
-    lgr = np.zeros(n)
-    lgr[1:] = np.log(rad[1:].astype(np.float64))
+    """ln n and ln rad(n) for n < len(rad), 0 at n = 0, logged in place."""
+    lg = np.arange(len(rad), dtype=np.float64)
+    lgr = rad.astype(np.float64)
+    for table in (lg, lgr):
+        table[0] = 1.0
+        np.log(table, out=table)
     return lg, lgr
 
 
 # Float prefilters may only over-include; this slack dwarfs the rounding
 # error of summing a handful of float64 logs.
 _LOG_SLACK = 1e-9
+
+
+def _partner_splits(
+    lg: np.ndarray, lgr: np.ndarray, cs: np.ndarray, explicit: bool
+) -> Iterator[Tuple[int, List[int]]]:
+    """(c, ascending a <= c/2 whose split passes the log filter) for c in cs.
+
+    lg and lgr are the log tables of n and rad(n).  The filter is the pair
+    test of brute_force_scan when `explicit`, else that of
+    count_high_quality.  A passing split's smaller lgr is at most the reach
+    of c, so its smaller-radical term is a partner s < c with lgr[s] <=
+    reach: the partners are drawn once, sorted by lgr, and each c visits
+    the prefix up to its reach instead of every split.  The pair test sees
+    exactly the floats the full walk gave it (float addition commutes), so
+    the kept splits are the full walk's.
+
+    Reach of the explicit test 15 (x + y) <= bound(c): min(x, y) <= bound(c)
+    / 30.  Reach of the quality test x + y + lgr[c] < lg[c] + slack:
+    min(x, y) < (lg[c] + slack - lgr[c]) / 2.  Both hold up to float
+    rounding of order 1e-14, and each reach adds its own _LOG_SLACK on top
+    of the slack inside the test, so it can only over-include.
+    """
+    if explicit:
+        reach = (8.0 * lg[cs] - 7.0 * lgr[cs] + _LOG_SLACK) / 30.0 + _LOG_SLACK
+
+        def keep(c: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return 15.0 * (x + y) <= 8.0 * lg[c] - 7.0 * lgr[c] + _LOG_SLACK
+    else:
+        reach = (lg[cs] + _LOG_SLACK - lgr[cs]) / 2.0 + _LOG_SLACK
+
+        def keep(c: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return x + y + lgr[c] < lg[c] + _LOG_SLACK
+
+    partners = np.flatnonzero(lgr[1:] <= reach.max(initial=0.0)) + 1
+    partners = partners[np.argsort(lgr[partners], kind="stable")]
+    partner_lgr = lgr[partners]
+    for c, top in zip(cs.tolist(), reach.tolist()):
+        s = partners[: np.searchsorted(partner_lgr, top, side="right")]
+        s = s[s < c]
+        s = s[keep(c, lgr[s], lgr[c - s])]
+        yield c, np.unique(np.minimum(s, c - s)).tolist()
 
 
 def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple]:
@@ -266,8 +328,14 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
                                        and rad(abc) >= 2 r(c) for c >= 3)
         (r(a) r(b))^15 * r(c)^7 <= c^8   (since max_rad >= r(a) r(b))
 
-    so a log-space pass over c, then over a, leaves a tiny candidate set
-    that is confirmed with exact integer arithmetic.
+    so a log-space pass over c, then over the splits of c, leaves a tiny
+    candidate set that is confirmed with exact integer arithmetic.  The
+    second bound says r(a) r(b) <= B(c) = (c^8 / r(c)^7)^(1/15), hence
+    min(r(a), r(b)) <= B(c)^(1/2): each c visits only its partners of
+    small radical (r <= 26 at limit 10^6), not all c/2 splits.  In floats
+    the split test is 15 (ln r(a) + ln r(b)) <= 8 ln c - 7 ln r(c) + slack,
+    and the partner reach is that bound / 30 plus a slack of its own, so it
+    can only over-include (argued in _partner_splits).
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
@@ -280,15 +348,16 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
     rad = radical_sieve(limit, memory_budget)
     lg, lgr = _log_tables(rad)
     ln2_7 = 7.0 * math.log(2.0)
-    cs = np.arange(3, limit + 1)
-    c_mask = 15.0 * lgr[3:] + ln2_7 <= 8.0 * lg[3:] + _LOG_SLACK
+    block = 1 << 16  # keeps the c-mask temporaries small next to the tables
+    cs = np.concatenate([
+        np.flatnonzero(
+            15.0 * lgr[lo : lo + block] + ln2_7 <= 8.0 * lg[lo : lo + block] + _LOG_SLACK
+        ) + lo
+        for lo in range(3, limit + 1, block)
+    ])
     out: List[AbcTriple] = []
-    for c in cs[c_mask].tolist():
-        half = c // 2
-        bound = 8.0 * lg[c] - 7.0 * lgr[c] + _LOG_SLACK
-        pair = 15.0 * (lgr[1 : half + 1] + lgr[c - 1 : c - half - 1 : -1])
-        for a in np.nonzero(pair <= bound)[0].tolist():
-            a += 1
+    for c, splits in _partner_splits(lg, lgr, cs, explicit=True):
+        for a in splits:
             b = c - a
             if math.gcd(a, b) != 1:
                 continue
@@ -300,17 +369,21 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
 
 
 def count_high_quality(limit: int, memory_budget: int = 4 << 30) -> int:
-    """Number of coprime triples with quality > 1 (c > rad(abc)), c <= limit."""
+    """Number of coprime triples with quality > 1 (c > rad(abc)), c <= limit.
+
+    r(a) r(b) r(c) < c gives min(r(a), r(b)) < (c / r(c))^(1/2), so the
+    splits come from _partner_splits.  For c >= 3, r(b) >= 2 since b >= 2,
+    so only c with 2 r(c) < c can count; that c-mask carries twice the
+    slack of the pair test, so float rounding can only over-include.
+    """
     if limit < 3:
         raise ValueError("limit must be >= 3")
     rad = radical_sieve(limit, memory_budget)
     lg, lgr = _log_tables(rad)
+    cs = np.flatnonzero(lgr[3:] + math.log(2.0) <= lg[3:] + 2 * _LOG_SLACK) + 3
     count = 0
-    for c in range(3, limit + 1):
-        half = c // 2
-        pair = lgr[1 : half + 1] + lgr[c - 1 : c - half - 1 : -1] + lgr[c]
-        for a in np.nonzero(pair < lg[c] + _LOG_SLACK)[0].tolist():
-            a += 1
+    for c, splits in _partner_splits(lg, lgr, cs, explicit=False):
+        for a in splits:
             b = c - a
             if (
                 math.gcd(a, b) == 1

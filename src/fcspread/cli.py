@@ -24,6 +24,7 @@ import os
 import sys
 import traceback
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import abc_check, arith, families, products, search
@@ -88,9 +89,24 @@ def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
 
 
 def _merge_options(
-    file_cfg: Dict[str, Any], args: argparse.Namespace, keys: Sequence[str]
+    args: argparse.Namespace,
+    keys: Sequence[str],
+    fixed: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Precedence: defaults (handled downstream) < config file < flags."""
+    """Options of --config and flags: defaults (downstream) < config file < flags.
+
+    A file key outside `keys` is refused, except `format` and the keys of
+    `fixed` (what the positional arguments decide, e.g. a search's mode)
+    when they agree with it: a log header's config is a natural config file.
+    """
+    file_cfg = _load_config_file(args.config)
+    fixed = fixed or {}
+    for key, val in file_cfg.items():
+        if key in fixed:
+            if val != fixed[key]:
+                raise UsageError(f"config {key} {val!r} does not match {fixed[key]!r}")
+        elif key != "format" and key not in keys:
+            raise UsageError(f"unknown config key {key}")
     merged: Dict[str, Any] = {}
     for key in keys:
         if key in file_cfg:
@@ -99,6 +115,13 @@ def _merge_options(
         if val is not None:
             merged[key] = val
     return merged
+
+
+def _int_option(merged: Dict[str, Any], key: str, default: int) -> int:
+    try:
+        return int(merged.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be an integer") from None
 
 
 def _digest_params(params: Dict[str, Any]) -> str:
@@ -324,9 +347,8 @@ def verify_arith_record(rec: Dict[str, Any]) -> List[str]:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     mode = "fermat-catalan" if args.mode == "fc" else args.mode
-    file_cfg = _load_config_file(args.config)
     keys = [f.name for f in dataclasses.fields(SearchConfig) if f.name != "mode"]
-    overrides = _merge_options(file_cfg, args, keys)
+    overrides = _merge_options(args, keys, {"mode": mode})
     for key in ("degree", "n_range", "m_range"):
         if isinstance(overrides.get(key), str):
             overrides[key] = _parse_range(overrides[key])
@@ -366,8 +388,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    merged = _merge_options(file_cfg, args, ("degree", "max_spread"))
+    merged = _merge_options(args, ("degree", "max_spread"), {"value": args.value})
     if "degree" not in merged:
         raise UsageError("decompose needs --degree N or A..B")
     degree = merged["degree"]
@@ -396,6 +417,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _merge_options(args, ())  # reads no config key, so refuses any
     family = args.family
     try:
         record, params, exit_code = _gen_record(args, family)
@@ -444,6 +466,7 @@ def _gen_record(
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    _merge_options(args, ())  # reads no config key, so refuses any
     sols = (
         families.fermat_catalan_catalog()
         if args.which == "fc"
@@ -474,10 +497,15 @@ def _parse_classic(specs: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
 
 
 def _cmd_abc_check(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    classic = _parse_classic(args.classic) or [
-        (str(e), str(c)) for e, c in file_cfg.get("classic", [])
-    ]
+    merged = _merge_options(args, ("classic",))
+    try:
+        classic = _parse_classic(args.classic) or [
+            (str(e), str(c)) for e, c in merged.get("classic", [])
+        ]
+        if any(Fraction(e) <= 0 or Fraction(c) <= 0 for e, c in classic):
+            raise ValueError
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError("classic takes pairs of positive rationals EPS, C") from None
     params = {"classic": [[e, c] for e, c in classic]}
     if args.input and args.input != "-":
         try:
@@ -511,8 +539,7 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_abc_scan(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    limit = args.limit if args.limit is not None else int(file_cfg.get("limit", 10**5))
+    limit = _int_option(_merge_options(args, ("limit",)), "limit", 10**5)
     try:
         violations = abc_check.brute_force_scan(limit, args.memory_budget)
     except ValueError as exc:
@@ -531,9 +558,8 @@ def _cmd_abc_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_abc_filter(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    merged = _merge_options(file_cfg, args, ("limit", "eps", "q_bound"))
-    limit = int(merged.get("limit", 1000))
+    merged = _merge_options(args, ("limit", "eps", "q_bound"))
+    limit = _int_option(merged, "limit", 1000)
     eps = str(merged.get("eps", "1/10"))
     q_bound = str(merged.get("q_bound", "1"))
     params = {"limit": limit, "eps": eps, "q_bound": q_bound}
@@ -547,6 +573,7 @@ def _cmd_abc_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    _merge_options(args, (), {"n": args.n})  # reads no config key
     kind = "factorization" if args.op == "factor" else "radical"
     if args.n < 1:
         raise UsageError("n must be >= 1")

@@ -201,6 +201,61 @@ def test_scan_matches_naive_exhaustive():
     assert got == naive == []
 
 
+@pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "quality"])
+def test_partner_splits_match_full_split_filter(explicit):
+    # the partner walk must keep exactly the splits that the log filter
+    # keeps when it visits every a <= c/2, for every c, not only the ones
+    # that survive a scan's c-mask
+    limit = 30000
+    rad = radical_sieve(limit)
+    lg, lgr = abc_check._log_tables(rad)
+    slack = abc_check._LOG_SLACK
+    cs = np.arange(3, limit + 1)
+    got = {c: a for c, a in abc_check._partner_splits(lg, lgr, cs, explicit)}
+    assert list(got) == cs.tolist()
+    kept = 0
+    for c in range(3, limit + 1):
+        half = c // 2
+        x, y = lgr[1 : half + 1], lgr[c - 1 : c - half - 1 : -1]
+        if explicit:
+            ok = 15.0 * (x + y) <= 8.0 * lg[c] - 7.0 * lgr[c] + slack
+        else:
+            ok = x + y + lgr[c] < lg[c] + slack
+        full = (np.nonzero(ok)[0] + 1).tolist()
+        assert got[c] == full, c
+        kept += len(full)
+    assert kept > 100  # the filter is not vacuous at this limit
+
+
+def test_scan_candidates_match_full_walk(monkeypatch):
+    # brute_force_scan hands the partner walk exactly the c of its c-mask
+    # (built in blocks; this limit spans three) and gets the full walk's
+    # candidate pairs back
+    limit = 150000
+    seen, seen_cs = [], []
+    walk = abc_check._partner_splits
+
+    def spy(lg, lgr, cs, explicit):
+        seen_cs.extend(cs.tolist())
+        for c, splits in walk(lg, lgr, cs, explicit):
+            seen.extend((c, a) for a in splits)
+            yield c, splits
+
+    monkeypatch.setattr(abc_check, "_partner_splits", spy)
+    assert brute_force_scan(limit) == []
+    lg, lgr = abc_check._log_tables(radical_sieve(limit))
+    slack = abc_check._LOG_SLACK
+    c_mask = 15.0 * lgr[3:] + 7.0 * math.log(2.0) <= 8.0 * lg[3:] + slack
+    assert seen_cs == (np.nonzero(c_mask)[0] + 3).tolist()
+    full = []
+    for c in seen_cs:
+        half = c // 2
+        bound = 8.0 * lg[c] - 7.0 * lgr[c] + slack
+        pair = 15.0 * (lgr[1 : half + 1] + lgr[c - 1 : c - half - 1 : -1])
+        full.extend((c, a + 1) for a in np.nonzero(pair <= bound)[0].tolist())
+    assert seen == full and len(full) > 1000
+
+
 def test_scan_memory_budget(monkeypatch):
     # sieve fits but the log tables do not
     with pytest.raises(MemoryError):

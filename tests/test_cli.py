@@ -278,6 +278,67 @@ def test_search_config_file_precedence(tmp_path, capsys):
         assert err == f"error: {argv[0]} mode does not use {field}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "search fc --max-bits 10 --threads 1",
+    "search gbtz --max-bits 12 --threads 1",
+    "decompose 4352 --degree 3 --max-spread 1",
+    "abc scan --limit 1000",
+    "abc filter --limit 50 --eps 1/5",
+    "abc check --classic 1/4 --input {triples}",
+    "radical 720",
+])
+def test_config_file_keys_are_read_or_refused(tmp_path, capsys, argv):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("1 8\n5 27\n")
+    argv = argv.format(triples=triples).split()
+    _, header, records, _, _ = _run(tmp_path, argv, name="first.jsonl")
+    # the header's config, positional values and format included, is a
+    # config file that reproduces the run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(header["config"]))
+    flagless = argv[:2]
+    if argv[0] == "abc" and argv[1] == "check":
+        flagless += ["--input", str(triples)]
+    _, header2, records2, _, _ = _run(
+        tmp_path, flagless + ["--config", str(cfg)], name="second.jsonl"
+    )
+    assert (header2["config"], records2) == (header["config"], records)
+
+    capsys.readouterr()
+    out = ["--output", str(tmp_path / "x.jsonl")]
+    # q_bound is an abc filter key that searches no longer read
+    for key in ("limt", "q_bound") if argv[1] != "filter" else ("limt",):
+        cfg.write_text(json.dumps(dict(header["config"], **{key: 9})))
+        assert cli.run(flagless + ["--config", str(cfg)] + out) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+    positional = {"search": "mode", "decompose": "value", "radical": "n"}.get(argv[0])
+    if positional:
+        other = {"mode": "fp", "value": 4353, "n": 721}[positional]
+        cfg.write_text(json.dumps(dict(header["config"], **{positional: other})))
+        assert cli.run(flagless + ["--config", str(cfg)] + out) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: config {positional} ")
+
+
+def test_config_file_values_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = ["--output", str(tmp_path / "x.jsonl")]
+    triples = tmp_path / "triples.txt"
+    triples.write_text("1 8\n")
+    for argv, doc in (
+        (["abc", "scan"], {"limit": "many"}),
+        (["abc", "filter"], {"limit": [9]}),
+        (["abc", "check", "--input", str(triples)], {"classic": 5}),
+        (["abc", "check", "--input", str(triples)], {"classic": [["0", "1"]]}),
+        (["abc", "check", "--input", str(triples), "--classic", "abc"], {}),
+        (["gen", "standard"], {"v": 2}),  # gen and catalog read no key
+        (["catalog", "fc"], {"max_bits": 14}),
+    ):
+        cfg.write_text(json.dumps(doc))
+        assert cli.run(argv + ["--config", str(cfg)] + out) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # decompose, gen, catalog
 
