@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -28,7 +27,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import abc_check, arith, families, products, search
-from .search import FORMAT_VERSION, CheckpointMismatch, SearchConfig, canon_json
+from .search import (FORMAT_VERSION, CheckpointMismatch, SearchConfig, _atomic_write,
+                     _sha256, canon_json)
 
 RESULT_LOG_FORMAT = "fcspread-result-log"
 MANIFEST_FORMAT = "fcspread-manifest"
@@ -124,10 +124,6 @@ def _int_option(merged: Dict[str, Any], key: str, default: int) -> int:
         raise UsageError(f"{key} must be an integer") from None
 
 
-def _digest_params(params: Dict[str, Any]) -> str:
-    return hashlib.sha256(canon_json(params).encode("utf-8")).hexdigest()
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -143,13 +139,6 @@ def _package_version() -> str:
 
 # ---------------------------------------------------------------------------
 # Result log and manifest emission
-
-
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def _write_log(
@@ -188,7 +177,7 @@ def _emit(
         "version": FORMAT_VERSION,
         "subcommand": subcommand,
         "config": params,
-        "config_digest": _digest_params(params),
+        "config_digest": _sha256(params),
     }
     if log:
         _write_log(output, header, records)
@@ -607,9 +596,11 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
             return 0, [f"header: invalid search config: {type(exc).__name__}: {exc}"]
         if search_cfg.digest() != header.get("config_digest"):
             problems.append("config digest does not match the config")
-    elif _digest_params(config) != header.get("config_digest"):
+    elif _sha256(config) != header.get("config_digest"):
         problems.append("config digest does not match the config")
     checked = 0
+    seen: set = set()  # record keys of a search log, which is sorted and unique
+    last: Optional[Tuple] = None
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -622,6 +613,13 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
         try:
             if search_cfg is not None:
                 probs = search.verify_record(rec, search_cfg)
+                key, order = search._record_key(rec), search._record_sort_key(rec)
+                if key in seen:
+                    probs.append("record repeats an earlier record")
+                elif last is not None and order < last:  # general coeffs can tie
+                    probs.append("record sorts before the record above it")
+                seen.add(key)
+                last = order
             elif sub in ("abc check", "abc scan", "abc filter"):
                 probs = abc_check.verify_abc_record(rec, config)
             elif sub.startswith("catalog") or sub.startswith("gen"):

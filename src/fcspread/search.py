@@ -35,12 +35,13 @@ they test P +/- Q against:
   that `decompose` is called with the largest admissible spread and nothing
   more.  Units with an empty list are not planned (survey cells are, and
   report 0), and a record that no unit can give fails verification
-  (`_scan_caps`).  For the coprime and non-maxgcd relations with M <= 2**62,
-  `_pairs` walks the same int64 blocks and keeps a cell only if x**n + y**m
-  or |x**n - y**m| has, for some (degree d, spread cap s) of the unit, a
-  divisor in a window one wider on each side than [root - s, root], root its
-  integer d-th root, which holds the smallest factor of every qualifying
-  decomposition (`_maybe_product`, a superset of the exact test).  The
+  (`_scan_caps`, which `_product_record` reads).  For the coprime and
+  non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
+  blocks and keeps a cell only if x**n + y**m or |x**n - y**m| has, for
+  some (degree d, spread cap s) of the unit, a divisor in a window one
+  wider on each side than [root - s, root], root its integer d-th root,
+  which holds the smallest factor of every qualifying decomposition
+  (`_maybe_product`, a superset of the exact test).  The
   relation test and `decompose` see only those survivors.  The maxgcd
   relation and larger bounds run the scalar `_pairs` loop.  Power bases
   start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
@@ -48,9 +49,14 @@ they test P +/- Q against:
   the maxgcd pairs.
 * pillai enumerates the bounded-spread products themselves.
 
-Chunking partitions the (exponent pair, base sub-range) space; chunk results
-merge by record identity, so the final record set is byte-identical no
-matter the chunk plan, thread count or completion order.
+Each record is a pure function of its identity, built by one function per
+mode that the scan calls on every hit and `verify_record` on a stored
+record's identity, reporting each field that differs: `_fc_candidate` from
+the values, `_product_record` from (sign, p, q, z, d) and `_pillai_record`
+from the two witnesses.  Chunking partitions the (exponent pair, base
+sub-range) space; records with one key are equal whichever chunk wrote them
+(survey cells join their solutions), so the final record set is
+byte-identical no matter the chunk plan, thread count or completion order.
 """
 
 from __future__ import annotations
@@ -534,30 +540,13 @@ def _record_key(rec: Dict[str, Any]) -> Tuple:
     return (rec["mode"], rec["sign"], rec["p"], rec["q"], rec["z"], rec["d"])
 
 
-def _merged_sorted(a: List, b: List, sort_key: Optional[Callable] = None) -> List:
-    seen = {canon_json(x): x for x in a}
-    for x in b:
-        seen.setdefault(canon_json(x), x)
-    return sorted(seen.values(), key=sort_key)
-
-
 def _merge_into(acc: Dict[Tuple, Dict[str, Any]], rec: Dict[str, Any]) -> None:
-    key = _record_key(rec)
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = rec
-        return
-    if rec["mode"] == "survey":
-        cur["solutions"] = _merged_sorted(
-            cur["solutions"], rec["solutions"], _solution_sort_key
-        )
-        cur["count"] = len(cur["solutions"])
-        return
-    if "assignments" in rec:
-        cur["assignments"] = _merged_sorted(cur["assignments"], rec["assignments"])
-        cur["witnesses"] = _merged_sorted(cur["witnesses"], rec["witnesses"])
-        cur["witness"] = cur["witnesses"][0]
-        cur["weight"] = str(min(Fraction(cur["weight"]), Fraction(rec["weight"])))
+    """Add a record to `acc`; a survey cell collects the solutions of its copies."""
+    cur = acc.setdefault(_record_key(rec), rec)
+    if cur is not rec and rec["mode"] == "survey":
+        sols = {_solution_sort_key(s): s for s in cur["solutions"] + rec["solutions"]}
+        cur["solutions"] = [sols[k] for k in sorted(sols)]
+        cur["count"] = len(sols)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +577,22 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
     # 1/e1 + 1/e2 + 1/e3 as one Fraction: the plan asks this for every pair
     return e3 >= max(2, cfg.min_exp) and _weight_ok(
         cfg, Fraction(e2 * e3 + e1 * e3 + e1 * e2, e1 * e2 * e3))
+
+
+def _fc_reached(cfg: SearchConfig, reps: List[List[List[int]]]) -> bool:
+    """Whether a planned unit visits two terms of a triple with these reps.
+
+    fcwild visits two 1s, fcone a 1 and a power of exponent in
+    `_fc_exp_range`, a kept pair unit two such powers.  Under a bound above
+    1 a triple can pass `_fc_candidate` and be visited by none.
+    """
+    lo, hi = _fc_exp_range(cfg)
+    wild = sum(not r for r in reps)
+    exps = [[e for _, e in r if lo <= e <= hi] for r in reps if r]
+    if wild:
+        return wild >= 2 or any(exps)
+    return any(_fc_pair_needed(cfg, min(a, b), max(a, b))
+               for i, j in ((0, 1), (0, 2), (1, 2)) for a in exps[i] for b in exps[j])
 
 
 def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
@@ -716,16 +721,63 @@ def _run_fc_wild_unit(cfg: SearchConfig, unit: Dict[str, Any],
 # product-target modes
 
 
-def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
-                  sign: str, n: int, m: int, P: int, Q: int, Z: int, d: int,
-                  wits: Sequence[ProductDecomposition]) -> None:
+@lru_cache(maxsize=16)
+def _scan_caps(cfg: SearchConfig) -> Dict[int, Dict[Tuple[int, int], int]]:
+    """Degree -> {(e1, e2): spread cap} of the planned units (-1: bare survey cell)."""
+    caps: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for unit in _mode_units(cfg):
+        if cfg.mode == "survey":
+            caps.setdefault(unit["d"], {})[unit["e1"], unit["e2"]] = -1
+        for d, cap in _degree_caps(cfg, unit):
+            caps.setdefault(d, {})[unit["e1"], unit["e2"]] = cap
+    return caps
+
+
+def _related(relation: str, P: int, Q: int) -> bool:
+    g = math.gcd(P, Q)
+    return {"coprime": g == 1, "nonmaxgcd": g != min(P, Q),
+            "maxgcd": g == min(P, Q)}[relation]
+
+
+def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int,
+                    cell: Optional[Tuple[int, int]] = None) -> Optional[Dict[str, Any]]:
+    """The record the scan writes for P +/- Q = Z at degree d; None if it writes none.
+
+    Its assignments are every (n, m) with P = x**n and Q = y**m, bases the
+    scan walks (>= 2, or >= 1 in the maxgcd relation), whose unit the plan
+    scans at degree d and whose own spread cap admits a witness.  Its
+    witnesses are those of all its assignments.  A survey solution (`cell`
+    given) takes only its cell's (n, m), in that order.
+    """
+    relation, floor_s = _PRODUCT_MODES[cfg.mode]
+    if (sign not in _signs(cfg) or Z != (P + Q if sign == "plus" else P - Q)
+            or Z < 1 or max(P, Q, Z) > cfg.max_value
+            or min(P, Q) < (1 if relation == "maxgcd" else 2)
+            or not (cell or P >= Q) or not _related(relation, P, Q)):
+        return None
+    units = _scan_caps(cfg).get(d, {})
+    if cell:
+        units = {cell: units[cell]} if cell in units else {}
+    top = max((max(nm) for nm in units), default=0)
+    # the exponents e <= top with P = x**e, and with Q = y**e (1 = 1**e for all e)
+    ep, eq = ({e for e in range(1, top + 1) if arith.iroot(v, e)[1]} for v in (P, Q))
+    caps = {(n, m): cap for (e1, e2), cap in units.items()
+            for n, m in ([(e1, e2)] if cell else [(e1, e2), (e2, e1)])
+            if cap >= 0 and n in ep and m in eq}
+    if not caps:
+        return None
+    # decompose is complete, so the witnesses under a smaller cap are those
+    # of the largest cap with spread at most the smaller one
+    wits = [w for w in decompose(Z, d, max(caps.values())) if w.spread >= floor_s]
     if not wits:
-        return
+        return None
+    least = min(w.spread for w in wits)
+    assignments = sorted([n, m] for (n, m), cap in caps.items() if cap >= least)
+    weight = (min(Fraction(1, a) + Fraction(1, b) for a, b in assignments)
+              + Fraction(1 + least, d))
+    n, m = assignments[0]
     x, y = arith.iroot(P, n)[0], arith.iroot(Q, m)[0]
     g = math.gcd(P, Q)
-    # rad(gcd(x**n, y**m)) == rad(gcd(x, y)): factor the gcd of the bases
-    quality = Fraction(g, arith.radical(math.gcd(x, y)))
-    weight = min(Fraction(1, n) + Fraction(1, m) + w.weight for w in wits)
     witnesses = sorted(list(w.factors) for w in wits)
     rec: Dict[str, Any] = {
         "sign": sign,
@@ -733,23 +785,36 @@ def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
         "q": Q,
         "z": Z,
         "d": d,
-        "assignments": [[n, m]],
+        "assignments": assignments,
         "witnesses": witnesses,
         "witness": witnesses[0],
         "weight": str(weight),
         "gcd": g,
-        "gcd_quality": str(quality),
+        # rad(gcd(x**n, y**m)) == rad(gcd(x, y)): factor the gcd of the bases
+        "gcd_quality": str(Fraction(g, arith.radical(math.gcd(x, y)))),
         "maxgcd": g == min(P, Q),
         "coprime": g == 1,
     }
     if cfg.mode == "maxgcd-spread1":
         st = families.is_standard(x, y, n, Z, sign)
         rec["standard"] = list(st) if st else False
-    if cfg.mode == "survey":
-        rec = {"mode": "survey", "cell": [n, m, d], "count": 1, "solutions": [rec]}
-    else:
+    if not cell:
         rec["mode"] = cfg.mode
-    _merge_into(acc, rec)
+    return rec
+
+
+def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
+                  sign: str, n: int, m: int, P: int, Q: int, Z: int, d: int,
+                  wits: Sequence[ProductDecomposition]) -> None:
+    """Record P +/- Q = Z at degree d once `wits` shows the unit (n, m) hits it."""
+    if not wits:
+        return
+    if cfg.mode != "survey":
+        _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
+        return
+    sol = _product_record(cfg, sign, P, Q, Z, d, (n, m))
+    _merge_into(acc, {"mode": "survey", "cell": [n, m, d], "count": 1,
+                      "solutions": [sol]})
 
 
 def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
@@ -790,41 +855,48 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
                 )
 
 
+def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
+                   zdec: ProductDecomposition) -> Optional[Dict[str, Any]]:
+    """The record the scan writes for witnesses of X and Z; None if it writes none."""
+    lo, hi = _pillai_degree_range(cfg)
+    s_cap = cfg.max_spread if cfg.max_spread is not None else 0
+    w = xdec.weight + zdec.weight
+    if (zdec.value - xdec.value != cfg.difference or zdec.value > cfg.max_value
+            or not _weight_ok(cfg, w)):
+        return None
+    for dec in (xdec, zdec):
+        if not (lo <= dec.degree <= hi and dec.spread <= s_cap) or (
+                cfg.m_bound is not None and dec.spread_sq_over_base() > cfg.m_bound):
+            return None
+    return {
+        "mode": "pillai",
+        "sign": "plus",
+        "difference": cfg.difference,
+        "x": xdec.value,
+        "z": zdec.value,
+        "x_witness": list(xdec.factors),
+        "z_witness": list(zdec.factors),
+        "weight": str(w),
+    }
+
+
 def _run_pillai_unit(cfg: SearchConfig, unit: Dict[str, Any],
                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
     """pillai units: products Z of one degree, X = Z - B over the full range."""
-    M = cfg.max_value
-    B = cfg.difference
     lo, hi = _pillai_degree_range(cfg)
     s_cap = cfg.max_spread if cfg.max_spread is not None else 0
     cons = SpreadConstraints(
         degree=unit["d"], max_spread=s_cap, max_spread_sq_over_base=cfg.m_bound
     )
-    for zdec in enumerate_products(cons, M):
-        X = zdec.value - B
+    for zdec in enumerate_products(cons, cfg.max_value):
+        X = zdec.value - cfg.difference
         if X < 1:
             continue
         for dx in range(lo, hi + 1):
             for xdec in decompose(X, dx, s_cap):
-                if (
-                    cfg.m_bound is not None
-                    and xdec.spread_sq_over_base() > cfg.m_bound
-                ):
-                    continue
-                w = xdec.weight + zdec.weight
-                if not _weight_ok(cfg, w):
-                    continue
-                rec = {
-                    "mode": "pillai",
-                    "sign": "plus",
-                    "difference": B,
-                    "x": X,
-                    "z": zdec.value,
-                    "x_witness": list(xdec.factors),
-                    "z_witness": list(zdec.factors),
-                    "weight": str(w),
-                }
-                _merge_into(acc, rec)
+                rec = _pillai_record(cfg, xdec, zdec)
+                if rec is not None:
+                    _merge_into(acc, rec)
 
 
 _UNIT_RUNNERS = {
@@ -988,11 +1060,16 @@ class CheckpointMismatch(ValueError):
     """Checkpoint file does not fit this run, or does not hold a valid state."""
 
 
-def save_checkpoint(path: str, state: Dict[str, Any]) -> None:
+def _atomic_write(path: str, data: str) -> None:
+    """Write through a temporary file, so that `path` never holds a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canon_json(state))
+        fh.write(data)
     os.replace(tmp, path)
+
+
+def save_checkpoint(path: str, state: Dict[str, Any]) -> None:
+    _atomic_write(path, canon_json(state))
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
@@ -1176,155 +1253,69 @@ def survey_combinations(cfg: SearchConfig) -> Dict[Tuple[int, int, int], int]:
 
 
 def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
-    """Re-derive every claim in a record; returns a list of problems."""
-    problems: List[str] = []
+    """Rebuild a record from its identity and compare; returns a list of problems.
 
-    def check(ok: bool, msg: str) -> None:
-        if not ok:
-            problems.append(msg)
-
-    M = cfg.max_value
+    The identity is the values of an fc record, the two witnesses of a
+    pillai record and (sign, p, q, z, d) of a product record or survey
+    solution.  Its integers pass through int(), so that a stored 1.0 or
+    true differs from the rebuilt 1; a field missing from `rec` raises.
+    """
     mode = rec.get("mode")
     if mode != cfg.mode:
         return [f"record mode {mode!r} does not match the config mode {cfg.mode!r}"]
     if mode == "survey":
-        check(len(rec["solutions"]) == rec["count"], "count != len(solutions)")
-        n, m, d = rec["cell"]
-        check((n, m, d) in _scan_caps(cfg), "cell outside the survey ranges")
-        for sol in rec["solutions"]:
-            check(sol["d"] == d, "solution degree disagrees with cell")
-            check([n, m] in sol["assignments"] or [m, n] in sol["assignments"],
-                  "solution exponents disagree with cell")
-            problems.extend(_verify_product_core(
-                sol, cfg, prefix=f"cell {rec['cell']}: ", ordered=True))
+        n, m, d = (int(v) for v in rec["cell"])
+        if (n, m) not in _scan_caps(cfg).get(d, {}):
+            return ["cell outside the survey ranges"]
+        sols = rec["solutions"]
+        problems = [] if len(sols) == rec["count"] else ["count != len(solutions)"]
+        keys = [_solution_sort_key(sol) for sol in sols]
+        if keys != sorted(set(keys)):
+            problems.append("solutions repeat or are out of order")
+        problems += _compare({k: v for k, v in rec.items() if k != "count"},
+                             {"mode": mode, "cell": [n, m, d], "solutions": sols})
+        for sol in sols:
+            problems.extend(f"cell {rec['cell']}: {p}"
+                            for p in _verify_product(sol, cfg, d, (n, m)))
         return problems
     if mode == "fermat-catalan":
-        vx, vy, vz = rec["values"]
-        A, B, C = rec["coeffs"]
-        check(list(cfg.coeffs) == [A, B, C], "coefficients disagree with config")
-        check(A * vx + B * vy == C * vz, "identity fails")
-        check(max(vx, vy, vz) <= M, "term above bound")
-        for v, reps in zip((vx, vy, vz), rec["reps"]):
-            check((v == 1) == (reps == []), "wildcard flagged wrong")
-            for b, e in reps:
-                check(b**e == v, f"rep {b}^{e} != {v}")
-                check(max(2, cfg.min_exp) <= e <= cfg.max_exp,
-                      "rep exponent outside range")
-        check(
-            math.gcd(vx, vy) == 1 and math.gcd(vx, vz) == 1
-            and math.gcd(vy, vz) == 1,
-            "terms not coprime",
-        )
-        w = Fraction(0)
-        nonwild = []
-        for v, e, reps in zip((vx, vy, vz), rec["assignment"], rec["reps"]):
-            if v == 1:
-                check(e == 0, "wildcard exponent must be 0")
-                continue
-            check(any(ee == e for _, ee in reps), "assignment not among reps")
-            if e < 2:
-                check(False, f"bad assigned exponent {e}")
-                continue
-            w += Fraction(1, e)
-            nonwild.append(e)
-        check(_weight_ok(cfg, w), "assignment weight over bound")
-        check(str(w) == rec["weight"], "stored weight mismatch")
-        check(not nonwild or min(nonwild) <= cfg.min_exp_cap,
-              "smallest exponent over cap")
-        return problems
+        acc: Dict[Tuple, Dict[str, Any]] = {}
+        _fc_candidate(cfg, *(int(v) for v in rec["values"]), acc)
+        built = next(iter(acc.values()), None)
+        if built is not None and not _fc_reached(cfg, built["reps"]):
+            return ["no planned unit reaches these values"]
+        return _compare(rec, built)
     if mode == "pillai":
-        X, Z = rec["x"], rec["z"]
-        check(Z - X == rec["difference"] == cfg.difference, "difference mismatch")
-        check(1 <= X and Z <= M, "value out of bounds")
-        xdec, zdec = analyze(rec["x_witness"]), analyze(rec["z_witness"])
-        check(xdec.value == X and zdec.value == Z, "witness product mismatch")
-        lo, hi = _pillai_degree_range(cfg)
-        s_cap = cfg.max_spread if cfg.max_spread is not None else 0
-        for dec in (xdec, zdec):
-            check(lo <= dec.degree <= hi, "witness degree outside range")
-            check(dec.spread <= s_cap, "witness spread over cap")
-            if cfg.m_bound is not None:
-                check(dec.spread_sq_over_base() <= cfg.m_bound,
-                      "spread^2/base over bound")
-        w = xdec.weight + zdec.weight
-        check(_weight_ok(cfg, w), "pair weight over bound")
-        check(str(w) == rec["weight"], "stored weight mismatch")
-        return problems
-    return _verify_product_core(rec, cfg)
+        xdec, zdec = (analyze([int(f) for f in rec[k]])
+                      for k in ("x_witness", "z_witness"))
+        return _compare(rec, _pillai_record(cfg, xdec, zdec))
+    return _verify_product(rec, cfg, int(rec["d"]))
 
 
-@lru_cache(maxsize=16)
-def _scan_caps(cfg: SearchConfig) -> Dict[Tuple[int, int, int], int]:
-    """Spread cap of every unit's (e1, e2, degree); a survey cell without one has -1."""
-    caps = {}
-    for unit in _mode_units(cfg):
-        if cfg.mode == "survey":
-            caps[unit["e1"], unit["e2"], unit["d"]] = -1
-        for d, cap in _degree_caps(cfg, unit):
-            caps[unit["e1"], unit["e2"], d] = cap
-    return caps
+def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
+                    cell: Optional[Tuple[int, int]] = None) -> List[str]:
+    P, Q, Z = (int(rec[k]) for k in ("p", "q", "z"))
+    relation = _PRODUCT_MODES[cfg.mode][0]
+    if not _related(relation, P, Q):
+        return [f"{cfg.mode} requires {relation} pairs"]
+    if cell is None:
+        scanned = _scan_caps(cfg).get(d, {})
+        unscanned = [f"assignment ({n},{m}) at degree {d} is not scanned"
+                     for n, m in rec["assignments"]
+                     if (min(n, m), max(n, m)) not in scanned]
+        if unscanned:
+            return unscanned
+    return _compare(rec, _product_record(cfg, rec["sign"], P, Q, Z, d, cell))
 
 
-def _verify_product_core(rec: Dict[str, Any], cfg: SearchConfig,
-                         prefix: str = "", ordered: bool = False) -> List[str]:
-    problems: List[str] = []
-
-    def check(ok: bool, msg: str) -> None:
-        if not ok:
-            problems.append(prefix + msg)
-
-    M = cfg.max_value
-    P, Q, Z, d = rec["p"], rec["q"], rec["z"], rec["d"]
-    sign = rec["sign"]
-    check(max(P, Q, Z) <= M and min(P, Q, Z) >= 1, "value out of bounds")
-    check(P + Q == Z if sign == "plus" else P - Q == Z, "identity fails")
-    g = math.gcd(P, Q)
-    check(rec["gcd"] == g, "stored gcd wrong")
-    # factors g itself, independent of the search's gcd-of-bases shortcut
-    check(g >= 1 and rec["gcd_quality"] == str(Fraction(g, arith.radical(g))),
-          "stored gcd_quality wrong")
-    check(rec["maxgcd"] == (g == min(P, Q)), "maxgcd flag wrong")
-    check(rec["coprime"] == (g == 1), "coprime flag wrong")
-    relation, floor_s = _PRODUCT_MODES[cfg.mode]
-    check({"coprime": g == 1, "nonmaxgcd": g != min(P, Q),
-           "maxgcd": g == min(P, Q)}[relation],
-          f"{cfg.mode} requires {relation} pairs")
-    check(ordered or P >= Q, "terms not in canonical order")
-    scan = _scan_caps(cfg)
-    caps = {}
-    for n, m in rec["assignments"]:
-        check(arith.iroot(P, n)[1] and arith.iroot(Q, m)[1],
-              f"assignment ({n},{m}) is not a power pair")
-        key = (n, m, d) if ordered else (min(n, m), max(n, m), d)
-        check(key in scan, f"assignment ({n},{m}) at degree {d} is not scanned")
-        caps[(n, m)] = scan.get(key, -1)
-    check(rec["witness"] == rec["witnesses"][0] == min(rec["witnesses"]),
-          "canonical witness is not the lexicographic minimum")
-    best = None
-    for factors in rec["witnesses"]:
-        wdec = analyze(factors)
-        check(wdec.value == Z, "witness product mismatch")
-        check(wdec.degree == d, "witness degree mismatch")
-        check(wdec.spread >= floor_s, "witness under the spread floor")
-        ok_pairs = [nm for nm, cap in caps.items() if wdec.spread <= cap]
-        check(ok_pairs != [], "witness admitted by no assignment")
-        for n, m in ok_pairs:
-            w = Fraction(1, n) + Fraction(1, m) + wdec.weight
-            if best is None or w < best:
-                best = w
-    check(best is not None and str(best) == rec["weight"],
-          "stored weight mismatch")
-    if cfg.mode == "maxgcd-spread1":
-        n = rec["assignments"][0][0]
-        x, y = arith.iroot(P, n)[0], arith.iroot(Q, n)[0]
-        st = families.is_standard(x, y, n, Z, sign)
-        stored = rec.get("standard")
-        check(
-            (st is False and stored is False)
-            or (st is not False and stored == list(st)),
-            "standard flag wrong",
-        )
-    return problems
+def _compare(rec: Dict[str, Any], built: Optional[Dict[str, Any]]) -> List[str]:
+    """The fields of `rec` that differ from the rebuilt record `built`."""
+    if built is None:
+        return ["the search writes no record for this identity"]
+    if canon_json(rec) == canon_json(built):
+        return []
+    return [f"stored {k} wrong" for k in sorted(set(rec) | set(built))
+            if k not in built or canon_json(rec[k]) != canon_json(built[k])]
 
 
 # ---------------------------------------------------------------------------

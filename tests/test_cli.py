@@ -539,6 +539,14 @@ def test_verify_log_catches_tampering(tmp_path, capsys):
     report = capsys.readouterr().out
     assert str(tampered) in report and "line 2" in report
 
+    # a search log holds each record once, in canonical order
+    assert len(lines) >= 4
+    assert cli.verify_log_lines(lines[:2] + lines[1:]) == (
+        len(lines), ["line 3: record repeats an earlier record"])
+    assert cli.verify_log_lines(lines[:1] + lines[:0:-1]) == (
+        len(lines) - 1, [f"line {k}: record sorts before the record above it"
+                         for k in range(3, len(lines) + 1)])
+
     # a structurally broken record must be reported, not crash the verifier
     broken = json.loads(lines[1])
     del broken["reps"]

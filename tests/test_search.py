@@ -700,6 +700,16 @@ def test_checkpoint_binds_plan_and_verifies_records(tmp_path):
     refused(plan_digest="0" * 64)
     assert run_chunked(cfg, checkpoint_path=str(ckpt), resume=True).completed
 
+    # 32 + 49 = 81 loses its rep 9**2, and its chunk's sha256 is recomputed
+    state = json.loads(ckpt.read_text())
+    key, recs = next((k, json.loads(canon_json(v))) for k, v in state["done"].items()
+                     if any(r["values"] == [32, 49, 81] for r in v))
+    rec = next(r for r in recs if r["values"] == [32, 49, 81])
+    assert rec["reps"][2] == [[9, 2], [3, 4]] and rec["assignment"][2] == 4
+    rec["reps"][2] = [[3, 4]]
+    refused(done=dict(state["done"], **{key: recs}),
+            done_sha256=dict(state["done_sha256"], **{key: search._sha256(recs)}))
+
 
 def test_checkpoint_refuses_records_outside_the_scan(tmp_path):
     cfg = make_config("maxgcd-spread1", max_bits=20)  # degrees 5..10
@@ -738,6 +748,34 @@ def test_checkpoint_binds_the_records_of_each_done_chunk(tmp_path):
     assert resumed.completed and len(resumed.records) == 6
 
 
+# Digests of record sections the bench does not pin: multi-assignment,
+# multi-witness, survey, coefficient and pillai records.
+@pytest.mark.parametrize("mode, extra, count, digest", [
+    ("gbtz", {"max_bits": 20, "f_bound": Fraction(3)}, 56,
+     "ba87ccae57bb41ade0343c3312361bcbe3a2ba9a03b45cadf49c6a2cc94d8aa5"),
+    ("nonmaxgcd3", {"max_bits": 24, "f_bound": Fraction(5, 4), "max_spread": 3}, 9,
+     "a52de58ee343b1ca649f176ac92d1863e045bac791bc6d3c8b32544c91c17a5b"),
+    ("fp", {"max_bits": 24, "f_bound": Fraction(3)}, 44,
+     "22e6c2078fc3886d09a0440a1b62848054b467e51c91612462cf982a265f04fd"),
+    ("maxgcd-spread1", {"max_bits": 24, "degree": (2, 10)}, 160,
+     "e637a59ac92be6bdd246506a81756892b8374947e9c34cc734d37455fb903b69"),
+    ("survey", {"max_bits": 18, "n_range": (3, 5), "m_range": (3, 5),
+                "degree": (2, 5), "f_bound": Fraction(3, 2)}, 36,
+     "a524533b041c4e04c8ce01818b1b3918149921713fd54590ff73c094c9e6744e"),
+    ("fermat-catalan", {"max_bits": 16, "coeffs": (1, 2, 3)}, 4,
+     "e73809f3e006bb2608b66459ec173762ca0070ac9f92fef8d6efccf7f30eb21b"),
+    ("fermat-catalan", {"max_bits": 13, "f_bound": Fraction(5, 4)}, 8,
+     "96f246e0bdb41675dce8cc7c89cf1fd6395f3e8fc96708b110ecadb2fbf68a06"),
+    ("pillai", {"max_bits": 16, "difference": 1, "max_spread": 2}, 789,
+     "7bacb6500f75df1b890cbcc6d118d88b59149fa7e76fecfc196939a7f5490306"),
+])
+def test_record_sections_are_pinned(mode, extra, count, digest):
+    cfg = make_config(mode, **extra)
+    records = _records(cfg, n_chunks=4)
+    assert (len(records), search._sha256(records)) == (count, digest)
+    _assert_all_verify(records, cfg)
+
+
 def test_run_result_candidates_vs_records():
     cfg = make_config("fermat-catalan", max_bits=13)
     res = run_chunked(cfg, n_chunks=16)
@@ -759,6 +797,14 @@ def test_verify_record_flags_tampering():
     assert verify_record(bad, cfg)
     bad = dict(rec, assignment=[0, 0, 0])
     assert verify_record(bad, cfg)
+    # a rep the assignment does not use: 81 = 9**2 = 3**4 keeps only 3**4
+    rec = next(r for r in _records(cfg) if r["values"] == [32, 49, 81])
+    assert verify_record(rec, cfg) == []
+    bad = dict(rec, reps=rec["reps"][:2] + [[[3, 4]]])
+    assert verify_record(bad, cfg) == ["stored reps wrong"]
+    rec = next(r for r in _records(cfg) if r["values"] == [1, 8, 9])
+    assert verify_record(dict(rec, values=[True, 8, 9]), cfg) == [
+        "stored values wrong"]
 
     cfg = make_config("nonmaxgcd3", max_bits=24)
     rec = json.loads(canon_json(_records(cfg)[0]))
@@ -766,6 +812,62 @@ def test_verify_record_flags_tampering():
     assert verify_record(dict(rec, z=rec["z"] + 1), cfg)
     assert verify_record(dict(rec, witness=[1, 2, 3]), cfg)
     assert verify_record(dict(rec, gcd=7), cfg)
+    assert verify_record(dict(rec, p=float(rec["p"])), cfg) == ["stored p wrong"]
+    # 6**8 - 8**6 = 1417472 has four assignments
+    cfg = make_config("nonmaxgcd3", max_bits=30)
+    rec = next(r for r in _records(cfg) if len(r["assignments"]) > 1)
+    assert verify_record(rec, cfg) == []
+    bad = dict(rec, assignments=rec["assignments"][::-1])
+    assert verify_record(bad, cfg) == ["stored assignments wrong"]
+    # 12**4 - 2**14 = 4352 = 16*16*17 is found at 2**30, but 12**4 > 2**14
+    rec = next(r for r in _records(cfg) if r["p"] == 20736 and r["q"] == 16384)
+    assert verify_record(rec, make_config("nonmaxgcd3", max_bits=14)) == [
+        "the search writes no record for this identity"]
+
+    # a survey cell whose solutions are reversed, or one of them doubled
+    cfg = make_config("survey", max_bits=18, n_range=(3, 5), m_range=(3, 5),
+                      degree=(2, 5), f_bound=Fraction(3, 2))
+    rec = next(r for r in _records(cfg) if r["count"] >= 2)
+    assert verify_record(rec, cfg) == []
+    sols = rec["solutions"]
+    assert verify_record(dict(rec, solutions=sols[::-1]), cfg) == [
+        "solutions repeat or are out of order"]
+    assert verify_record(dict(rec, solutions=sols + sols[-1:], count=len(sols) + 1),
+                         cfg) == ["solutions repeat or are out of order"]
+    assert verify_record(dict(rec, cell=[float(v) for v in rec["cell"]]), cfg) == [
+        "stored cell wrong"]
+
+    # a pillai witness out of order, or of a degree below the range
+    cfg = make_config("pillai", difference=1, max_bits=16, max_spread=2)
+    rec = next(r for r in _records(cfg) if len(set(r["x_witness"])) > 1)
+    assert verify_record(rec, cfg) == []
+    assert verify_record(dict(rec, x_witness=rec["x_witness"][::-1]), cfg) == [
+        "stored x_witness wrong"]
+    assert verify_record(dict(rec, z_witness=[rec["z"]]), cfg) == [
+        "the search writes no record for this identity"]
+
+
+def test_fc_verify_accepts_exactly_the_reached_triples():
+    # Under a bound above 1, some triples that pass `_fc_candidate` have a
+    # single term of exponent >= 3, so no unit of the plan visits them.
+    for extra in ({"max_bits": 13, "f_bound": Fraction(5, 4)},
+                  {"max_bits": 13, "f_bound": Fraction(3, 2), "f_strict": False},
+                  {"max_bits": 13, "f_bound": Fraction(3, 2), "coeffs": (3, 1, 1)}):
+        cfg = make_config("fermat-catalan", **extra)
+        found = {tuple(r["values"]) for r in _records(cfg)}
+        terms = sorted({1} | {x**e for e in range(2, 14) for x in range(2, 91)
+                              if x**e <= cfg.max_value})
+        A, B, C = cfg.coeffs
+        built = {}
+        for a in terms:
+            for b in terms:
+                if (A * a + B * b) % C == 0:
+                    search._fc_candidate(cfg, a, b, (A * a + B * b) // C, built)
+        accepted = {tuple(r["values"]) for r in built.values()
+                    if verify_record(r, cfg) == []}
+        assert accepted == found and len(built) > len(found), extra
+    rec = next(r for r in built.values() if tuple(r["values"]) not in found)
+    assert verify_record(rec, cfg) == ["no planned unit reaches these values"]
 
 
 def test_verify_record_refuses_records_outside_the_scan():
