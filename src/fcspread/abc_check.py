@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, IO, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 import mpmath
 import numpy as np
 
-from . import arith
+from . import arith, search
 
 RationalLike = Union[str, int, float, Fraction]
 
@@ -408,95 +409,95 @@ def excess_pairs(limit: int, q_bound: RationalLike,
     and gcd(a,b)/rad(gcd(a,b)) <= q_bound.
 
     The radical of the product uses the union of prime supports, so shared
-    primes are not double-counted.  Sorted by (c, a).
+    primes are not double-counted.  A float pass drops the pairs whose
+    margin ln c - (1+eps) ln rad(abc) is below -slack, which only a failing
+    pair can have; _excess_record decides each survivor exactly.  Sorted by
+    (c, a).
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     q_boundF, epsF = Fraction(q_bound), Fraction(eps)
     if epsF <= 0 or q_boundF <= 0:
         raise ValueError("eps and the gcd quality bound must be positive")
-    rad = radical_sieve(limit)
+    rad = radical_sieve(limit).tolist()
+    config = {"limit": limit, "q_bound": q_boundF, "eps": epsF}
     eps_float = float(epsF)
     out: List[Dict[str, Any]] = []
     for c in range(2, limit + 1):
         lc = math.log(c)
         for a in range(1, c // 2 + 1):
-            b = c - a
-            g = math.gcd(a, b)
-            if Fraction(g, int(rad[g])) > q_boundF:
+            rad_abc = _merge_radicals(_merge_radicals(rad[a], rad[c - a]), rad[c])
+            if lc - (1.0 + eps_float) * math.log(rad_abc) < -_LOG_SLACK:
                 continue
-            rad_abc = _merge_radicals(
-                _merge_radicals(int(rad[a]), int(rad[b])), int(rad[c])
-            )
-            margin = lc - (1.0 + eps_float) * math.log(rad_abc)
-            if margin < -_LOG_SLACK:
-                continue
-            if margin <= _LOG_SLACK:  # too close to call in floats
-                cmp = _compare_power(c, rad_abc, 1 + epsF, Fraction(1))
-                if cmp != "gt":
-                    continue
-            out.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "c": c,
-                    "gcd": g,
-                    "gcd_over_rad": str(Fraction(g, int(rad[g]))),
-                    "rad_abc": rad_abc,
-                }
-            )
+            rec = _excess_record(a, c - a, config, rad.__getitem__)
+            if rec is not None:
+                out.append(rec)
     return out
 
 
+def _excess_record(a: int, b: int, config: Dict[str, Any],
+                   radical: Callable[[int], int]) -> Optional[Dict[str, Any]]:
+    """The excess_pairs entry of a <= b under config's limit, q_bound and eps.
+
+    None unless c <= limit, the gcd quality is at most q_bound and c >
+    rad(abc)^(1+eps), decided in exact arithmetic.
+    """
+    c, g = a + b, math.gcd(a, b)
+    if c > config["limit"]:
+        return None
+    gcd_quality = Fraction(g, radical(g))
+    if gcd_quality > Fraction(config["q_bound"]):
+        return None
+    rad_abc = _merge_radicals(_merge_radicals(radical(a), radical(b)), radical(c))
+    if _compare_power(c, rad_abc, 1 + Fraction(config["eps"]), Fraction(1)) != "gt":
+        return None
+    return {"a": a, "b": b, "c": c, "gcd": g, "gcd_over_rad": str(gcd_quality),
+            "rad_abc": rad_abc}
+
+
 # ---------------------------------------------------------------------------
-# Record verification for result logs
+# One record builder per abc log kind, shared by the commands and verify-log
 
 
-def verify_abc_record(rec: Dict[str, Any], params: Dict[str, Any]) -> List[str]:
-    """Re-derive one abc result-log record; returns a list of problems."""
-    problems: List[str] = []
+def abc_record(kind: str, a: int, b: int,
+               config: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The `kind` record its command writes for a + b under the log config.
 
-    def check(ok: bool, msg: str) -> None:
-        if not ok:
-            problems.append(msg)
-
-    kind = rec.get("kind")
-    if kind in ("abc-check", "abc-scan"):
-        try:
-            t = AbcTriple(rec["a"], rec["b"], rec["c"])
-        except ValueError as exc:
-            return [f"invalid triple: {exc}"]
-        rep = check_explicit(t)
-        check(rec["rad_ab"] == rep.rad_ab, "rad_ab mismatch")
-        check(rec["rad_ac"] == rep.rad_ac, "rad_ac mismatch")
-        check(rec["rad_bc"] == rep.rad_bc, "rad_bc mismatch")
-        check(rec["rad_abc"] == rep.rad_abc, "rad_abc mismatch")
-        check(rec["explicit_pass"] == rep.explicit_pass, "explicit verdict mismatch")
-        if kind == "abc-scan":
-            check(not rec["explicit_pass"], "scan records must be violations")
-        check(
-            rec["quality"] == mpmath.nstr(rep.quality, 20),
-            "quality mismatch",
-        )
-        for entry in rec.get("classic", []):
-            check(
-                entry["verdict"] == check_classic(t, entry["eps"], entry["C"]),
-                f"classic verdict mismatch at eps={entry['eps']}",
-            )
-        return problems
+    abc-check is the full report under config's classic pairs; abc-scan is
+    the explicit check, None unless the triple violates it with c <= limit;
+    abc-filter is the excess_pairs entry, None where that has none.
+    """
+    if not 1 <= a <= b:
+        raise ValueError("need 1 <= a <= b")
     if kind == "abc-filter":
-        a, b, c, g = rec["a"], rec["b"], rec["c"], rec["gcd"]
-        check(a + b == c and 1 <= a <= b, "pair shape wrong")
-        check(math.gcd(a, b) == g, "stored gcd wrong")
-        rad_g = arith.radical(g) if g > 1 else 1
-        check(str(Fraction(g, rad_g)) == rec["gcd_over_rad"], "gcd quality wrong")
-        check(Fraction(g, rad_g) <= Fraction(params["q_bound"]), "gcd quality over bound")
-        rad_abc = arith.radical(a * b * c)
-        check(rad_abc == rec["rad_abc"], "rad_abc mismatch")
-        check(
-            _compare_power(c, rad_abc, 1 + Fraction(params["eps"]), Fraction(1))
-            == "gt",
-            "excess inequality fails",
-        )
-        return problems
-    return [f"unknown abc record kind {kind!r}"]
+        rec = _excess_record(a, b, config, arith.radical)
+    elif kind == "abc-check":
+        rec = report(AbcTriple(a, b, a + b), config["classic"]).to_dict()
+    elif kind == "abc-scan":
+        t = AbcTriple(a, b, a + b)
+        rep = check_explicit(t) if t.c <= config["limit"] else None
+        rec = None if rep is None or rep.explicit_pass else rep.to_dict()
+    else:
+        raise ValueError(f"unknown abc record kind {kind!r}")
+    return None if rec is None else dict(rec, kind=kind)
+
+
+_NO_RECORD = {
+    "abc-scan": "scan records must be violations with c <= limit",
+    "abc-filter": "filter records need c <= limit, gcd quality <= q_bound "
+                  "and c > rad(abc)^(1+eps)",
+}
+
+
+def verify_abc_record(rec: Dict[str, Any], config: Dict[str, Any],
+                      kind: Optional[str] = None) -> List[str]:
+    """Rebuild one abc record from (a, b) and compare; returns the problems.
+
+    `kind` is the record kind of the log, by default the record's own.
+    """
+    kind = kind or rec.get("kind")
+    try:
+        built = abc_record(kind, int(rec["a"]), int(rec["b"]), config)
+    except ValueError as exc:
+        return [f"invalid record: {exc}"]
+    return search._compare(rec, built, _NO_RECORD.get(kind, ""))

@@ -24,7 +24,7 @@ import sys
 import traceback
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import abc_check, arith, families, products, search
 from .search import (FORMAT_VERSION, CheckpointMismatch, SearchConfig, _atomic_write,
@@ -205,7 +205,8 @@ def _emit(
 
 
 # ---------------------------------------------------------------------------
-# Records for identities, decompositions and basic arithmetic
+# Record builders: each command writes its records with one of these, and
+# verify-log calls the same one again to rebuild a record and compare
 
 
 def identity_record(sol: families.KnownSolution) -> Dict[str, Any]:
@@ -225,48 +226,34 @@ def identity_record(sol: families.KnownSolution) -> Dict[str, Any]:
     }
 
 
-def verify_identity_record(rec: Dict[str, Any]) -> List[str]:
-    problems: List[str] = []
+_CATALOGS = {"fc": families.fermat_catalan_catalog, "degree3": families.degree3_catalog}
 
-    def check(ok: bool, msg: str) -> None:
-        if not ok:
-            problems.append(msg)
 
-    if rec.get("kind") == "identity-failure":
-        if rec.get("family") != "standard":
-            return [f"unknown failing family {rec.get('family')!r}"]
-        p = rec["params"]
-        res = families.gen_standard(p["v"], p["w"], p["n"])
-        if not isinstance(res, families.IdentityFailure):
-            return ["claimed failure actually holds"]
-        check(res.lhs == rec["lhs"] and res.rhs == rec["rhs"], "lhs/rhs mismatch")
-        return problems
-    if rec.get("kind") != "identity":
-        return [f"unknown record kind {rec.get('kind')!r}"]
-    x, y, z = rec["x"], rec["y"], rec["z"]
-    if rec["sign"] == "plus":
-        check(x + y == z, f"{x} + {y} != {z}")
-    elif rec["sign"] == "minus":
-        check(x - y == z, f"{x} - {y} != {z}")
-    else:
-        check(False, f"bad sign {rec['sign']!r}")
-    decs = []
-    for name, val in (("x", x), ("y", y), ("z", z)):
-        factors = rec[f"{name}_factors"]
-        check(
-            math.prod(factors) == val,
-            f"{name}_factors do not multiply to {val}",
-        )
-        decs.append(products.analyze(factors))
-    weight = products.fc_weight((d.spread, d.degree) for d in decs)
-    check(str(weight) == rec["weight"], "weight mismatch")
-    checks = rec.get("checks", {})
-    if "maxgcd" in checks:
-        check(
-            checks["maxgcd"] == (math.gcd(x, y) == min(x, y)),
-            "maxgcd flag wrong",
-        )
-    return problems
+def _catalog_records(params: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The records of `catalog`: the entries whose terms are at most 2^max_bits."""
+    max_bits = params["max_bits"]
+    return [identity_record(sol) for sol in _CATALOGS[params["catalog"]]()
+            if max_bits is None or max(v for v, _ in sol.terms) <= 1 << max_bits]
+
+
+# The generator of each `gen` family and the params it takes, in order.
+_GEN_FAMILIES = {
+    "standard": (families.gen_standard, ("v", "w", "n")),
+    "maxgcd-trivial": (families.gen_maxgcd_trivial, ("x", "p")),
+    "pythagorean": (families.gen_pythagorean, ("a", "n", "m")),
+    "counterexample": (families.gen_counterexample_family, ("a", "alpha", "extra_degree")),
+}
+
+
+def _gen_record(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The record of `gen` for params {"family": name, and that family's params}."""
+    gen, keys = _GEN_FAMILIES[params["family"]]
+    res = gen(*(params[k] for k in keys))
+    if isinstance(res, families.IdentityFailure):
+        return {"kind": "identity-failure", "family": params["family"],
+                "params": dict(res.params), "lhs": res.lhs, "rhs": res.rhs,
+                "reason": res.reason}
+    return identity_record(res)
 
 
 def decomposition_record(dec: products.ProductDecomposition) -> Dict[str, Any]:
@@ -281,23 +268,18 @@ def decomposition_record(dec: products.ProductDecomposition) -> Dict[str, Any]:
     }
 
 
-def verify_decomposition_record(
-    rec: Dict[str, Any], params: Dict[str, Any]
-) -> List[str]:
-    problems: List[str] = []
-    if rec.get("kind") != "decomposition":
-        return [f"unknown record kind {rec.get('kind')!r}"]
-    dec = products.analyze(rec["factors"])
-    for field in ("value", "base", "spread", "degree"):
-        if getattr(dec, field) != rec[field]:
-            problems.append(f"{field} mismatch")
-    if str(dec.weight) != rec["weight"]:
-        problems.append("weight mismatch")
-    if params.get("value") is not None and dec.value != params["value"]:
-        problems.append("value disagrees with the run parameters")
-    if params.get("max_spread") is not None and dec.spread > params["max_spread"]:
-        problems.append("spread over the configured cap")
-    return problems
+def _verify_decomposition(rec: Dict[str, Any], params: Dict[str, Any]) -> List[str]:
+    """Rebuild a decompose record from its factors and compare.
+
+    decompose writes the record only where params' value, degree range and
+    spread cap admit it.
+    """
+    dec = products.analyze([int(f) for f in rec["factors"]])
+    lo, hi = params["degree"]
+    fits = (dec.value == params["value"] and lo <= dec.degree <= hi
+            and dec.spread <= params["max_spread"])
+    return search._compare(rec, decomposition_record(dec) if fits else None,
+                           "decompose writes no record for these factors")
 
 
 def _arith_record(kind: str, n: int) -> Dict[str, Any]:
@@ -306,28 +288,21 @@ def _arith_record(kind: str, n: int) -> Dict[str, Any]:
     return {"kind": "radical", "n": n, "radical": arith.radical(n)}
 
 
-def verify_arith_record(rec: Dict[str, Any]) -> List[str]:
-    problems: List[str] = []
-    if rec.get("kind") == "factorization":
-        n = rec["n"]
-        got = math.prod(p**e for p, e in rec["factors"])
-        if got != n:
-            problems.append(f"factors multiply to {got}, not {n}")
-        last = 1
-        for p, e in rec["factors"]:
-            if not arith.is_prime(p):
-                problems.append(f"{p} is not prime")
-            if p <= last:
-                problems.append("primes not strictly increasing")
-            if e < 1:
-                problems.append(f"bad exponent {e}")
-            last = p
-        return problems
-    if rec.get("kind") == "radical":
-        if arith.radical(rec["n"]) != rec["radical"]:
-            problems.append("radical mismatch")
-        return problems
-    return [f"unknown record kind {rec.get('kind')!r}"]
+def _verify_factorization(rec: Dict[str, Any], params: Dict[str, Any]) -> List[str]:
+    """Check a factor record as a certificate, far cheaper than factoring n.
+
+    Its primes must increase strictly and their powers multiply to params' n.
+    """
+    n = params["n"]
+    factors = [[int(p), int(e)] for p, e in rec["factors"]]
+    primes = [p for p, _ in factors]
+    problems = search._compare(rec, {"kind": "factorization", "n": n, "factors": factors})
+    if primes != sorted(set(primes)) or not all(map(arith.is_prime, primes)):
+        problems.append("factors are not strictly increasing primes")
+    elif not (all(1 <= e <= n.bit_length() for _, e in factors)
+              and math.prod(p**e for p, e in factors) == n):
+        problems.append(f"factors do not multiply to {n}")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +358,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     degree = merged["degree"]
     if isinstance(degree, str):
         degree = _parse_range(degree)
-    elif isinstance(degree, int):
+    elif type(degree) is int:
         degree = (degree, degree)
-    else:
-        degree = tuple(degree)
-    max_spread = int(merged.get("max_spread", 0))
+    if not (isinstance(degree, (list, tuple)) and len(degree) == 2
+            and all(type(d) is int for d in degree) and degree[0] <= degree[1]):
+        raise UsageError("degree must be N, \"A..B\" or [A, B] with A <= B")
+    max_spread = _int_option(merged, "max_spread", 0)
     params = {
         "value": args.value,
         "degree": list(degree),
@@ -408,68 +384,24 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     _merge_options(args, ())  # reads no config key, so refuses any
     family = args.family
+    params = {"family": family, **{k: getattr(args, k) for k in _GEN_FAMILIES[family][1]}}
     try:
-        record, params, exit_code = _gen_record(args, family)
+        record = _gen_record(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sys.stderr.write(f"gen {family}: {'ok' if exit_code == EXIT_OK else 'identity fails'}\n")
-    return _emit(args, f"gen {family}", params, [record], exit_code)
-
-
-def _gen_record(
-    args: argparse.Namespace, family: str
-) -> Tuple[Dict[str, Any], Dict[str, Any], int]:
-    exit_code = EXIT_OK
-    if family == "standard":
-        params = {"family": family, "v": args.v, "w": args.w, "n": args.n}
-        res = families.gen_standard(args.v, args.w, args.n)
-        if isinstance(res, families.IdentityFailure):
-            record = {
-                "kind": "identity-failure",
-                "family": "standard",
-                "params": dict(res.params),
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-                "reason": res.reason,
-            }
-            exit_code = EXIT_FINDINGS
-        else:
-            record = identity_record(res)
-    elif family == "maxgcd-trivial":
-        params = {"family": family, "x": args.x, "p": args.p}
-        record = identity_record(families.gen_maxgcd_trivial(args.x, args.p))
-    elif family == "pythagorean":
-        params = {"family": family, "a": args.a, "n": args.n, "m": args.m}
-        record = identity_record(families.gen_pythagorean(args.a, args.n, args.m))
-    else:  # counterexample
-        params = {
-            "family": family,
-            "a": args.a,
-            "alpha": args.alpha,
-            "extra_degree": args.extra_degree,
-        }
-        record = identity_record(
-            families.gen_counterexample_family(args.a, args.alpha, args.extra_degree)
-        )
-    return record, params, exit_code
+    fails = record["kind"] == "identity-failure"
+    sys.stderr.write(f"gen {family}: {'identity fails' if fails else 'ok'}\n")
+    return _emit(args, f"gen {family}", params, [record],
+                 EXIT_FINDINGS if fails else EXIT_OK)
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     _merge_options(args, ())  # reads no config key, so refuses any
-    sols = (
-        families.fermat_catalan_catalog()
-        if args.which == "fc"
-        else families.degree3_catalog()
-    )
     params: Dict[str, Any] = {"catalog": args.which, "max_bits": args.max_bits}
-    records = []
-    for sol in sols:
-        if args.max_bits is not None:
-            if max(v for v, _ in sol.terms) > (1 << args.max_bits):
-                continue
-        records.append(identity_record(sol))
+    records = _catalog_records(params)
     sys.stderr.write(f"catalog {args.which}: {len(records)} entries\n")
-    return _emit(args, f"catalog {args.which}", params, records, candidates=len(sols))
+    return _emit(args, f"catalog {args.which}", params, records,
+                 candidates=len(_CATALOGS[args.which]()))
 
 
 def _parse_classic(specs: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
@@ -505,10 +437,8 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
     else:
         text = sys.stdin.read()
     parsed = abc_check.parse_triples(text)
-    records = [
-        dict(abc_check.report(t, classic).to_dict(), kind="abc-check")
-        for t in parsed.triples
-    ]
+    records = [abc_check.abc_record("abc-check", t.a, t.b, params)
+               for t in parsed.triples]
     failures = sum(not rec["explicit_pass"] for rec in records)
     for err in parsed.errors:
         sys.stderr.write(f"abc check: {err}\n")
@@ -533,9 +463,8 @@ def _cmd_abc_scan(args: argparse.Namespace) -> int:
         violations = abc_check.brute_force_scan(limit, args.memory_budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    records = [
-        dict(abc_check.check_explicit(t).to_dict(), kind="abc-scan") for t in violations
-    ]
+    records = [abc_check.abc_record("abc-scan", t.a, t.b, {"limit": limit})
+               for t in violations]
     sys.stderr.write(f"abc scan: {len(records)} violations up to {limit}\n")
     return _emit(
         args,
@@ -569,8 +498,62 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return _emit(args, args.op, {"n": args.n}, [_arith_record(kind, args.n)])
 
 
+_ABC_KINDS = {"abc check": "abc-check", "abc scan": "abc-scan", "abc filter": "abc-filter"}
+
+
+def _record_check(
+    sub: str, config: Dict[str, Any], search_cfg: Optional[SearchConfig]
+) -> Tuple[Callable[[int, Dict[str, Any]], List[str]],
+           Optional[Tuple[Callable, Callable]], Optional[int]]:
+    """(check, order, size) of the records of a `sub` log.
+
+    check(i, rec) lists the problems of the i-th record.  A search, abc or
+    decompose record is rebuilt from its identity; a catalog, gen or radical
+    log is a function of its config, so its whole section is rebuilt; a
+    factor record is checked as a certificate.  order is (repeat key, sort
+    key) of a sorted log, whose records are unique; size is the record count
+    that the config decides.
+    """
+    if search_cfg is not None:
+        return (lambda i, rec: search.verify_record(rec, search_cfg),
+                (search._record_key, search._record_sort_key), None)
+    if sub in _ABC_KINDS:
+        kind = _ABC_KINDS[sub]
+
+        def by_c(rec: Dict[str, Any]) -> Tuple:
+            return rec["c"], rec["a"]
+
+        return (lambda i, rec: abc_check.verify_abc_record(rec, config, kind),
+                None if kind == "abc-check" else (by_c, by_c), None)
+    if sub == "decompose":
+        def by_degree(rec: Dict[str, Any]) -> Tuple:
+            return rec["degree"], tuple(rec["factors"])
+
+        return (lambda i, rec: _verify_decomposition(rec, config),
+                (by_degree, by_degree), None)
+    if sub == "factor":
+        return lambda i, rec: _verify_factorization(rec, config), None, 1
+    cmd, _, name = sub.partition(" ")
+    if cmd == "catalog" and name == config["catalog"]:
+        section = _catalog_records(config)
+    elif cmd == "gen" and name == config["family"]:
+        section = [_gen_record(config)]
+    elif sub == "radical":
+        section = [_arith_record("radical", config["n"])]
+    else:
+        raise ValueError(f"unknown subcommand {sub!r} for config {config!r}")
+    return (lambda i, rec: search._compare(rec, section[i]) if i < len(section) else [],
+            None, len(section))
+
+
 def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
-    """Re-verify a result log; returns (records_checked, problems)."""
+    """Re-verify a result log; returns (records_checked, problems).
+
+    Each record is rebuilt by the function that wrote it and compared field
+    by field (search._compare); see _record_check for what each log kind
+    rebuilds from.  A log whose records are sorted must hold each once, in
+    order.
+    """
     problems: List[str] = []
     if not lines:
         return 0, ["empty log"]
@@ -598,8 +581,12 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
             problems.append("config digest does not match the config")
     elif _sha256(config) != header.get("config_digest"):
         problems.append("config digest does not match the config")
+    try:
+        check, order, size = _record_check(sub, config, search_cfg)
+    except Exception as exc:  # the header comes from disk, treat as hostile
+        return 0, problems + [f"header: cannot rebuild records: {type(exc).__name__}: {exc}"]
     checked = 0
-    seen: set = set()  # record keys of a search log, which is sorted and unique
+    seen: set = set()  # repeat keys of a sorted log, whose records are unique
     last: Optional[Tuple] = None
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -611,28 +598,20 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
             continue
         checked += 1
         try:
-            if search_cfg is not None:
-                probs = search.verify_record(rec, search_cfg)
-                key, order = search._record_key(rec), search._record_sort_key(rec)
+            probs = check(checked - 1, rec)
+            if order is not None:
+                key, sort_key = order[0](rec), order[1](rec)
                 if key in seen:
                     probs.append("record repeats an earlier record")
-                elif last is not None and order < last:  # general coeffs can tie
+                elif last is not None and sort_key < last:  # general coeffs can tie
                     probs.append("record sorts before the record above it")
                 seen.add(key)
-                last = order
-            elif sub in ("abc check", "abc scan", "abc filter"):
-                probs = abc_check.verify_abc_record(rec, config)
-            elif sub.startswith("catalog") or sub.startswith("gen"):
-                probs = verify_identity_record(rec)
-            elif sub == "decompose":
-                probs = verify_decomposition_record(rec, config)
-            elif sub in ("factor", "radical"):
-                probs = verify_arith_record(rec)
-            else:
-                probs = [f"unknown subcommand {sub!r}"]
+                last = sort_key
         except Exception as exc:  # records come from disk, treat as hostile
             probs = [f"verification raised {type(exc).__name__}: {exc}"]
         problems.extend(f"line {lineno}: {p}" for p in probs)
+    if size is not None and checked != size:
+        problems.append(f"the log holds {checked} records where its config gives {size}")
     return checked, problems
 
 

@@ -228,6 +228,15 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
             values[key] = tuple(values[key])
     cfg = SearchConfig(mode=mode, **values)
     cfg.validate()
+    # Fold an alias into the value it means, so that one search has one
+    # digest: fp scans degrees from 4 up, maxgcd-spread1 caps the spread at 1.
+    if mode == "fp":
+        lo, hi = cfg.degree
+        if hi < 4:
+            raise ValueError("fp mode scans degrees 4 and up")
+        cfg = dataclasses.replace(cfg, degree=(max(4, lo), hi))
+    elif mode == "maxgcd-spread1" and cfg.max_spread is not None and cfg.max_spread >= 1:
+        cfg = dataclasses.replace(cfg, max_spread=None)
     return cfg
 
 
@@ -1308,10 +1317,14 @@ def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
     return _compare(rec, _product_record(cfg, rec["sign"], P, Q, Z, d, cell))
 
 
-def _compare(rec: Dict[str, Any], built: Optional[Dict[str, Any]]) -> List[str]:
-    """The fields of `rec` that differ from the rebuilt record `built`."""
+def _compare(rec: Dict[str, Any], built: Optional[Dict[str, Any]],
+             absent: str = "the search writes no record for this identity") -> List[str]:
+    """The fields of `rec` that differ from the rebuilt record `built`.
+
+    `built` is None where the writer writes no record; `absent` says why.
+    """
     if built is None:
-        return ["the search writes no record for this identity"]
+        return [absent]
     if canon_json(rec) == canon_json(built):
         return []
     return [f"stored {k} wrong" for k in sorted(set(rec) | set(built))

@@ -349,20 +349,21 @@ def _check_record(t, classic):
 
 def test_verify_abc_record_round_trip():
     rec = _check_record(AbcTriple(1, 8, 9), [("1/5", 1)])
-    assert abc_check.verify_abc_record(rec, {}) == []
+    config = {"classic": [["1/5", "1"]]}
+    assert abc_check.verify_abc_record(rec, config) == []
 
-    assert abc_check.verify_abc_record(dict(rec, rad_ab=4), {})
-    assert abc_check.verify_abc_record(dict(rec, quality="2.0"), {})
-    assert abc_check.verify_abc_record(dict(rec, explicit_pass=False), {})
-    assert abc_check.verify_abc_record(dict(rec, a=2, b=7), {})
+    assert abc_check.verify_abc_record(dict(rec, rad_ab=4), config)
+    assert abc_check.verify_abc_record(dict(rec, quality="2.0"), config)
+    assert abc_check.verify_abc_record(dict(rec, explicit_pass=False), config)
+    assert abc_check.verify_abc_record(dict(rec, a=2, b=7), config)
     bad_classic = dict(rec, classic=[{"eps": "1/5", "C": "1", "verdict": "pass"}])
-    assert abc_check.verify_abc_record(bad_classic, {})
-    assert abc_check.verify_abc_record(dict(rec, kind="mystery"), {})
+    assert abc_check.verify_abc_record(bad_classic, config)
+    assert abc_check.verify_abc_record(dict(rec, kind="mystery"), config)
 
     # a passing triple posing as a scan violation is flagged
     scan_rec = dict(rec, kind="abc-scan")
     assert "scan records must be violations" in "".join(
-        abc_check.verify_abc_record(scan_rec, {})
+        abc_check.verify_abc_record(scan_rec, {"limit": 100})
     )
 
 
@@ -373,15 +374,15 @@ def test_radicals_factored_once_per_triple(monkeypatch):
     rec = _check_record(AbcTriple(5, 27, 32), [("1/10", 1)])
     assert sorted(calls) == [5, 27, 32]
     calls.clear()
-    assert abc_check.verify_abc_record(rec, {}) == []
+    assert abc_check.verify_abc_record(rec, {"classic": [["1/10", "1"]]}) == []
     assert sorted(calls) == [5, 27, 32]
 
 
 def test_verify_abc_filter_record():
-    params = {"eps": "1/5", "q_bound": "1"}
+    params = {"limit": 9, "eps": "1/5", "q_bound": "1"}
     rec = dict(excess_pairs(9, 1, "1/5")[1], kind="abc-filter")
     assert abc_check.verify_abc_record(rec, params) == []
     assert abc_check.verify_abc_record(dict(rec, gcd=3), params)
     assert abc_check.verify_abc_record(dict(rec, rad_abc=30), params)
     # same record fails under an eps it does not actually exceed
-    assert abc_check.verify_abc_record(rec, {"eps": "2", "q_bound": "1"})
+    assert abc_check.verify_abc_record(rec, {"limit": 9, "eps": "2", "q_bound": "1"})

@@ -332,6 +332,9 @@ def test_config_file_values_are_checked(tmp_path, capsys):
         (["abc", "check", "--input", str(triples), "--classic", "abc"], {}),
         (["gen", "standard"], {"v": 2}),  # gen and catalog read no key
         (["catalog", "fc"], {"max_bits": 14}),
+        (["decompose", "5041", "--degree", "2"], {"max_spread": "x"}),
+        (["decompose", "5041"], {"degree": [2]}),
+        (["decompose", "5041"], {"degree": 3.5}),
     ):
         cfg.write_text(json.dumps(doc))
         assert cli.run(argv + ["--config", str(cfg)] + out) == EXIT_USAGE, argv
@@ -569,6 +572,110 @@ def test_verify_log_catches_tampering(tmp_path, capsys):
     empty.write_text("")
     assert _verify(empty) == EXIT_FINDINGS
     assert cli.run(["verify-log", str(tmp_path / "missing.jsonl")]) == EXIT_USAGE
+
+
+# Logs of each non-search kind, tampered so that the header config no longer
+# gives the record section.  Each takes run(*argv) -> log lines and tmp_path.
+_TAMPERED = {}
+
+
+def _tampered(fn):
+    _TAMPERED[fn.__name__] = fn
+    return fn
+
+
+def _edit(line, **fields):
+    return json.dumps(dict(json.loads(line), **fields))
+
+
+@_tampered
+def catalog_drops_an_entry(run, tmp_path):
+    log = run("catalog", "fc")
+    return log[:4] + log[5:]
+
+
+@_tampered
+def catalog_holds_an_entry_over_max_bits(run, tmp_path):
+    log = run("catalog", "fc", "--max-bits", "20")
+    return log + run("catalog", "fc")[len(log):][:1]
+
+
+@_tampered
+def gen_header_over_another_record(run, tmp_path):
+    return run("gen", "standard", "--w", "2")[:1] + run("gen", "standard", "--w", "3")[1:]
+
+
+@_tampered
+def decompose_holds_a_degree_outside_the_range(run, tmp_path):
+    # 46656 = 216^2 = 36^3 = 6^6
+    return run("decompose", "46656", "--degree", "2..3") + run(
+        "decompose", "46656", "--degree", "6")[1:]
+
+
+@_tampered
+def decompose_repeats_a_record(run, tmp_path):
+    log = run("decompose", "1679616", "--degree", "2..8", "--max-spread", "2")
+    return log + log[-1:]
+
+
+@_tampered
+def radical_header_over_another_n(run, tmp_path):
+    return run("radical", "720")[:1] + run("radical", "721")[1:]
+
+
+@_tampered
+def factor_header_over_another_n(run, tmp_path):
+    return run("factor", "720")[:1] + run("factor", "721")[1:]
+
+
+def _abc_check_log(run, tmp_path):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("1 8\n5 27\n")
+    return run("abc", "check", "--input", str(triples), "--classic", "1/5")
+
+
+@_tampered
+def abc_check_classic_emptied(run, tmp_path):
+    log = _abc_check_log(run, tmp_path)
+    return log[:1] + [_edit(log[1], classic=[])] + log[2:]
+
+
+@_tampered
+def abc_check_extra_field(run, tmp_path):
+    log = _abc_check_log(run, tmp_path)
+    return log[:1] + [_edit(log[1], note="checked by hand")] + log[2:]
+
+
+@_tampered
+def abc_filter_holds_c_over_limit(run, tmp_path):
+    flags = ("--eps", "1/7", "--q-bound", "2")
+    over = run("abc", "filter", "--limit", "300", *flags)
+    return run("abc", "filter", "--limit", "100", *flags) + [
+        line for line in over[1:] if json.loads(line)["c"] == 300][:1]
+
+
+@_tampered
+def abc_filter_out_of_order(run, tmp_path):
+    log = run("abc", "filter", "--limit", "20", "--eps", "1/5")
+    return log[:1] + log[:0:-1]
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED))
+def test_verify_log_rebuilds_every_log_kind(tmp_path, capsys, name):
+    runs = iter(range(10))
+
+    def run(*argv):
+        out = tmp_path / f"{next(runs)}.jsonl"
+        assert cli.run(list(argv) + ["--output", str(out)]) in (EXIT_OK, EXIT_FINDINGS)
+        lines = out.read_text().splitlines()
+        assert cli.verify_log_lines(lines) == (len(lines) - 1, [])
+        return lines
+
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(_TAMPERED[name](run, tmp_path)) + "\n")
+    capsys.readouterr()
+    assert _verify(tampered) == EXIT_FINDINGS
+    assert f"{tampered}: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("corrupt, problem", [

@@ -325,6 +325,23 @@ def test_config_round_trip_and_digest():
         "38452dd5e5d0d2ca57295f6c20fbb7b18efa8d3ee54e2853c16c892ca72b1739")
 
 
+def test_aliased_configs_share_a_digest_and_a_plan():
+    # maxgcd-spread1 caps the spread at 1 and fp scans degrees from 4 up, so
+    # these values name the default search and take its digest and plan
+    for mode, alias in (("maxgcd-spread1", {"max_spread": 5}),
+                        ("fp", {"degree": (2, 21)})):
+        cfg = make_config(mode, max_bits=24)
+        same = make_config(mode, max_bits=24, **alias)
+        assert same == cfg and same.digest() == cfg.digest()
+        assert search.plan_chunks(same, 4) == search.plan_chunks(cfg, 4)
+    assert make_config("maxgcd-spread1", max_bits=24).digest()[:12] == "84b9eba4d271"
+    assert make_config("fp", max_bits=24).digest()[:12] == "7e71a20cc3c5"
+    assert make_config("maxgcd-spread1", max_spread=0).max_spread == 0
+    assert make_config("fp", degree=(3, 6)).degree == (4, 6)
+    with pytest.raises(ValueError, match="fp mode scans degrees 4 and up"):
+        make_config("fp", degree=(2, 3))
+
+
 # What each mode reads; every other field must keep its mode default.
 _READS = {
     "fermat-catalan": "min_exp max_exp min_exp_cap f_bound f_strict coeffs",
@@ -598,7 +615,7 @@ def test_plan_chunks_matches_resorting_loop(mode):
 
 @pytest.mark.parametrize("mode, extra", [
     ("gbtz", {"max_exp": 2}),
-    ("fp", {"degree": (2, 3)}),
+    ("fp", {"degree": (11, 21)}),  # 2^10 has no 11th power of a base >= 3
     ("maxgcd-spread1", {"degree": (1, 1)}),
     # nonmaxgcd3 wants spread >= 1, and max_spread allows only 0
     ("nonmaxgcd3", {"f_bound": Fraction(3, 2), "max_spread": 0}),
