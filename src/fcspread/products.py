@@ -179,28 +179,43 @@ class SpreadConstraints:
 
 
 def enumerate_products(
-    constraints: SpreadConstraints, max_value: int
+    constraints: SpreadConstraints, max_value: int, min_value: int = 1
 ) -> Iterator[ProductDecomposition]:
-    """Stream all decompositions satisfying `constraints` with value <= max_value.
+    """Stream the decompositions meeting `constraints`, min_value <= value <= max_value.
 
     Each qualifying decomposition is emitted exactly once, grouped by
     (degree, base) class and in nondecreasing value order within a class.
+
+    Complete: every decomposition that `decompose(X, d, s)` returns for X in
+    [min_value, max_value], d in the degree range and s the spread cap, and
+    that meets the s^2/b bound, is emitted.  Its factors are nondecreasing
+    in [b, b + s] with b = min, so b**d <= X <= max_value, which the base
+    loop reaches, and (b + s)**d >= X >= min_value >= r**d with r the
+    integer d-th root of min_value, so b >= r - s, where the base loop
+    starts.  Within the class the recursion tries every next factor in
+    [previous, b + s] and cuts only prefixes that cannot complete in
+    range: the `break` where even the smallest completion, all remaining
+    factors equal to f, exceeds max_value (larger f exceed it too), and
+    the return where even the largest, all equal to b + s, stays below
+    min_value.
     """
-    if max_value < 1:
-        raise ValueError("max_value must be >= 1")
+    if max_value < 1 or min_value < 1:
+        raise ValueError("max_value and min_value must be >= 1")
     lo_d, hi_d = constraints.degree_range()
     s_cap = constraints.max_spread
     if s_cap < 0:
         raise ValueError("max_spread must be >= 0")
     m_bound = constraints.max_spread_sq_over_base
     for d in range(lo_d, hi_d + 1):
-        b = 1
+        b = max(1, arith.iroot(min_value, d)[0] - s_cap)
         while b**d <= max_value:
             hi = b + s_cap
             batch: List[ProductDecomposition] = []
             acc = [b]
 
             def rec(lo: int, slots: int, prod: int) -> None:
+                if prod * hi**slots < min_value:
+                    return
                 if slots == 0:
                     dec = ProductDecomposition(
                         tuple(acc), prod, acc[0], acc[-1] - acc[0], d

@@ -47,16 +47,21 @@ they test P +/- Q against:
   start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
   except in the maxgcd relation where x = w*y, y >= 1 parametrizes exactly
   the maxgcd pairs.
-* pillai enumerates the bounded-spread products themselves.
+* pillai joins the bounded-spread products with themselves: a unit is a
+  value range of Z, and `_run_pillai_unit` indexes once every product
+  with value in [Z range low - B, Z range high] and pairs each Z with the
+  witnesses of Z - B.  The index is bounded before any chunk runs
+  (`_check_memory`).
 
 Each record is a pure function of its identity, built by one function per
 mode that the scan calls on every hit and `verify_record` on a stored
 record's identity, reporting each field that differs: `_fc_candidate` from
 the values, `_product_record` from (sign, p, q, z, d) and `_pillai_record`
 from the two witnesses.  Chunking partitions the (exponent pair, base
-sub-range) space; records with one key are equal whichever chunk wrote them
-(survey cells join their solutions), so the final record set is
-byte-identical no matter the chunk plan, thread count or completion order.
+sub-range) space and pillai's range of Z; records with one key are equal
+whichever chunk wrote them (survey cells join their solutions), so the
+final record set is byte-identical no matter the chunk plan, thread count
+or completion order.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product as iterproduct
+from itertools import chain, product as iterproduct
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -207,6 +212,11 @@ class SearchConfig:
         )
 
 
+# The least degree each product mode scans; a lower `degree` low end aliases it.
+# (nonmaxgcd3 takes degree (3, 3) only, so it has no alias.)
+_DEGREE_FLOOR = {"gbtz": 3, "fp": 4, "maxgcd-spread1": 2}
+
+
 def make_config(mode: str, **overrides: Any) -> SearchConfig:
     """Build a SearchConfig from mode defaults plus keyword overrides.
 
@@ -229,13 +239,15 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
     cfg = SearchConfig(mode=mode, **values)
     cfg.validate()
     # Fold an alias into the value it means, so that one search has one
-    # digest: fp scans degrees from 4 up, maxgcd-spread1 caps the spread at 1.
-    if mode == "fp":
+    # digest: each mode in _DEGREE_FLOOR scans degrees from its floor up
+    # (`_degree_caps`, `_mode_units`), maxgcd-spread1 caps the spread at 1.
+    floor = _DEGREE_FLOOR.get(mode)
+    if floor is not None:
         lo, hi = cfg.degree
-        if hi < 4:
-            raise ValueError("fp mode scans degrees 4 and up")
-        cfg = dataclasses.replace(cfg, degree=(max(4, lo), hi))
-    elif mode == "maxgcd-spread1" and cfg.max_spread is not None and cfg.max_spread >= 1:
+        if hi < floor:
+            raise ValueError(f"{mode} mode scans degrees {floor} and up")
+        cfg = dataclasses.replace(cfg, degree=(max(floor, lo), hi))
+    if mode == "maxgcd-spread1" and cfg.max_spread is not None and cfg.max_spread >= 1:
         cfg = dataclasses.replace(cfg, max_spread=None)
     return cfg
 
@@ -257,7 +269,18 @@ def canon_json(obj: Any) -> str:
 
 
 def _sha256(obj: Any) -> str:
-    return hashlib.sha256(canon_json(obj).encode()).hexdigest()
+    """sha256 of canon_json(obj); a list is fed item by item, never built whole."""
+    h = hashlib.sha256()
+    if isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for i, item in enumerate(obj):
+            if i:
+                h.update(b",")
+            h.update(canon_json(item).encode())
+        h.update(b"]")
+    else:
+        h.update(canon_json(obj).encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -889,23 +912,108 @@ def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
     }
 
 
+def _pillai_constraints(cfg: SearchConfig) -> SpreadConstraints:
+    s_cap = cfg.max_spread if cfg.max_spread is not None else 0
+    return SpreadConstraints(degree=_pillai_degree_range(cfg), max_spread=s_cap,
+                             max_spread_sq_over_base=cfg.m_bound)
+
+
 def _run_pillai_unit(cfg: SearchConfig, unit: Dict[str, Any],
                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """pillai units: products Z of one degree, X = Z - B over the full range."""
-    lo, hi = _pillai_degree_range(cfg)
-    s_cap = cfg.max_spread if cfg.max_spread is not None else 0
-    cons = SpreadConstraints(
-        degree=unit["d"], max_spread=s_cap, max_spread_sq_over_base=cfg.m_bound
-    )
-    for zdec in enumerate_products(cons, cfg.max_value):
-        X = zdec.value - cfg.difference
-        if X < 1:
+    """pillai units: Z in [xlo, xhi], joined by value with X = Z - B.
+
+    Every product of the config's degrees, spread cap and s^2/b bound with
+    value in [max(1, xlo - B), xhi] is indexed once, as value -> factor
+    tuples; `enumerate_products` returns every decomposition of each such
+    value, so each Z and each X = Z - B of the range has all its witnesses.
+    """
+    zlo, B = unit["xlo"], cfg.difference
+    index: Dict[int, List[Tuple[int, ...]]] = {}
+    for dec in enumerate_products(_pillai_constraints(cfg), unit["xhi"],
+                                  max(1, zlo - B)):
+        index.setdefault(dec.value, []).append(dec.factors)
+    for Z, zfs in index.items():
+        if Z < zlo or Z - B not in index:
             continue
-        for dx in range(lo, hi + 1):
-            for xdec in decompose(X, dx, s_cap):
-                rec = _pillai_record(cfg, xdec, zdec)
-                if rec is not None:
-                    _merge_into(acc, rec)
+        for xf, zf in iterproduct(index[Z - B], zfs):
+            rec = _pillai_record(cfg, analyze(xf), analyze(zf))
+            if rec is not None:
+                _merge_into(acc, rec)
+
+
+# Bytes per pillai index entry, over-estimated (208-271 measured at degrees
+# 1-3 on CPython 3.11): the dict slot and value key, a one-item list, and a
+# tuple of d factors at 8 + 32 bytes each.
+_PILLAI_ENTRY_BYTES = (200, 40)
+
+
+def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> int:
+    """A bound on the bytes of the index a pillai unit builds, from class counts.
+
+    Per degree d, `enumerate_products` visits the bases b from the d-th
+    root of the lowest value minus s to the d-th root of xhi, and a (d, b)
+    class is b and d - 1 nondecreasing factors in [b, b + s]: at most
+    C(d - 1 + s, s) tuples, all of them when b**d and (b + s)**d both lie
+    in the value range.  If that bound passes `limit`, the at most 2s + 1
+    other bases of each degree are counted exactly instead, without
+    building a tuple, by a recursion over the next factor memoized on
+    (factor, slots left, product left); the count then ignores only the
+    s^2/b bound, and stops once the total passes `limit`.
+    """
+    cons = _pillai_constraints(cfg)
+    s, (lo, hi) = cons.max_spread, cons.degree_range()
+    vlo, vhi = max(1, unit["xlo"] - cfg.difference), unit["xhi"]
+    per_entry, per_factor = _PILLAI_ENTRY_BYTES
+    degrees = [(d, max(1, arith.iroot(vlo, d)[0] - s), arith.iroot(vhi, d)[0],
+                per_entry + per_factor * d) for d in range(lo, hi + 1)]
+    loose = sum(max(0, top - bottom + 1) * math.comb(d - 1 + s, s) * size
+                for d, bottom, top, size in degrees)
+    if loose <= limit:
+        return loose
+
+    @lru_cache(maxsize=None)
+    def tails(f: int, high: int, slots: int, q: int) -> int:
+        """Nondecreasing `slots`-tuples in [f, high] with product <= q."""
+        if slots == 0:
+            return int(q >= 1)
+        n = 0
+        for g in range(f, high + 1):
+            if g**slots > q:
+                break
+            n += tails(g, high, slots - 1, q // g)
+        return n
+
+    total = 0
+    for d, bottom, top, size in degrees:
+        inner_lo = arith.iroot(vlo - 1, d)[0] + 1 if vlo > 1 else 1
+        inner_hi = top - s  # b**d >= vlo and (b + s)**d <= vhi in between
+        entries = max(0, inner_hi - inner_lo + 1) * math.comb(d - 1 + s, s)
+        for b in chain(range(bottom, min(inner_lo, top + 1)),
+                       range(max(inner_hi + 1, inner_lo), top + 1)):
+            entries += (tails(b, b + s, d - 1, vhi // b)
+                        - tails(b, b + s, d - 1, (vlo - 1) // b))
+        total += entries * size
+        if total > limit:
+            break
+    return total
+
+
+def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
+                  threads: int, budget: int = 4 << 30) -> None:
+    """Refuse a plan whose pillai indexes would not fit the budget.
+
+    A unit's index lives while the unit runs and up to `threads` chunks run
+    at once, so each unit gets that share of the budget.
+    """
+    share = budget // max(1, min(threads, len(plan)))
+    for unit in (u for g in plan for u in g if u["kind"] == "pillai"):
+        est = _pillai_index_bytes(cfg, unit, share)
+        if est > share:
+            raise MemoryError(
+                f"the pillai product index for z in [{unit['xlo']}, {unit['xhi']}] "
+                f"needs at least {est} bytes, over its share {share} of the "
+                f"{budget}-byte budget; more --chunks make each range smaller"
+            )
 
 
 _UNIT_RUNNERS = {
@@ -990,12 +1098,9 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                          "cost": max(cost, 0) if d > 2 else 0}
                     )
     elif cfg.mode == "pillai":
-        lo, hi = _pillai_degree_range(cfg)
-        for d in range(lo, hi + 1):
-            units.append(
-                {"kind": "pillai", "e1": 0, "e2": 0, "d": d, "xlo": 0,
-                 "xhi": 0, "cost": arith.iroot(M, d)[0]}
-            )
+        # one value range of Z; plan_chunks splits it like a base range
+        units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,
+                      "cost": M})
     else:  # pragma: no cover
         raise ValueError(cfg.mode)
     if cfg.mode in _PRODUCT_MODES and cfg.mode != "survey":
@@ -1178,6 +1283,7 @@ def run_chunked(
             )
         n_chunks = state["n_chunks"]
     plan = plan_chunks(cfg, n_chunks)
+    _check_memory(cfg, plan, threads)
     plan_digest = _sha256(plan)
     if resume:
         if state["plan_digest"] != plan_digest:

@@ -489,6 +489,16 @@ def test_abc_scan_cli(tmp_path):
                     "--output", str(tmp_path / "x")]) == EXIT_RUNTIME
 
 
+def test_search_pillai_index_over_budget_exits_runtime(tmp_path, capsys):
+    # degree 1 indexes every integer: 2^40 of them is refused before any chunk
+    out = tmp_path / "x.jsonl"
+    assert cli.run(["search", "pillai", "--difference", "1", "--degree", "1..3",
+                    "--max-bits", "40", "--threads", "1", "--output", str(out)]
+                   ) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--chunks" in err and not out.exists()
+
+
 def test_abc_filter_cli(tmp_path):
     code, header, records, _, out = _run(
         tmp_path,

@@ -148,6 +148,25 @@ def test_enumerate_products_round_trip():
     assert len(seen) > 100
 
 
+@pytest.mark.parametrize("vlo, vhi",
+                         [(1, 3000), (700, 3000), (2000, 2100), (4096, 4096)])
+@pytest.mark.parametrize("s, m_bound", [(0, None), (2, None), (3, Fraction(1, 2))])
+def test_enumerate_products_window_equals_decompose(vlo, vhi, s, m_bound):
+    # every decomposition decompose returns for a value in the window, and
+    # only those, comes out of the enumerator with that lower bound
+    cons = SpreadConstraints(degree=(1, 5), max_spread=s,
+                             max_spread_sq_over_base=m_bound)
+    got = [p.factors for p in products.enumerate_products(cons, vhi, vlo)]
+    want = {
+        p.factors
+        for x in range(vlo, vhi + 1)
+        for d in range(1, 6)
+        for p in decompose(x, d, s)
+        if m_bound is None or p.spread_sq_over_base() <= m_bound
+    }
+    assert len(got) == len(set(got)) and set(got) == want
+
+
 def test_enumerate_products_value_order_within_base_class():
     cons = SpreadConstraints(degree=2, max_spread=1)
     by_base = {}

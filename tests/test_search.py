@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fcspread import arith, search
-from fcspread.products import decompose
+from fcspread.products import SpreadConstraints, decompose, enumerate_products
 from fcspread.search import (
     CheckpointMismatch,
     SearchConfig,
@@ -340,6 +340,21 @@ def test_aliased_configs_share_a_digest_and_a_plan():
     assert make_config("fp", degree=(3, 6)).degree == (4, 6)
     with pytest.raises(ValueError, match="fp mode scans degrees 4 and up"):
         make_config("fp", degree=(2, 3))
+    # gbtz scans degrees from 3 up and maxgcd-spread1 n from 2 up, so a lower
+    # low end names the same search; the default digests stay as they were
+    for mode, alias, canonical, digest in (
+            ("gbtz", (1, 10), (3, 10), "34fe219e7e02"),
+            ("maxgcd-spread1", (1, 10), (2, 10), "7035b6407e76")):
+        cfg = make_config(mode, max_bits=24, degree=canonical)
+        same = make_config(mode, max_bits=24, degree=alias)
+        assert same == cfg and same.digest()[:12] == digest
+        assert search.plan_chunks(same, 4) == search.plan_chunks(cfg, 4)
+    assert make_config("gbtz", max_bits=24).digest()[:12] == "34fe219e7e02"
+    assert make_config("gbtz", degree=(2, 4)).degree == (3, 4)
+    with pytest.raises(ValueError, match="gbtz mode scans degrees 3 and up"):
+        make_config("gbtz", degree=(1, 2))
+    with pytest.raises(ValueError, match="maxgcd-spread1 mode scans degrees 2 and up"):
+        make_config("maxgcd-spread1", degree=(1, 1))
 
 
 # What each mode reads; every other field must keep its mode default.
@@ -530,6 +545,96 @@ def test_pillai_examples():
     assert recs == []
 
 
+def _pillai_per_degree_reference(cfg):
+    """The per-degree scan the join replaced: Z of each degree, decompose(Z - B)."""
+    lo, hi = cfg.degree or (2, cfg.max_bits)
+    s = cfg.max_spread or 0
+    acc = {}
+    for d in range(lo, hi + 1):
+        cons = SpreadConstraints(degree=d, max_spread=s,
+                                 max_spread_sq_over_base=cfg.m_bound)
+        for zdec in enumerate_products(cons, cfg.max_value):
+            X = zdec.value - cfg.difference
+            if X < 1:
+                continue
+            for dx in range(lo, hi + 1):
+                for xdec in decompose(X, dx, s):
+                    rec = search._pillai_record(cfg, xdec, zdec)
+                    if rec is not None:
+                        search._merge_into(acc, rec)
+    return sorted(acc.values(), key=search._record_sort_key)
+
+
+@pytest.mark.parametrize("extra", [
+    {"max_bits": 16},
+    {"max_bits": 20},
+    {"max_bits": 24},
+    {"max_bits": 20, "max_spread": 0},
+    {"max_bits": 20, "difference": 3},
+    {"max_bits": 20, "degree": (2, 5)},
+    {"max_bits": 20, "m_bound": "1/2"},
+    {"max_bits": 14, "degree": (1, 6)},
+    {"max_bits": 16, "max_spread": 1, "f_bound": 1, "f_strict": True},
+])
+def test_pillai_join_matches_per_degree_scan(extra):
+    cfg = make_config("pillai", **dict({"difference": 1, "max_spread": 2}, **extra))
+    want = _pillai_per_degree_reference(cfg)
+    assert want
+    for n_chunks in (1, 16):
+        assert _records(cfg, n_chunks=n_chunks) == want
+
+
+def test_pillai_plan_splits_the_value_range():
+    cfg = make_config("pillai", difference=1, max_bits=20, max_spread=2)
+    plan = search.plan_chunks(cfg, 16)
+    pieces = sorted((u["xlo"], u["xhi"]) for g in plan for u in g)
+    assert len(plan) == len(pieces) == 16
+    assert pieces[0][0] == 1 and pieces[-1][1] == cfg.max_value
+    assert all(a[1] + 1 == b[0] for a, b in zip(pieces, pieces[1:]))
+
+
+def test_pillai_index_refused_up_front(monkeypatch):
+    def no_index(*args, **kwargs):
+        raise AssertionError("the index must not be built")
+
+    monkeypatch.setattr(search, "enumerate_products", no_index)
+    cfg = make_config("pillai", difference=1, degree=(1, 3), max_bits=40)
+    with pytest.raises(MemoryError, match="--chunks"):
+        run_chunked(cfg, n_chunks=16)
+
+
+@pytest.mark.parametrize("extra", [
+    {"max_bits": 20},
+    {"max_bits": 16, "degree": (1, 6), "max_spread": 3},
+    {"max_bits": 24, "m_bound": "1/2"},
+    {"max_bits": 18, "difference": 5, "max_spread": 0},
+    {"max_bits": 16, "max_spread": 8},
+    {"max_bits": 18, "max_spread": 12, "degree": (16, 18)},
+])
+def test_pillai_index_bytes_count_the_index(extra):
+    # the class bound covers every entry a unit indexes; asked for more
+    # than it allows, the class counts are exact but for the s^2/b bound
+    cfg = make_config("pillai", **dict({"difference": 1, "max_spread": 2}, **extra))
+    per_entry, per_factor = search._PILLAI_ENTRY_BYTES
+    for unit in (u for g in search.plan_chunks(cfg, 8) for u in g):
+        real = sum(per_entry + per_factor * p.degree for p in enumerate_products(
+            search._pillai_constraints(cfg), unit["xhi"],
+            max(1, unit["xlo"] - cfg.difference)))
+        loose = search._pillai_index_bytes(cfg, unit, 1 << 80)
+        exact = search._pillai_index_bytes(cfg, unit, loose - 1)
+        assert real <= exact <= loose
+        assert exact == real or cfg.m_bound is not None
+
+
+@pytest.mark.parametrize("obj", [
+    [], [1], [{"b": 1, "a": [2, 3]}, "x"], [[], [[1, 2], [3]], [{}]],
+    ((1, 2), [3]), {"k": [1, 2]}, "s", 7,
+])
+def test_sha256_equals_digest_of_canonical_json(obj):
+    # lists are hashed item by item; the bytes must be those of canon_json
+    assert search._sha256(obj) == hashlib.sha256(canon_json(obj).encode()).hexdigest()
+
+
 def test_pillai_verify_and_api():
     cfg = make_config("pillai", difference=1, max_bits=10, f_bound="9/10")
     recs = _records(cfg)
@@ -616,7 +721,7 @@ def test_plan_chunks_matches_resorting_loop(mode):
 @pytest.mark.parametrize("mode, extra", [
     ("gbtz", {"max_exp": 2}),
     ("fp", {"degree": (11, 21)}),  # 2^10 has no 11th power of a base >= 3
-    ("maxgcd-spread1", {"degree": (1, 1)}),
+    ("maxgcd-spread1", {"degree": (11, 11)}),  # 2^10 has no 11th power of a base >= 2
     # nonmaxgcd3 wants spread >= 1, and max_spread allows only 0
     ("nonmaxgcd3", {"f_bound": Fraction(3, 2), "max_spread": 0}),
 ])
