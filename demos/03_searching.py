@@ -33,7 +33,7 @@ print()
 # Consecutive bounded-spread products: X and Z = X + 1, both perfect
 # powers here (spread 0), with 1/dx + 1/dz <= 41/42.
 cfg_pillai = search.make_config("pillai", difference=1, max_bits=16)
-recs = search.search_pillai_products(1, cfg=cfg_pillai)
+recs = search.run_chunked(cfg_pillai).records
 print("products at difference 1 up to 2^16:")
 for rec in recs:
     print(f"  {rec['x']} = {rec['x_witness']}, {rec['z']} = {rec['z_witness']}, "
@@ -44,7 +44,8 @@ print()
 cfg = search.make_config(
     "survey", max_bits=16, n_range=(3, 5), m_range=(3, 5), degree=(3, 4)
 )
-counts = search.survey_combinations(cfg)
+counts = {tuple(r["cell"]): r["count"]
+          for r in search.run_chunked(cfg).records}
 nonzero = {cell: k for cell, k in counts.items() if k}
 print(f"survey up to 2^16 over n,m in 3..5, d in 3..4: "
       f"{len(nonzero)}/{len(counts)} cells populated")

@@ -59,10 +59,6 @@ from .search import (
     make_config,
     plan_chunks,
     run_chunked,
-    search_fermat_catalan,
-    search_pillai_products,
-    search_product_target,
-    survey_combinations,
     verify_record,
 )
 
@@ -95,10 +91,6 @@ __all__ = [
     "make_config",
     "plan_chunks",
     "run_chunked",
-    "search_fermat_catalan",
-    "search_product_target",
-    "search_pillai_products",
-    "survey_combinations",
     "verify_record",
     "AbcTriple",
     "AbcReport",

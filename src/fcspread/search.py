@@ -58,10 +58,11 @@ mode that the scan calls on every hit and `verify_record` on a stored
 record's identity, reporting each field that differs: `_fc_candidate` from
 the values, `_product_record` from (sign, p, q, z, d) and `_pillai_record`
 from the two witnesses.  Chunking partitions the (exponent pair, base
-sub-range) space and pillai's range of Z; records with one key are equal
-whichever chunk wrote them (survey cells join their solutions), so the
-final record set is byte-identical no matter the chunk plan, thread count
-or completion order.
+sub-range) space and pillai's range of Z: every unit but fcwild carries a
+range that `plan_chunks` splits, survey cells included.  Records with one
+key are equal whichever chunk wrote them (survey cells join their
+solutions), so the final record set is byte-identical no matter the chunk
+plan, thread count or completion order.
 """
 
 from __future__ import annotations
@@ -164,7 +165,13 @@ class SearchConfig:
     def max_value(self) -> int:
         return 1 << self.max_bits
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Refuse an invalid config, then fold each alias into the value it means.
+
+        Folding here, not in `make_config`, gives one search one digest
+        however the config was built: each mode in `_DEGREE_FLOOR` scans
+        degrees from its floor up, and maxgcd-spread1 caps the spread at 1.
+        """
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         reads, defaults = ("mode",) + _MODE_FIELDS[self.mode], _MODE_DEFAULTS[self.mode]
@@ -174,6 +181,15 @@ class SearchConfig:
                 raise ValueError(f"{f.name} must not be null")
             if f.name not in reads and value != defaults.get(f.name, f.default):
                 raise ValueError(f"{self.mode} mode does not use {f.name}")
+        # a bool or a float can equal an int and still change the digest
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in (value if isinstance(value, tuple) else [value])):
+                raise ValueError(f"{name} must hold integers")
+        if not isinstance(self.f_strict, bool):
+            raise ValueError("f_strict must be true or false")
         if not 1 <= self.max_bits <= 128:
             raise ValueError("max_bits must be in 1..128")
         if self.sign not in ("plus", "minus", "both"):
@@ -194,6 +210,15 @@ class SearchConfig:
             raise ValueError("pillai mode needs a positive difference")
         if self.mode == "survey" and (self.n_range is None or self.m_range is None):
             raise ValueError("survey mode needs n_range and m_range")
+        floor = _DEGREE_FLOOR.get(self.mode)
+        if floor is not None:
+            lo, hi = self.degree
+            if hi < floor:
+                raise ValueError(f"{self.mode} mode scans degrees {floor} and up")
+            object.__setattr__(self, "degree", (max(floor, lo), hi))
+        if self.mode == "maxgcd-spread1" and self.max_spread is not None and (
+                self.max_spread >= 1):
+            object.__setattr__(self, "max_spread", None)
 
     def semantic_dict(self) -> Dict[str, Any]:
         """The mode, the format and the fields the mode reads."""
@@ -216,6 +241,10 @@ class SearchConfig:
 # (nonmaxgcd3 takes degree (3, 3) only, so it has no alias.)
 _DEGREE_FLOOR = {"gbtz": 3, "fp": 4, "maxgcd-spread1": 2}
 
+# The integer fields, and those holding a tuple of integers.
+_INT_FIELDS = ("max_bits", "min_exp", "max_exp", "min_exp_cap", "max_spread",
+               "difference", "degree", "n_range", "m_range", "coeffs")
+
 
 def make_config(mode: str, **overrides: Any) -> SearchConfig:
     """Build a SearchConfig from mode defaults plus keyword overrides.
@@ -236,20 +265,7 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
     for key in ("degree", "n_range", "m_range", "coeffs"):
         if values.get(key) is not None:
             values[key] = tuple(values[key])
-    cfg = SearchConfig(mode=mode, **values)
-    cfg.validate()
-    # Fold an alias into the value it means, so that one search has one
-    # digest: each mode in _DEGREE_FLOOR scans degrees from its floor up
-    # (`_degree_caps`, `_mode_units`), maxgcd-spread1 caps the spread at 1.
-    floor = _DEGREE_FLOOR.get(mode)
-    if floor is not None:
-        lo, hi = cfg.degree
-        if hi < floor:
-            raise ValueError(f"{mode} mode scans degrees {floor} and up")
-        cfg = dataclasses.replace(cfg, degree=(max(floor, lo), hi))
-    if mode == "maxgcd-spread1" and cfg.max_spread is not None and cfg.max_spread >= 1:
-        cfg = dataclasses.replace(cfg, max_spread=None)
-    return cfg
+    return SearchConfig(mode=mode, **values)
 
 
 def jsonify(value: Any) -> Any:
@@ -507,7 +523,7 @@ def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int
     elif cfg.mode in ("fp", "maxgcd-spread1"):
         degrees = [n]
     else:
-        degrees = range(max(3, cfg.degree[0]), min(n, m, cfg.degree[1]) + 1)
+        degrees = range(cfg.degree[0], min(n, m, cfg.degree[1]) + 1)
     floor_s = _PRODUCT_MODES[cfg.mode][1]
     caps = []
     for d in degrees:
@@ -835,27 +851,17 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
     return rec
 
 
-def _emit_product(cfg: SearchConfig, acc: Dict[Tuple, Dict[str, Any]], *,
-                  sign: str, n: int, m: int, P: int, Q: int, Z: int, d: int,
-                  wits: Sequence[ProductDecomposition]) -> None:
-    """Record P +/- Q = Z at degree d once `wits` shows the unit (n, m) hits it."""
-    if not wits:
-        return
-    if cfg.mode != "survey":
-        _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
-        return
-    sol = _product_record(cfg, sign, P, Q, Z, d, (n, m))
-    _merge_into(acc, {"mode": "survey", "cell": [n, m, d], "count": 1,
-                      "solutions": [sol]})
-
-
 def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
     return ("plus", "minus") if cfg.sign == "both" else (cfg.sign,)
 
 
 def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Test x**n +/- y**m against bounded-spread products of the unit's degrees."""
+    """Test x**n +/- y**m against bounded-spread products of the unit's degrees.
+
+    A (Z, d) with a witness of at least the mode's least spread goes to
+    `_product_record`; a survey solution joins its cell's record.
+    """
     n, m = unit["e1"], unit["e2"]
     survey = cfg.mode == "survey"
     if survey:  # every cell is reported, empty ones included
@@ -868,23 +874,25 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     M = cfg.max_value
     relation, floor_s = _PRODUCT_MODES[cfg.mode]
     signs = _signs(cfg)
-    # survey units are never split, so they carry no base range of their own
-    lo, hi = (2, _max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
     keep = None
     if relation != "maxgcd":
         keep = lambda t: _maybe_product(t, M, caps)  # noqa: E731
-    for bn, bm, P, Q in _pairs(M, relation, n, m, lo, hi, ordered=survey, keep=keep):
+    for _, _, P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
+                             ordered=survey, keep=keep):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
                 continue
             for d, cap in caps:
-                wits = decompose(Z, d, cap)
-                if floor_s:
-                    wits = [w for w in wits if w.spread >= floor_s]
-                _emit_product(
-                    cfg, acc, sign=sign, n=bn, m=bm, P=P, Q=Q, Z=Z, d=d, wits=wits
-                )
+                wits = decompose(Z, d, cap)  # almost always empty: skip any() then
+                if not (wits and any(w.spread >= floor_s for w in wits)):
+                    continue
+                if survey:
+                    _merge_into(acc, {"mode": "survey", "cell": cell, "count": 1,
+                                      "solutions": [_product_record(
+                                          cfg, sign, P, Q, Z, d, (n, m))]})
+                else:
+                    _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
 
 
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
@@ -1052,60 +1060,36 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                     {"kind": "fcpair", "e1": e1, "e2": e2, "xlo": 2,
                      "xhi": _max_base(M, e1), "cost": n1 * n2}
                 )
-    elif cfg.mode in ("gbtz", "nonmaxgcd3"):
-        elo = max(3, cfg.min_exp)
-        ehi = min(cfg.max_exp, cfg.max_bits)
-        for n in range(elo, ehi + 1):
-            if _max_base(M, n) < 2:
-                break
-            for m in range(n, ehi + 1):
-                if _max_base(M, m) < 2:
-                    break
-                units.append(
-                    {"kind": "product", "e1": n, "e2": m, "xlo": 2,
-                     "xhi": _max_base(M, n),
-                     "cost": (_max_base(M, n) - 1) * (_max_base(M, m) - 1)}
-                )
-    elif cfg.mode == "fp":
-        lo, hi = cfg.degree
-        for n in range(max(4, lo), hi + 1):
-            nb = _max_base(M, n)
-            if nb >= 3:
-                units.append(
-                    {"kind": "product", "e1": n, "e2": n, "xlo": 3, "xhi": nb,
-                     "cost": nb * nb // 2}
-                )
-    elif cfg.mode == "maxgcd-spread1":
-        lo, hi = cfg.degree
-        for n in range(max(2, lo), hi + 1):
-            nb = _max_base(M, n)
-            if nb >= 1:
-                units.append(
-                    {"kind": "product", "e1": n, "e2": n, "xlo": 1, "xhi": nb,
-                     "cost": nb * 8}
-                )
-    elif cfg.mode == "survey":
-        nlo, nhi = cfg.n_range
-        mlo, mhi = cfg.m_range
-        dlo, dhi = cfg.degree
-        for n in range(nlo, nhi + 1):
-            for m in range(mlo, mhi + 1):
-                cost = (_max_base(M, n) - 1) * (_max_base(M, m) - 1)
-                for d in range(dlo, dhi + 1):
-                    units.append(
-                        {"kind": "product", "e1": n, "e2": m, "d": d,
-                         "xlo": 0, "xhi": 0,
-                         "cost": max(cost, 0) if d > 2 else 0}
-                    )
     elif cfg.mode == "pillai":
         # one value range of Z; plan_chunks splits it like a base range
         units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,
                       "cost": M})
-    else:  # pragma: no cover
-        raise ValueError(cfg.mode)
-    if cfg.mode in _PRODUCT_MODES and cfg.mode != "survey":
-        # a survey cell is reported even where it admits no product
-        units = [u for u in units if _degree_caps(cfg, u)]
+    else:
+        # One unit per (e1, e2[, d]) cell, over the bases from the relation's
+        # first to the max base; a unit whose degrees admit no product scans
+        # none.  Its cost is the cells that range spans, halved on the
+        # e1 == e2 triangle of an unordered scan.  A unit of cost 0 is not
+        # planned, except that every survey cell is, so that it is reported.
+        survey = cfg.mode == "survey"
+        if cfg.mode in ("gbtz", "nonmaxgcd3"):
+            lo, hi = max(3, cfg.min_exp), min(cfg.max_exp, cfg.max_bits)
+            cells = [(n, m) for n in range(lo, hi + 1) for m in range(n, hi + 1)]
+        elif survey:
+            cells = list(iterproduct(*(range(lo, hi + 1) for lo, hi in (
+                cfg.n_range, cfg.m_range, cfg.degree))))
+        else:  # fp and maxgcd-spread1 take both powers to the degree
+            cells = [(n, n) for n in range(cfg.degree[0], cfg.degree[1] + 1)]
+        first = 1 if _PRODUCT_MODES[cfg.mode][0] == "maxgcd" else 2
+        for cell in cells:
+            unit = dict(zip(("e1", "e2", "d"), cell), kind="product", xlo=first, xhi=0)
+            if _degree_caps(cfg, unit):
+                unit["xhi"] = _max_base(M, cell[0])
+            cost = (max(0, unit["xhi"] - first + 1)
+                    * max(0, _max_base(M, cell[1]) - first + 1))
+            if cell[0] == cell[1] and not survey:
+                cost //= 2
+            if cost or survey:
+                units.append(dict(unit, cost=cost))
     return units
 
 
@@ -1131,7 +1115,7 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     while heap and len(heap) < n_chunks:  # a plan with no units is one empty group
         head = heap[0][1]
         if head["xhi"] <= head["xlo"]:
-            break  # units without a base range (xlo == xhi == 0) do not split
+            break  # fcwild has no base range (xlo == xhi == 0); one base does not split
         mid = (head["xlo"] + head["xhi"]) // 2
         left = dict(head, xhi=mid, cost=head["cost"] // 2)
         right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
@@ -1261,7 +1245,6 @@ def run_chunked(
     exercise interruption); the merged record list after completion is
     independent of n_chunks, threads and interruptions in between.
     """
-    cfg.validate()
     digest = cfg.digest()
     state: Dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
@@ -1325,42 +1308,6 @@ def run_chunked(
         config=cfg,
         candidates=sum(len(v) for v in done.values()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Public search entry points
-
-
-def search_fermat_catalan(cfg: SearchConfig, threads: int = 1) -> List[Dict[str, Any]]:
-    """Exhaustive fermat-catalan search below 2**cfg.max_bits."""
-    if cfg.mode != "fermat-catalan":
-        raise ValueError("config mode must be fermat-catalan")
-    return run_chunked(cfg, n_chunks=max(1, threads), threads=threads).records
-
-
-def search_product_target(cfg: SearchConfig, threads: int = 1) -> List[Dict[str, Any]]:
-    """Search a product-target mode (gbtz/nonmaxgcd3/fp/maxgcd-spread1)."""
-    if cfg.mode not in _PRODUCT_MODES or cfg.mode == "survey":
-        raise ValueError(f"not a product-target mode: {cfg.mode}")
-    return run_chunked(cfg, n_chunks=max(1, threads), threads=threads).records
-
-
-def search_pillai_products(difference: int, cfg: Optional[SearchConfig] = None,
-                           **overrides: Any) -> List[Dict[str, Any]]:
-    """Pairs of bounded-spread products at the given difference."""
-    if cfg is None:
-        cfg = make_config("pillai", difference=difference, **overrides)
-    elif cfg.difference != difference:
-        raise ValueError("difference argument disagrees with config")
-    return run_chunked(cfg).records
-
-
-def survey_combinations(cfg: SearchConfig) -> Dict[Tuple[int, int, int], int]:
-    """Count non-maxgcd weight-admissible solutions per (n, m, d) cell."""
-    if cfg.mode != "survey":
-        raise ValueError("config mode must be survey")
-    res = run_chunked(cfg)
-    return {tuple(r["cell"]): r["count"] for r in res.records}
 
 
 # ---------------------------------------------------------------------------

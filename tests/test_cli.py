@@ -335,6 +335,13 @@ def test_config_file_values_are_checked(tmp_path, capsys):
         (["decompose", "5041", "--degree", "2"], {"max_spread": "x"}),
         (["decompose", "5041"], {"degree": [2]}),
         (["decompose", "5041"], {"degree": 3.5}),
+        # a bool or float in an integer field is refused, not coerced
+        (["search", "gbtz"], {"degree": [3.5, 5]}),
+        (["search", "gbtz"], {"max_bits": 20.0}),
+        (["search", "gbtz"], {"max_spread": 1.5}),
+        (["search", "pillai"], {"difference": True}),
+        (["search", "fc", "--max-bits", "12"], {"f_strict": 1}),
+        (["search", "fc", "--max-bits", "12"], {"coeffs": [1, 1, True]}),
     ):
         cfg.write_text(json.dumps(doc))
         assert cli.run(argv + ["--config", str(cfg)] + out) == EXIT_USAGE, argv

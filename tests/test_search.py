@@ -187,15 +187,22 @@ def _scalar_product_unit(cfg, unit, acc):
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
-    lo, hi = (2, search._max_base(M, n)) if survey else (unit["xlo"], unit["xhi"])
-    for bn, bm, P, Q in search._pairs(M, relation, n, m, lo, hi, ordered=survey):
+    for _, _, P, Q in search._pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
+                                    ordered=survey):
         for sign in search._signs(cfg):
             Z = P + Q if sign == "plus" else P - Q
-            if 1 <= Z <= M:
-                for d, cap in caps:
-                    wits = [w for w in decompose(Z, d, cap) if w.spread >= floor_s]
-                    search._emit_product(cfg, acc, sign=sign, n=bn, m=bm, P=P,
-                                         Q=Q, Z=Z, d=d, wits=wits)
+            if not 1 <= Z <= M:
+                continue
+            for d, cap in caps:
+                if not [w for w in decompose(Z, d, cap) if w.spread >= floor_s]:
+                    continue
+                if survey:
+                    sol = search._product_record(cfg, sign, P, Q, Z, d, (n, m))
+                    search._merge_into(acc, {"mode": "survey", "cell": cell,
+                                             "count": 1, "solutions": [sol]})
+                else:
+                    search._merge_into(
+                        acc, search._product_record(cfg, sign, P, Q, Z, d))
 
 
 @pytest.mark.parametrize("cells", [7, 1 << 14])
@@ -299,8 +306,7 @@ def test_make_config_defaults_and_validation():
             make_config("gbtz", **{name: None})
     for name in ("max_bits", "sign"):
         with pytest.raises(ValueError, match=name):
-            SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None})
-                         ).validate()
+            SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None}))
     assert make_config("gbtz", max_spread=None).max_spread is None
     # nonmaxgcd3 is the degree-3 mode; another degree range is refused
     assert make_config("nonmaxgcd3").degree == (3, 3)
@@ -351,6 +357,13 @@ def test_aliased_configs_share_a_digest_and_a_plan():
         assert search.plan_chunks(same, 4) == search.plan_chunks(cfg, 4)
     assert make_config("gbtz", max_bits=24).digest()[:12] == "34fe219e7e02"
     assert make_config("gbtz", degree=(2, 4)).degree == (3, 4)
+    # a config built directly folds the same aliases
+    assert SearchConfig(mode="gbtz", max_bits=24,
+                        degree=(1, 10)).digest()[:12] == "34fe219e7e02"
+    assert SearchConfig(mode="fp", max_bits=24,
+                        degree=(2, 21)).digest()[:12] == "7e71a20cc3c5"
+    with pytest.raises(ValueError, match="fp mode scans degrees 4 and up"):
+        SearchConfig(mode="fp", max_bits=24, degree=(2, 3))
     with pytest.raises(ValueError, match="gbtz mode scans degrees 3 and up"):
         make_config("gbtz", degree=(1, 2))
     with pytest.raises(ValueError, match="maxgcd-spread1 mode scans degrees 2 and up"):
@@ -639,23 +652,20 @@ def test_pillai_verify_and_api():
     cfg = make_config("pillai", difference=1, max_bits=10, f_bound="9/10")
     recs = _records(cfg)
     _assert_all_verify(recs, cfg)
-    sols = search.search_pillai_products(1, cfg)
-    assert [(s["x"], s["z"]) for s in sols] == [(8, 9)]
-    with pytest.raises(ValueError):
-        search.search_pillai_products(2, cfg)
+    assert [(s["x"], s["z"]) for s in recs] == [(8, 9)]
 
 
 def test_survey_small_grid():
     cfg = make_config("survey", max_bits=16, n_range=(3, 5), m_range=(3, 5),
                       degree=(2, 4))
-    counts = search.survey_combinations(cfg)
+    recs = _records(cfg)
+    counts = {tuple(r["cell"]): r["count"] for r in recs}
     assert len(counts) == 27  # every cell reported, zeros included
     assert {k: v for k, v in counts.items() if v} == {
         (3, 4, 3): 1, (4, 3, 3): 1, (5, 3, 3): 1,
     }
     # degree-2 cells are vacuous, matching-degree cells were fully checked
     assert all(v == 0 for (n, m, d), v in counts.items() if d == 2)
-    recs = _records(cfg)
     _assert_all_verify(recs, cfg)
 
 
@@ -743,6 +753,14 @@ def test_records_independent_of_chunking_and_threads():
     assert canon_json(_records(cfg, n_chunks=1)) == canon_json(
         _records(cfg, n_chunks=9)
     )
+
+    # survey cells split on their base ranges like every other product unit
+    cfg = make_config("survey", max_bits=18, n_range=(3, 5), m_range=(3, 5),
+                      degree=(3, 5))
+    assert any(u["xlo"] > 2 for g in search.plan_chunks(cfg, 64) for u in g)
+    baseline = canon_json(_records(cfg, n_chunks=1))
+    assert canon_json(_records(cfg, n_chunks=64)) == baseline
+    assert canon_json(_records(cfg, n_chunks=64, threads=2)) == baseline
 
 
 def test_checkpoint_interrupt_and_resume(tmp_path):
@@ -1048,14 +1066,3 @@ def test_verify_record_refuses_records_outside_the_scan():
     cell = {"mode": "survey", "cell": [5, 5, 5], "count": 0, "solutions": []}
     assert verify_record(cell, cfg) == ["cell outside the survey ranges"]
     assert verify_record(dict(cell, cell=[4, 3, 2]), cfg) == []
-
-
-def test_search_entry_points_guard_mode():
-    fc = make_config("fermat-catalan", max_bits=10)
-    with pytest.raises(ValueError):
-        search.search_product_target(fc)
-    gb = make_config("gbtz", max_bits=12)
-    with pytest.raises(ValueError):
-        search.search_fermat_catalan(gb)
-    with pytest.raises(ValueError):
-        search.survey_combinations(fc)
