@@ -9,23 +9,24 @@ Every mode but pillai asks one question: does P +/- Q, for perfect powers
 table of x**e per exponent, `_powers`; the modes differ only in the target
 they test P +/- Q against:
 
-* fermat-catalan: the target is a perfect power or 1.  Triples with a
-  literal 1 come from the wildcard units (fcone, fcwild); the others from
-  coprime pairs of powers of exponent >= 3.  A pair unit (e1 <= e2) is
-  scanned only if it can carry the two largest exponents of an admissible
-  assignment, i.e. some third exponent e3 <= e1 completes an admissible
-  weight (`_fc_pair_needed`); under the default strict bound 1 this drops
-  cube x cube, since 1/3 + 1/3 + 1/3 is not below 1.  The kept units reach
-  every triple that any pair of exponents >= 3 reaches.  That is
-  exhaustive while no admissible assignment has two squares (weight >=
-  1 + 1/max_exp); under a wider bound, a triple with only one term of
-  exponent >= 3 is not found.  With coefficients (1, 1, 1) and M <= 2**62
-  a pair unit first forms x**n +/- y**m in int64 numpy blocks of at most
-  2**14 cells and keeps the cells whose sum or difference is 1, in the
-  sorted power table or a square (`_maybe_usable`, a superset of the exact
-  test); only those are checked for coprimality and passed to the exact
-  `_fc_try_pair`.  Other coefficients and larger bounds run the scalar
-  `_pairs` loop.
+* fermat-catalan: the target is a perfect power or 1.  Triples with two
+  literal 1s come from the fcwild unit, those with one from the fcone unit
+  (x**e and 1) of an exponent e, the others from the pair unit (x**e1 and
+  y**e2, coprime) of two exponents e1 <= e2.  One rule, `_fc_pair_needed`,
+  plans every fcone and pair unit: a unit is scanned only if it can carry
+  the two lightest terms of an admissible assignment, the wildcard 1
+  weighing 0, i.e. some allowed third exponent e3 <= e1 completes an
+  admissible weight.  Under the default strict bound 1 this drops
+  cube x cube (1/3 + 1/3 + 1/3 is not below 1) and every unit with a
+  square, whose third term would be a square too (1/2 + 1/2 is not below
+  1).  The planned units reach every triple that `_fc_candidate` accepts,
+  under any bound.  With coefficients (1, 1, 1) and M <= 2**62 a pair
+  unit first forms x**n +/- y**m in int64 numpy blocks of at most 2**14
+  cells and keeps the cells whose sum or difference is 1, in the sorted
+  power table or a square (`_maybe_usable`, a superset of the exact test);
+  only those are checked for coprimality and passed to the exact
+  `_fc_try_pair`.  An fcone unit passes x**e +/- 1 through the same
+  prefilter.  Other coefficients and larger bounds run the scalar loops.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  The plan, the scan and
@@ -55,7 +56,8 @@ they test P +/- Q against:
 
 Each record is a pure function of its identity, built by one function per
 mode that the scan calls on every hit and `verify_record` on a stored
-record's identity, reporting each field that differs: `_fc_candidate` from
+record's identity, reporting each field that differs; each returns None
+where the search writes no record: `_fc_candidate` from
 the values, `_product_record` from (sign, p, q, z, d) and `_pillai_record`
 from the two witnesses.  Chunking partitions the (exponent pair, base
 sub-range) space and pillai's range of Z: every unit but fcwild carries a
@@ -431,16 +433,15 @@ def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
 
 def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
            ordered: bool = False,
-           keep: Optional[Keep] = None) -> Iterator[Tuple[int, int, int, int]]:
-    """Yield (n, m, P, Q) for the power pairs P = x**n, Q = y**m <= M.
+           keep: Optional[Keep] = None) -> Iterator[Tuple[int, int]]:
+    """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M.
 
     relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
     divides the other) run x over [lo, hi] and y from 2; "maxgcd" runs y
     over [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the
     pairs whose smaller power divides the larger.  Each pair comes once with
-    P >= Q, exponents swapped along with the powers, unless `ordered`: then
-    every (x**n, y**m) comes as it is.  Both bounds must lie in the base
-    range of the table they index.
+    P >= Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
+    bounds must lie in the base range of the table they index.
 
     With a vector predicate `keep` and M <= `_PREFILTER_MAX`, the coprime
     and nonmaxgcd relations visit only the cells of `_prefiltered_cells`;
@@ -452,10 +453,7 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
             Q = pm[y]
             for x in range(y, len(pn), y):
                 P = pn[x]
-                if ordered or P >= Q:
-                    yield n, m, P, Q
-                else:
-                    yield m, n, Q, P
+                yield (P, Q) if ordered or P >= Q else (Q, P)
         return
     coprime = relation == "coprime"
     # With one exponent and no order, (x, y) and (y, x) give the same pair.
@@ -474,10 +472,7 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
                     continue
             elif (P % Q if P > Q else Q % P) == 0:
                 continue
-            if ordered or P > Q:
-                yield n, m, P, Q
-            else:
-                yield m, n, Q, P
+            yield (P, Q) if ordered or P > Q else (Q, P)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +583,14 @@ def _record_key(rec: Dict[str, Any]) -> Tuple:
     return (rec["mode"], rec["sign"], rec["p"], rec["q"], rec["z"], rec["d"])
 
 
-def _merge_into(acc: Dict[Tuple, Dict[str, Any]], rec: Dict[str, Any]) -> None:
-    """Add a record to `acc`; a survey cell collects the solutions of its copies."""
+def _merge_into(acc: Dict[Tuple, Dict[str, Any]],
+                rec: Optional[Dict[str, Any]]) -> None:
+    """Add a record to `acc`; a survey cell collects the solutions of its copies.
+
+    None, a builder's 'no record', adds nothing.
+    """
+    if rec is None:
+        return
     cur = acc.setdefault(_record_key(rec), rec)
     if cur is not rec and rec["mode"] == "survey":
         sols = {_solution_sort_key(s): s for s in cur["solutions"] + rec["solutions"]}
@@ -601,46 +602,29 @@ def _merge_into(acc: Dict[Tuple, Dict[str, Any]], rec: Dict[str, Any]) -> None:
 # fermat-catalan mode
 
 
-def _fc_exp_range(cfg: SearchConfig) -> Tuple[int, int]:
-    return max(3, cfg.min_exp), min(cfg.max_exp, cfg.max_bits)
-
-
 def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
-    """Whether the pair unit (e1 <= e2) can find a record no other unit finds.
+    """Whether the plan keeps the pair unit (e1 <= e2), or fcone e1 if e2 == 0.
 
-    A triple with a term 1 comes from the fcone or fcwild units.  Any other
-    triple a pair unit reaches has two terms u, v with representations of exponents
-    p, q >= 3 in range.  Take an admissible assignment A and raise the
-    exponents of u and v to p and q where those are larger: the weight can
-    only fall.  If the smallest exponent now exceeds min_exp_cap, A's
-    smallest sat on u (say) and w's exponent is above the cap, so put u's
-    back.  Either way an admissible assignment has its two largest
-    exponents e_a >= e_b >= 3, and its third e_c <= e_b completes the
-    weight.  The unit (e_b, e_a) reaches the triple through the terms that
-    carry them, and records depend only on the values, so it suffices; it
-    passes this test because e3 = min(e1, max_exp, min_exp_cap) is the
-    largest allowed third exponent and weighs least.
+    The rule keeps a unit for every triple `_fc_candidate` accepts.  Take
+    such a triple and an admissible assignment A of it; the wildcard 1
+    weighs 0.  Raise each power term's exponent to its largest
+    representation in range: the weight can only fall.  If the smallest
+    exponent now exceeds min_exp_cap, the term that held A's smallest (at
+    most the cap) was raised, so put that one back; the weight is still at
+    most A's, so the assignment is admissible.  Two 1s go to fcwild.
+    Otherwise let the two lightest terms carry e_a and e_b, with e_a >= e_b
+    or e_b = 0 for a 1, and the heaviest the smallest exponent e_c.  The
+    unit (e_b, e_a), or fcone e_a when e_b = 0, visits the triple through
+    those two terms, which are coprime, and `_fc_try_pair` solves for the
+    third; records depend only on the values.  It passes this test: its e1
+    is e_b, or e_a when e_b = 0, so min_exp <= e_c <= e3 = min(e1, max_exp,
+    min_exp_cap), the lightest allowed third exponent, and 1/e1 + 1/e2 +
+    1/e3 (0 for e2 = 0) is at most the weight of the assignment.
     """
     e3 = min(e1, cfg.max_exp, cfg.min_exp_cap)
-    # 1/e1 + 1/e2 + 1/e3 as one Fraction: the plan asks this for every pair
-    return e3 >= max(2, cfg.min_exp) and _weight_ok(
-        cfg, Fraction(e2 * e3 + e1 * e3 + e1 * e2, e1 * e2 * e3))
-
-
-def _fc_reached(cfg: SearchConfig, reps: List[List[List[int]]]) -> bool:
-    """Whether a planned unit visits two terms of a triple with these reps.
-
-    fcwild visits two 1s, fcone a 1 and a power of exponent in
-    `_fc_exp_range`, a kept pair unit two such powers.  Under a bound above
-    1 a triple can pass `_fc_candidate` and be visited by none.
-    """
-    lo, hi = _fc_exp_range(cfg)
-    wild = sum(not r for r in reps)
-    exps = [[e for _, e in r if lo <= e <= hi] for r in reps if r]
-    if wild:
-        return wild >= 2 or any(exps)
-    return any(_fc_pair_needed(cfg, min(a, b), max(a, b))
-               for i, j in ((0, 1), (0, 2), (1, 2)) for a in exps[i] for b in exps[j])
+    # the weight as one Fraction: the plan asks this for every unit
+    num, den = (e2 * (e1 + e3) + e1 * e3, e1 * e2 * e3) if e2 else (e1 + e3, e1 * e3)
+    return e3 >= cfg.min_exp and _weight_ok(cfg, Fraction(num, den))
 
 
 def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
@@ -658,24 +642,24 @@ def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
     return reps or None
 
 
-def _fc_candidate(cfg: SearchConfig, vx: int, vy: int, vz: int,
-                  acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Validate a filled slot triple A vx + B vy = C vz and record it."""
+def _fc_candidate(cfg: SearchConfig, vx: int, vy: int,
+                  vz: int) -> Optional[Dict[str, Any]]:
+    """The record of the slot triple A vx + B vy = C vz; None if it is none."""
     A, B, C = cfg.coeffs
     M = cfg.max_value
     if not (1 <= vx <= M and 1 <= vy <= M and 1 <= vz <= M):
-        return
+        return None
     if A * vx + B * vy != C * vz:
-        return
+        return None
     if vx == 1 and vy == 1 and vz == 1:
-        return  # all-wildcard triples carry no exponent content
+        return None  # all-wildcard triples carry no exponent content
     if math.gcd(vx, vy) != 1 or math.gcd(vx, vz) != 1 or math.gcd(vy, vz) != 1:
-        return
+        return None
     slot_reps = []
     for v in (vx, vy, vz):
         reps = _fc_reps(cfg, v)
         if reps is None:
-            return
+            return None
         slot_reps.append(reps)
     best: Optional[Tuple[Fraction, Tuple[int, ...]]] = None
     for combo in iterproduct(*[[e for _, e in reps] or [0] for reps in slot_reps]):
@@ -688,13 +672,13 @@ def _fc_candidate(cfg: SearchConfig, vx: int, vy: int, vz: int,
         if best is None or (w, combo) < best:
             best = (w, combo)
     if best is None:
-        return
+        return None
     weight, assignment = best
     if A == B and vx > vy:
         vx, vy = vy, vx
         slot_reps[0], slot_reps[1] = slot_reps[1], slot_reps[0]
         assignment = (assignment[1], assignment[0], assignment[2])
-    rec = {
+    return {
         "mode": cfg.mode,
         "sign": "plus",
         "values": [vx, vy, vz],
@@ -703,7 +687,6 @@ def _fc_candidate(cfg: SearchConfig, vx: int, vy: int, vz: int,
         "assignment": list(assignment),
         "weight": str(weight),
     }
-    _merge_into(acc, rec)
 
 
 def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
@@ -713,23 +696,23 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
     if cfg.coeffs == (1, 1, 1):
         t = P + Q
         if t <= M and _usable_power(t, M, power_set):
-            _fc_candidate(cfg, Q, P, t, acc)
+            _merge_into(acc, _fc_candidate(cfg, Q, P, t))
         t = P - Q
         if t >= 1 and _usable_power(t, M, power_set):
-            _fc_candidate(cfg, t, Q, P, acc)
+            _merge_into(acc, _fc_candidate(cfg, t, Q, P))
         return
     # General coefficients: try every slot layout for the known pair.
     A, B, C = cfg.coeffs
     for va, vb in ((P, Q), (Q, P)):
         num = A * va + B * vb
         if num % C == 0 and _usable_power(num // C, M, power_set):
-            _fc_candidate(cfg, va, vb, num // C, acc)
+            _merge_into(acc, _fc_candidate(cfg, va, vb, num // C))
         num = C * va - A * vb
         if num > 0 and num % B == 0 and _usable_power(num // B, M, power_set):
-            _fc_candidate(cfg, vb, num // B, va, acc)
+            _merge_into(acc, _fc_candidate(cfg, vb, num // B, va))
         num = C * va - B * vb
         if num > 0 and num % A == 0 and _usable_power(num // A, M, power_set):
-            _fc_candidate(cfg, num // A, vb, va, acc)
+            _merge_into(acc, _fc_candidate(cfg, num // A, vb, va))
 
 
 def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
@@ -739,18 +722,30 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
     keep = None
     if cfg.coeffs == (1, 1, 1):  # other coefficients solve for other slots
         keep = lambda t: _maybe_usable(t, M, _usable_table_i64(M))  # noqa: E731
-    for _, _, P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
-                             unit["xhi"], keep=keep):
+    for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
+                       unit["xhi"], keep=keep):
         _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
 def _run_fc_one_unit(cfg: SearchConfig, unit: Dict[str, Any],
                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
+    """x**e and 1 for the bases x of the unit, in blocks of `_PREFILTER_CELLS`.
+
+    With coefficients (1, 1, 1) and M <= 2**62 only the x whose x**e + 1 or
+    x**e - 1 passes `_maybe_usable` go on to `_fc_try_pair`.
+    """
     M = cfg.max_value
     power_set = _power_value_set(M)
-    e = unit["e1"]
-    for x in range(unit["xlo"], unit["xhi"] + 1):
-        _fc_try_pair(cfg, x**e, 1, power_set, acc)
+    e, lo, hi = unit["e1"], unit["xlo"], unit["xhi"]
+    prefilter = cfg.coeffs == (1, 1, 1) and M <= _PREFILTER_MAX
+    for x0 in range(lo, hi + 1, _PREFILTER_CELLS):
+        xs: Iterable[int] = range(x0, min(x0 + _PREFILTER_CELLS, hi + 1))
+        if prefilter:
+            P, table = _powers_i64(M, e)[x0:x0 + len(xs)], _usable_table_i64(M)
+            hit = _maybe_usable(P + 1, M, table) | _maybe_usable(P - 1, M, table)
+            xs = (np.flatnonzero(hit) + x0).tolist()
+        for x in xs:
+            _fc_try_pair(cfg, x**e, 1, power_set, acc)
 
 
 def _run_fc_wild_unit(cfg: SearchConfig, unit: Dict[str, Any],
@@ -758,11 +753,11 @@ def _run_fc_wild_unit(cfg: SearchConfig, unit: Dict[str, Any],
     """Triples with two literal-1 terms (possible under general coefficients)."""
     A, B, C = cfg.coeffs
     if (A + B) % C == 0:
-        _fc_candidate(cfg, 1, 1, (A + B) // C, acc)
+        _merge_into(acc, _fc_candidate(cfg, 1, 1, (A + B) // C))
     if C - A > 0 and (C - A) % B == 0:
-        _fc_candidate(cfg, 1, (C - A) // B, 1, acc)
+        _merge_into(acc, _fc_candidate(cfg, 1, (C - A) // B, 1))
     if C - B > 0 and (C - B) % A == 0:
-        _fc_candidate(cfg, (C - B) // A, 1, 1, acc)
+        _merge_into(acc, _fc_candidate(cfg, (C - B) // A, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +872,8 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     keep = None
     if relation != "maxgcd":
         keep = lambda t: _maybe_product(t, M, caps)  # noqa: E731
-    for _, _, P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
-                             ordered=survey, keep=keep):
+    for P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
+                       ordered=survey, keep=keep):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -944,9 +939,7 @@ def _run_pillai_unit(cfg: SearchConfig, unit: Dict[str, Any],
         if Z < zlo or Z - B not in index:
             continue
         for xf, zf in iterproduct(index[Z - B], zfs):
-            rec = _pillai_record(cfg, analyze(xf), analyze(zf))
-            if rec is not None:
-                _merge_into(acc, rec)
+            _merge_into(acc, _pillai_record(cfg, analyze(xf), analyze(zf)))
 
 
 # Bytes per pillai index entry, over-estimated (208-271 measured at degrees
@@ -1042,24 +1035,17 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
     M = cfg.max_value
     units: List[Dict[str, Any]] = []
     if cfg.mode == "fermat-catalan":
-        lo, hi = _fc_exp_range(cfg)
-        exps = [e for e in range(lo, hi + 1) if _max_base(M, e) >= 2]
         units.append({"kind": "fcwild", "e1": 0, "e2": 0, "xlo": 0, "xhi": 0,
                       "cost": 1})
-        for i, e1 in enumerate(exps):
-            n1 = _max_base(M, e1) - 1
-            units.append(
-                {"kind": "fcone", "e1": e1, "e2": 0, "xlo": 2,
-                 "xhi": _max_base(M, e1), "cost": n1}
-            )
-            for e2 in exps[i:]:
-                if not _fc_pair_needed(cfg, e1, e2):
-                    continue
-                n2 = _max_base(M, e2) - 1
-                units.append(
-                    {"kind": "fcpair", "e1": e1, "e2": e2, "xlo": 2,
-                     "xhi": _max_base(M, e1), "cost": n1 * n2}
-                )
+        top = min(cfg.max_exp, cfg.max_bits)  # 2**e <= M for every e <= max_bits
+        for e1 in range(cfg.min_exp, top + 1):
+            xhi = _max_base(M, e1)
+            for e2 in chain((0,), range(e1, top + 1)):  # e2 = 0: fcone
+                if _fc_pair_needed(cfg, e1, e2):
+                    n2 = _max_base(M, e2) - 1 if e2 else 1
+                    units.append({"kind": "fcpair" if e2 else "fcone",
+                                  "e1": e1, "e2": e2, "xlo": 2, "xhi": xhi,
+                                  "cost": (xhi - 1) * n2})
     elif cfg.mode == "pillai":
         # one value range of Z; plan_chunks splits it like a base range
         units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,
@@ -1100,8 +1086,9 @@ def _unit_order_key(u: Dict[str, Any]) -> Tuple:
 def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     """Deterministic chunk plan: a list of unit lists covering the search.
 
-    Heavy units are split on their base sub-range until at least n_chunks
-    pieces exist, then pieces are packed into n_chunks balanced groups.
+    The costliest piece is split on its base sub-range, or set aside if it
+    does not split, until n_chunks pieces exist or none splits; then the
+    pieces are packed into n_chunks balanced groups.
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
@@ -1112,16 +1099,20 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
 
     heap = [entry(u) for u in _mode_units(cfg)]
     heapq.heapify(heap)
-    while heap and len(heap) < n_chunks:  # a plan with no units is one empty group
+    whole: List[Dict[str, Any]] = []  # pieces that do not split
+    # a plan with no units is one empty group
+    while heap and len(heap) + len(whole) < n_chunks:
         head = heap[0][1]
         if head["xhi"] <= head["xlo"]:
-            break  # fcwild has no base range (xlo == xhi == 0); one base does not split
+            # fcwild has no base range (xlo == xhi == 0); one base does not split
+            whole.append(heapq.heappop(heap)[1])
+            continue
         mid = (head["xlo"] + head["xhi"]) // 2
         left = dict(head, xhi=mid, cost=head["cost"] // 2)
         right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
         heapq.heapreplace(heap, entry(left))
         heapq.heappush(heap, entry(right))
-    pieces = sorted((u for _, u in heap), key=_unit_order_key)
+    pieces = sorted(whole + [u for _, u in heap], key=_unit_order_key)
     groups: List[List[Dict[str, Any]]] = [
         [] for _ in range(min(n_chunks, max(len(pieces), 1)))
     ]
@@ -1341,12 +1332,7 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
                             for p in _verify_product(sol, cfg, d, (n, m)))
         return problems
     if mode == "fermat-catalan":
-        acc: Dict[Tuple, Dict[str, Any]] = {}
-        _fc_candidate(cfg, *(int(v) for v in rec["values"]), acc)
-        built = next(iter(acc.values()), None)
-        if built is not None and not _fc_reached(cfg, built["reps"]):
-            return ["no planned unit reaches these values"]
-        return _compare(rec, built)
+        return _compare(rec, _fc_candidate(cfg, *(int(v) for v in rec["values"])))
     if mode == "pillai":
         xdec, zdec = (analyze([int(f) for f in rec[k]])
                       for k in ("x_witness", "z_witness"))
@@ -1393,9 +1379,7 @@ def expected_fc_triples(cfg: SearchConfig) -> List[Tuple[int, int, int]]:
     out = []
     for sol in families.fermat_catalan_catalog():
         vals = [v for v, _ in sol.terms]
-        acc: Dict[Tuple, Dict[str, Any]] = {}
-        _fc_candidate(cfg, vals[0], vals[1], vals[2], acc)
-        if acc:
+        if _fc_candidate(cfg, *vals):
             a, b = sorted(vals[:2])
             out.append((a, b, vals[2]))
     return sorted(out)

@@ -469,31 +469,16 @@ def test_07b_fc_pair_plan_matches_brute_force(name):
                              **_FC_PLAN_CONFIGS[name])
     brute = _brute_fc(2**bits, cfg.f_bound, cfg.f_strict, cfg.min_exp,
                       cfg.max_exp, cfg.min_exp_cap)
-    # The pair scan reaches a triple through a term 1 or through two terms
-    # with representations of exponent >= 3.  Every admissible triple is
-    # reachable unless an assignment with two squares can be admissible.
-    high = _power_exps(2**bits, max(3, cfg.min_exp))
-    reach = {
-        t for t in brute
-        if 1 in t
-        or sum(any(e <= cfg.max_exp for e in high.get(v, [])) for v in t) >= 2
-    }
-    two_squares = cfg.min_exp <= 2 <= cfg.min_exp_cap and any(
-        (w < cfg.f_bound if cfg.f_strict else w <= cfg.f_bound)
-        for w in (1 + Fraction(1, e) for e in range(2, cfg.max_exp + 1))
-    )
     res = search.run_chunked(cfg, n_chunks=4)
     _verify_all(res.records, cfg)
     engine = {tuple(r["values"]) for r in res.records}
     # With min_exp >= 3 the range holds no triple (a coprime a + b = c with
     # every term a power of exponent >= 3 would be a Beal counterexample).
-    nonempty = bool(reach) or cfg.min_exp > 2
-    ok = engine == reach and nonempty and (two_squares or reach == brute)
-    msg = _line("7b", ok, f"{name}: engine {len(engine)}, reachable "
-                f"{len(reach)} of {len(brute)} brute-force triples")
-    if not two_squares:
-        assert reach == brute, msg
-    assert engine == reach, msg
+    nonempty = bool(brute) or cfg.min_exp > 2
+    ok = engine == brute and nonempty
+    msg = _line("7b", ok, f"{name}: engine {len(engine)} of {len(brute)} "
+                "brute-force triples")
+    assert engine == brute, msg
     assert nonempty, msg
 
 

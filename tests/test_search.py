@@ -74,7 +74,7 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
         for y in range(1, top[m] + 1):
             if related(x, y):
                 P, Q = x**n, y**m
-                want.add((n, m, P, Q) if ordered or P >= Q else (m, n, Q, P))
+                want.add((P, Q) if ordered or P >= Q else (Q, P))
     # the scanned base range split in two, as plan_chunks splits a unit
     lo, hi = (1, top[m]) if relation == "maxgcd" else (2, top[n])
     mid = (lo + hi) // 2
@@ -131,19 +131,25 @@ def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
 @pytest.mark.parametrize("cells", [7, 1 << 14])
 def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
     monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
-    # f_bound 3/2 keeps every exponent pair, (3, 3) included
+    # f_bound 3/2 keeps every exponent pair, (3, 3) included, and fcone 2
     cfg = make_config("fermat-catalan", max_bits=20, f_bound=Fraction(3, 2))
     M = cfg.max_value
-    units = [u for u in search._mode_units(cfg) if u["kind"] == "fcpair"]
-    assert {(u["e1"], u["e2"]) for u in units} >= {(3, 3), (3, 4), (4, 4)}
-    fast, slow = {}, {}
-    for u in units:
-        search._run_fc_pair_unit(cfg, u, fast)
-        for _, _, P, Q in search._pairs(M, "coprime", u["e1"], u["e2"],
-                                        u["xlo"], u["xhi"]):
-            search._fc_try_pair(cfg, P, Q, search._power_value_set(M), slow)
-    assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
-    assert len(fast) > 5
+    power_set = search._power_value_set(M)
+    units = search._mode_units(cfg)
+    assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "fcpair"} >= {
+        (3, 3), (3, 4), (4, 4)}
+    assert {u["e1"] for u in units if u["kind"] == "fcone"} >= {2, 3, 4}
+    for kind in ("fcpair", "fcone"):
+        fast, slow = {}, {}
+        for u in (u for u in units if u["kind"] == kind):
+            search._UNIT_RUNNERS[kind](cfg, u, fast)
+            e1, e2, xlo, xhi = u["e1"], u["e2"], u["xlo"], u["xhi"]
+            pairs = (search._pairs(M, "coprime", e1, e2, xlo, xhi) if e2
+                     else ((x**e1, 1) for x in range(xlo, xhi + 1)))
+            for P, Q in pairs:
+                search._fc_try_pair(cfg, P, Q, power_set, slow)
+        assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
+        assert len(fast) > (5 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
 
 
 def test_product_prefilter_keeps_every_decomposable_value():
@@ -187,8 +193,8 @@ def _scalar_product_unit(cfg, unit, acc):
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
-    for _, _, P, Q in search._pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
-                                    ordered=survey):
+    for P, Q in search._pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
+                              ordered=survey):
         for sign in search._signs(cfg):
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -247,7 +253,7 @@ def test_fc_pair_needed_enumerates_third_exponents():
         return w < cfg.f_bound if cfg.f_strict else w <= cfg.f_bound
 
     for f_bound in (Fraction(9, 10), Fraction(1), Fraction(21, 20),
-                    Fraction(13, 12), Fraction(5, 4)):
+                    Fraction(13, 12), Fraction(5, 4), Fraction(3, 2)):
         for strict in (True, False):
             for min_exp, max_exp, cap in ((2, 113, 113), (3, 113, 113),
                                           (4, 113, 113), (2, 5, 113),
@@ -256,12 +262,12 @@ def test_fc_pair_needed_enumerates_third_exponents():
                 cfg = make_config("fermat-catalan", max_bits=30, f_bound=f_bound,
                                   f_strict=strict, min_exp=min_exp,
                                   max_exp=max_exp, min_exp_cap=cap)
-                for e1 in range(3, min(max_exp, 12) + 1):
-                    for e2 in range(e1, min(max_exp, 12) + 1):
+                for e1 in range(min_exp, min(max_exp, 12) + 1):
+                    # e2 = 0: fcone e1, whose wildcard term weighs 0
+                    for e2 in (0, *range(e1, min(max_exp, 12) + 1)):
+                        pair = Fraction(1, e1) + (Fraction(1, e2) if e2 else 0)
                         third = any(
-                            e3 <= cap and weight_ok(cfg, Fraction(1, e1)
-                                                    + Fraction(1, e2)
-                                                    + Fraction(1, e3))
+                            e3 <= cap and weight_ok(cfg, pair + Fraction(1, e3))
                             for e3 in range(max(2, min_exp), e1 + 1)
                         )
                         assert search._fc_pair_needed(cfg, e1, e2) == third, (
@@ -269,6 +275,9 @@ def test_fc_pair_needed_enumerates_third_exponents():
     default = make_config("fermat-catalan")
     assert not search._fc_pair_needed(default, 3, 3)
     assert search._fc_pair_needed(default, 3, 4)
+    # no square: fcone 2 and every (2, e2) would need a square third term
+    assert not any(search._fc_pair_needed(default, 2, e2) for e2 in (0, *range(2, 35)))
+    assert search._fc_pair_needed(default, 3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +701,32 @@ def test_chunk_plan_covers_and_balances():
         assert all(plan)
     with pytest.raises(ValueError):
         search.plan_chunks(cfg, 0)
+    # Splitting goes on past one-base pieces until n_chunks pieces exist or
+    # none splits: cells with a large n have one base, others many.
+    cfg = make_config("survey", max_bits=26, n_range=(3, 26), m_range=(3, 3),
+                      degree=(3, 3))
+    for n_chunks in (16, 64, 256):
+        pieces = [u for g in search.plan_chunks(cfg, n_chunks) for u in g]
+        assert len(pieces) >= n_chunks or all(u["xhi"] <= u["xlo"] for u in pieces)
+        assert search.plan_chunks(cfg, n_chunks) == _plan_chunks_resorting(
+            cfg, n_chunks)
+    assert len(pieces) == 201
 
 
 def _plan_chunks_resorting(cfg, n_chunks):
     """plan_chunks as a plain loop that re-sorts every piece on each split."""
-    pieces = search._mode_units(cfg)
-    while len(pieces) < n_chunks:
+    pieces, whole = search._mode_units(cfg), []
+    while pieces and len(pieces) + len(whole) < n_chunks:
         pieces.sort(key=lambda u: (-u["cost"],) + search._unit_order_key(u))
-        head = pieces[0]
+        head = pieces.pop(0)
         if head["xhi"] <= head["xlo"]:
-            break
+            whole.append(head)
+            continue
         mid = (head["xlo"] + head["xhi"]) // 2
         left = dict(head, xhi=mid, cost=head["cost"] // 2)
         right = dict(head, xlo=mid + 1, cost=head["cost"] - head["cost"] // 2)
-        pieces = [left, right] + pieces[1:]
-    pieces.sort(key=search._unit_order_key)
+        pieces += [left, right]
+    pieces = sorted(pieces + whole, key=search._unit_order_key)
     groups = [[] for _ in range(min(n_chunks, max(len(pieces), 1)))]
     loads = [0] * len(groups)
     for i in sorted(range(len(pieces)), key=lambda i: (-pieces[i]["cost"], i)):
@@ -904,8 +924,8 @@ def test_checkpoint_binds_the_records_of_each_done_chunk(tmp_path):
      "a524533b041c4e04c8ce01818b1b3918149921713fd54590ff73c094c9e6744e"),
     ("fermat-catalan", {"max_bits": 16, "coeffs": (1, 2, 3)}, 4,
      "e73809f3e006bb2608b66459ec173762ca0070ac9f92fef8d6efccf7f30eb21b"),
-    ("fermat-catalan", {"max_bits": 13, "f_bound": Fraction(5, 4)}, 8,
-     "96f246e0bdb41675dce8cc7c89cf1fd6395f3e8fc96708b110ecadb2fbf68a06"),
+    ("fermat-catalan", {"max_bits": 13, "f_bound": Fraction(5, 4)}, 12,
+     "a387d8c71dac775d4213d48f4b3070e052d671c94c26ee0877c50046e299f2ec"),
     ("pillai", {"max_bits": 16, "difference": 1, "max_spread": 2}, 789,
      "7bacb6500f75df1b890cbcc6d118d88b59149fa7e76fecfc196939a7f5490306"),
 ])
@@ -988,8 +1008,8 @@ def test_verify_record_flags_tampering():
 
 
 def test_fc_verify_accepts_exactly_the_reached_triples():
-    # Under a bound above 1, some triples that pass `_fc_candidate` have a
-    # single term of exponent >= 3, so no unit of the plan visits them.
+    # Under a bound above 1 an admissible triple can have a single term of
+    # exponent >= 3; the plan reaches it through a square.
     for extra in ({"max_bits": 13, "f_bound": Fraction(5, 4)},
                   {"max_bits": 13, "f_bound": Fraction(3, 2), "f_strict": False},
                   {"max_bits": 13, "f_bound": Fraction(3, 2), "coeffs": (3, 1, 1)}):
@@ -998,16 +1018,13 @@ def test_fc_verify_accepts_exactly_the_reached_triples():
         terms = sorted({1} | {x**e for e in range(2, 14) for x in range(2, 91)
                               if x**e <= cfg.max_value})
         A, B, C = cfg.coeffs
-        built = {}
-        for a in terms:
-            for b in terms:
-                if (A * a + B * b) % C == 0:
-                    search._fc_candidate(cfg, a, b, (A * a + B * b) // C, built)
-        accepted = {tuple(r["values"]) for r in built.values()
-                    if verify_record(r, cfg) == []}
-        assert accepted == found and len(built) > len(found), extra
-    rec = next(r for r in built.values() if tuple(r["values"]) not in found)
-    assert verify_record(rec, cfg) == ["no planned unit reaches these values"]
+        built = [search._fc_candidate(cfg, a, b, (A * a + B * b) // C)
+                 for a in terms for b in terms if (A * a + B * b) % C == 0]
+        built = {tuple(r["values"]): r for r in built if r is not None}
+        accepted = {v for v, r in built.items() if verify_record(r, cfg) == []}
+        assert found == accepted == set(built), extra
+        assert any(sum(e >= 3 for e in r["assignment"]) == 1
+                   for r in built.values()), extra
 
 
 def test_verify_record_refuses_records_outside_the_scan():
