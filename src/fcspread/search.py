@@ -11,22 +11,26 @@ they test P +/- Q against:
 
 * fermat-catalan: the target is a perfect power or 1.  Triples with two
   literal 1s come from the fcwild unit, those with one from the fcone unit
-  (x**e and 1) of an exponent e, the others from the pair unit (x**e1 and
-  y**e2, coprime) of two exponents e1 <= e2.  One rule, `_fc_pair_needed`,
-  plans every fcone and pair unit: a unit is scanned only if it can carry
-  the two lightest terms of an admissible assignment, the wildcard 1
-  weighing 0, i.e. some allowed third exponent e3 <= e1 completes an
-  admissible weight.  Under the default strict bound 1 this drops
-  cube x cube (1/3 + 1/3 + 1/3 is not below 1) and every unit with a
-  square, whose third term would be a square too (1/2 + 1/2 is not below
-  1).  The planned units reach every triple that `_fc_candidate` accepts,
-  under any bound.  With coefficients (1, 1, 1) and M <= 2**62 a pair
-  unit first forms x**n +/- y**m in int64 numpy blocks of at most 2**14
-  cells and keeps the cells whose sum or difference is 1, in the sorted
-  power table or a square (`_maybe_usable`, a superset of the exact test);
-  only those are checked for coprimality and passed to the exact
-  `_fc_try_pair`.  An fcone unit passes x**e +/- 1 through the same
-  prefilter.  Other coefficients and larger bounds run the scalar loops.
+  of an exponent e, the others from the pair unit (x**e1 and y**e2) of two
+  exponents e1 <= e2.  The literal 1 is the power table of exponent 0,
+  whose one base is 1, so an fcone unit is the pair unit (e, 0), walked by
+  the same coprime `_pairs` scan, and fcwild is the single pair (1, 1).
+  Every pair goes to one solver, `_fc_try_pair`, which tries each slot
+  layout of the two known terms.  One rule, `_fc_pair_needed`, plans every
+  fcone and pair unit: a unit is scanned only if it can carry the two
+  lightest terms of an admissible assignment, the wildcard 1 weighing 0,
+  i.e. some allowed third exponent e3 <= e1 completes an admissible
+  weight.  Under the default strict bound 1 this drops cube x cube
+  (1/3 + 1/3 + 1/3 is not below 1) and every unit with a square, whose
+  third term would be a square too (1/2 + 1/2 is not below 1).  The
+  planned units reach every triple that `_fc_candidate` accepts, under any
+  bound.  With coefficients (1, 1, 1) and M <= 2**62 a pair or fcone unit
+  first forms x**n +/- y**m in int64 numpy blocks of at most 2**14 cells
+  and keeps the cells whose sum or difference is 1, in the sorted power
+  table or a square (`_maybe_usable`, a superset of the exact test); only
+  those are checked for coprimality and passed to the exact
+  `_fc_try_pair`.  Other coefficients and larger bounds run the scalar
+  `_pairs` loop.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  The plan, the scan and
@@ -46,8 +50,9 @@ they test P +/- Q against:
   relation test and `decompose` see only those survivors.  The maxgcd
   relation and larger bounds run the scalar `_pairs` loop.  Power bases
   start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
-  except in the maxgcd relation where x = w*y, y >= 1 parametrizes exactly
-  the maxgcd pairs.
+  except in the maxgcd relation, whose rows are the multiples x = w*y of
+  each y >= 1: they parametrize exactly the maxgcd pairs, so `_pairs`
+  tests no relation on them.
 * pillai joins the bounded-spread products with themselves: a unit is a
   value range of Z, and `_run_pillai_unit` indexes once every product
   with value in [Z range low - B, Z range high] and pairs each Z with the
@@ -307,13 +312,16 @@ def _sha256(obj: Any) -> str:
 
 @lru_cache(maxsize=128)
 def _powers(M: int, e: int) -> Tuple[int, ...]:
-    """x**e for every base x >= 0 with x**e <= M, indexed by the base."""
-    return tuple(x**e for x in range(arith.iroot(M, e)[0] + 1))
+    """x**e for every base x >= 0 with x**e <= M, indexed by the base.
+
+    e == 0 gives (1, 1), the table of the literal 1, whose one base is 1.
+    """
+    return tuple(x**e for x in range((arith.iroot(M, e)[0] if e else 1) + 1))
 
 
 @lru_cache(maxsize=8)
 def _power_value_set(bound: int) -> frozenset:
-    """Values x**e <= bound with x >= 2, e >= 3; membership prefilter in workers.
+    """Values x**e <= bound with x >= 2, e >= 3: the powers `_usable_power` looks up.
 
     Deliberately wider than any configured exponent window: candidates that
     pass are re-derived exactly (and range-filtered) before recording.
@@ -407,8 +415,8 @@ def _maybe_product(t: np.ndarray, M: int,
 
 
 def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
-                       same: bool) -> Iterator[Tuple[int, int]]:
-    """Bases x in [lo, hi], y >= 2 where x**n + y**m or |x**n - y**m| passes `keep`.
+                       same: bool, first: int) -> Iterator[Tuple[int, int]]:
+    """Bases x in [lo, hi], y >= first where x**n + y**m or |x**n - y**m| passes `keep`.
 
     The cells come in blocks of at most `_PREFILTER_CELLS`, row by row; with
     `same` the scan is the triangle y < x.  `keep` maps an int64 array to a
@@ -416,13 +424,13 @@ def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
     Needs M <= `_PREFILTER_MAX`.
     """
     pn, pm = _powers_i64(M, n), _powers_i64(M, m)
-    cols = max(1, min(len(pm) - 2, _PREFILTER_CELLS))
+    cols = max(1, min(len(pm) - first, _PREFILTER_CELLS))
     rows = max(1, _PREFILTER_CELLS // cols)
     for x0 in range(lo, hi + 1, rows):
         x1 = min(x0 + rows, hi + 1)
         P = pn[x0:x1, None]
         yend = x1 - 1 if same else len(pm)  # same: y < x <= x1 - 1
-        for y0 in range(2, yend, cols):
+        for y0 in range(first, yend, cols):
             Q = pm[None, y0:min(y0 + cols, yend)]
             hit = keep(P + Q) | keep(np.abs(P - Q))
             rows_i, cols_j = np.nonzero(hit)
@@ -437,8 +445,9 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M.
 
     relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
-    divides the other) run x over [lo, hi] and y from 2; "maxgcd" runs y
-    over [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the
+    divides the other) run x over [lo, hi] and y from the first base of the
+    m table: 2, or 1 for m == 0, the literal 1 (`_powers`).  "maxgcd" runs
+    y over [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the
     pairs whose smaller power divides the larger.  Each pair comes once with
     P >= Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
     bounds must lie in the base range of the table they index.
@@ -448,21 +457,18 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     the maxgcd relation does not take one.
     """
     pn, pm = _powers(M, n), _powers(M, m)
-    if relation == "maxgcd":
-        for y in range(lo, hi + 1):
-            Q = pm[y]
-            for x in range(y, len(pn), y):
-                P = pn[x]
-                yield (P, Q) if ordered or P >= Q else (Q, P)
-        return
-    coprime = relation == "coprime"
+    first = 1 if m == 0 else 2
     # With one exponent and no order, (x, y) and (y, x) give the same pair.
     same = n == m and not ordered
-    if keep is not None and M <= _PREFILTER_MAX:
-        rows: Iterable[Tuple[int, Iterable[int]]] = (
-            (x, (y,)) for x, y in _prefiltered_cells(M, n, m, lo, hi, keep, same))
+    rows: Iterable[Tuple[int, Iterable[int]]]
+    if relation == "maxgcd":
+        rows = ((x, (y,)) for y in range(lo, hi + 1) for x in range(y, len(pn), y))
+    elif keep is not None and M <= _PREFILTER_MAX:
+        rows = ((x, (y,)) for x, y in _prefiltered_cells(M, n, m, lo, hi, keep,
+                                                         same, first))
     else:
-        rows = ((x, range(2, x if same else len(pm))) for x in range(lo, hi + 1))
+        rows = ((x, range(first, x if same else len(pm))) for x in range(lo, hi + 1))
+    coprime, nonmax = relation == "coprime", relation == "nonmaxgcd"
     for x, ys in rows:
         P = pn[x]
         for y in ys:
@@ -470,9 +476,9 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
             if coprime:
                 if math.gcd(x, y) != 1:
                     continue
-            elif (P % Q if P > Q else Q % P) == 0:
+            elif nonmax and (P % Q if P > Q else Q % P) == 0:
                 continue
-            yield (P, Q) if ordered or P > Q else (Q, P)
+            yield (P, Q) if ordered or P >= Q else (Q, P)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +643,7 @@ def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
     reps = [
         (b, e)
         for b, e in arith.perfect_power_exponents(v)
-        if max(2, cfg.min_exp) <= e <= cfg.max_exp
+        if cfg.min_exp <= e <= cfg.max_exp
     ]
     return reps or None
 
@@ -691,17 +697,13 @@ def _fc_candidate(cfg: SearchConfig, vx: int, vy: int,
 
 def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
                  acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Solve for the missing slot given two known term values P >= Q."""
+    """Solve A vx + B vy = C vz for the slot left over by the term values P, Q.
+
+    Every layout of (P, Q) in two of the three slots is tried; layouts that
+    give one triple, as (P, Q) and (Q, P) do when A == B, merge under
+    `_record_key`.
+    """
     M = cfg.max_value
-    if cfg.coeffs == (1, 1, 1):
-        t = P + Q
-        if t <= M and _usable_power(t, M, power_set):
-            _merge_into(acc, _fc_candidate(cfg, Q, P, t))
-        t = P - Q
-        if t >= 1 and _usable_power(t, M, power_set):
-            _merge_into(acc, _fc_candidate(cfg, t, Q, P))
-        return
-    # General coefficients: try every slot layout for the known pair.
     A, B, C = cfg.coeffs
     for va, vb in ((P, Q), (Q, P)):
         num = A * va + B * vb
@@ -717,6 +719,12 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
 
 def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
+    """Pair and fcone units: `_fc_try_pair` on the coprime (x**e1, y**e2).
+
+    An fcone unit has e2 == 0, so its second term is the literal 1.  With
+    coefficients (1, 1, 1) and M <= 2**62 only the pairs whose sum or
+    difference passes `_maybe_usable` go on to `_fc_try_pair`.
+    """
     M = cfg.max_value
     power_set = _power_value_set(M)
     keep = None
@@ -725,39 +733,6 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
     for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
                        unit["xhi"], keep=keep):
         _fc_try_pair(cfg, P, Q, power_set, acc)
-
-
-def _run_fc_one_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                     acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """x**e and 1 for the bases x of the unit, in blocks of `_PREFILTER_CELLS`.
-
-    With coefficients (1, 1, 1) and M <= 2**62 only the x whose x**e + 1 or
-    x**e - 1 passes `_maybe_usable` go on to `_fc_try_pair`.
-    """
-    M = cfg.max_value
-    power_set = _power_value_set(M)
-    e, lo, hi = unit["e1"], unit["xlo"], unit["xhi"]
-    prefilter = cfg.coeffs == (1, 1, 1) and M <= _PREFILTER_MAX
-    for x0 in range(lo, hi + 1, _PREFILTER_CELLS):
-        xs: Iterable[int] = range(x0, min(x0 + _PREFILTER_CELLS, hi + 1))
-        if prefilter:
-            P, table = _powers_i64(M, e)[x0:x0 + len(xs)], _usable_table_i64(M)
-            hit = _maybe_usable(P + 1, M, table) | _maybe_usable(P - 1, M, table)
-            xs = (np.flatnonzero(hit) + x0).tolist()
-        for x in xs:
-            _fc_try_pair(cfg, x**e, 1, power_set, acc)
-
-
-def _run_fc_wild_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Triples with two literal-1 terms (possible under general coefficients)."""
-    A, B, C = cfg.coeffs
-    if (A + B) % C == 0:
-        _merge_into(acc, _fc_candidate(cfg, 1, 1, (A + B) // C))
-    if C - A > 0 and (C - A) % B == 0:
-        _merge_into(acc, _fc_candidate(cfg, 1, (C - A) // B, 1))
-    if C - B > 0 and (C - B) % A == 0:
-        _merge_into(acc, _fc_candidate(cfg, (C - B) // A, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1019,8 +994,9 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
 
 _UNIT_RUNNERS = {
     "fcpair": _run_fc_pair_unit,
-    "fcone": _run_fc_one_unit,
-    "fcwild": _run_fc_wild_unit,
+    "fcone": _run_fc_pair_unit,  # the pairs (x**e, 1)
+    "fcwild": lambda cfg, unit, acc: _fc_try_pair(  # the pair (1, 1)
+        cfg, 1, 1, _power_value_set(cfg.max_value), acc),
     "product": _run_product_unit,
     "pillai": _run_pillai_unit,
 }

@@ -1,6 +1,7 @@
 """Search engine: the pair scan, all seven modes, chunking and checkpoints."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -113,18 +114,20 @@ def test_prefilter_keeps_every_usable_value():
 
 
 @pytest.mark.parametrize("cells", [1, 7, 40, 1 << 14])
-@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3), (5, 5)])
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3), (5, 5), (3, 0)])
 def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
-    # With a prefilter that keeps everything, the blocks must tile the scan.
+    # With a prefilter that keeps everything, the blocks must tile the scan;
+    # m = 0 is the column of the literal 1, the one base y = 1.
     monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
     M = 1 << 16
     hi = search._max_base(M, n)
+    first, end = (1, 2) if m == 0 else (2, search._max_base(M, m) + 1)
     for lo_, hi_ in ((2, hi), (2, hi // 2), (hi // 2 + 1, hi)):
         got = [(x, y) for x, y in search._prefiltered_cells(M, n, m, lo_, hi_,
-                                                             _keep_all, n == m)
+                                                             _keep_all, n == m, first)
                if y < x or n != m]
         want = [(x, y) for x in range(lo_, hi_ + 1)
-                for y in range(2, x if n == m else search._max_base(M, m) + 1)]
+                for y in range(first, x if n == m else end)]
         assert sorted(got) == want
 
 
@@ -150,6 +153,31 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
                 search._fc_try_pair(cfg, P, Q, power_set, slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
         assert len(fast) > (5 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
+
+
+def _fc_wild_reference(cfg, acc):
+    """The fcwild unit as its three slot layouts, written out."""
+    A, B, C = cfg.coeffs
+    if (A + B) % C == 0:
+        search._merge_into(acc, search._fc_candidate(cfg, 1, 1, (A + B) // C))
+    if C - A > 0 and (C - A) % B == 0:
+        search._merge_into(acc, search._fc_candidate(cfg, 1, (C - A) // B, 1))
+    if C - B > 0 and (C - B) % A == 0:
+        search._merge_into(acc, search._fc_candidate(cfg, (C - B) // A, 1, 1))
+
+
+def test_fc_wild_unit_matches_the_three_layouts():
+    found = 0
+    for coeffs in itertools.product(range(1, 7), repeat=3):
+        cfg = make_config("fermat-catalan", max_bits=8, coeffs=coeffs)
+        unit, = (u for u in search._mode_units(cfg) if u["kind"] == "fcwild")
+        fast, slow = {}, {}
+        search._UNIT_RUNNERS["fcwild"](cfg, unit, fast)
+        _fc_wild_reference(cfg, slow)
+        assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items())), (
+            coeffs)
+        found += len(slow)
+    assert found > 10
 
 
 def test_product_prefilter_keeps_every_decomposable_value():
@@ -928,6 +956,13 @@ def test_checkpoint_binds_the_records_of_each_done_chunk(tmp_path):
      "a387d8c71dac775d4213d48f4b3070e052d671c94c26ee0877c50046e299f2ec"),
     ("pillai", {"max_bits": 16, "difference": 1, "max_spread": 2}, 789,
      "7bacb6500f75df1b890cbcc6d118d88b59149fa7e76fecfc196939a7f5490306"),
+    ("fermat-catalan", {"max_bits": 16, "f_bound": Fraction(3, 2)}, 40,
+     "49f00c395ab179b3827c4f7e22282db660bd5f5f03050625d890bcd6e415c072"),
+    ("fermat-catalan", {"max_bits": 16, "f_bound": Fraction(3, 2),
+                        "coeffs": (3, 1, 1)}, 49,
+     "dd8f3f073fbcec0fab911a5dd8560bbcaa8e39a3c6f9778a18b130fa1698f50d"),
+    ("fermat-catalan", {"max_bits": 16, "coeffs": (1, 7, 8)}, 5,
+     "b43b9596ebf77215bb8275d4d11025867510fa9a5b4e69107ecea3a70f640c57"),
 ])
 def test_record_sections_are_pinned(mode, extra, count, digest):
     cfg = make_config(mode, **extra)
@@ -1009,10 +1044,14 @@ def test_verify_record_flags_tampering():
 
 def test_fc_verify_accepts_exactly_the_reached_triples():
     # Under a bound above 1 an admissible triple can have a single term of
-    # exponent >= 3; the plan reaches it through a square.
+    # exponent >= 3; the plan reaches it through a square.  With other
+    # coefficients it can also hold two literal 1s, e.g. 1 + 7 = 8.
     for extra in ({"max_bits": 13, "f_bound": Fraction(5, 4)},
                   {"max_bits": 13, "f_bound": Fraction(3, 2), "f_strict": False},
-                  {"max_bits": 13, "f_bound": Fraction(3, 2), "coeffs": (3, 1, 1)}):
+                  {"max_bits": 13, "f_bound": Fraction(3, 2), "coeffs": (3, 1, 1)},
+                  {"max_bits": 13, "coeffs": (1, 7, 8)},
+                  {"max_bits": 13, "coeffs": (2, 3, 5)},
+                  {"max_bits": 13, "f_bound": Fraction(3, 2), "coeffs": (1, 1, 2)}):
         cfg = make_config("fermat-catalan", **extra)
         found = {tuple(r["values"]) for r in _records(cfg)}
         terms = sorted({1} | {x**e for e in range(2, 14) for x in range(2, 91)
