@@ -73,17 +73,20 @@ def decompose(value: int, degree: int, max_spread: int) -> List[ProductDecomposi
     for b in range(max(1, root - max_spread), root + 1):
         if value % b:
             continue
+        if degree == 1:
+            if b == value:
+                out.append(ProductDecomposition((b,), value, b, 0, 1))
+            continue
         hi = b + max_spread
-        acc = [b]
-
-        def rec(lo: int, slots: int, q: int) -> None:
+        # Depth first over (least next factor, factors left, cofactor, factors
+        # so far), on an explicit stack: a degree may pass the recursion limit.
+        stack = [(b, degree - 1, value // b, (b,))]
+        while stack:
+            lo, slots, q, fs = stack.pop()
             if slots == 1:
                 if lo <= q <= hi:
-                    fs = tuple(acc + [q])
-                    out.append(
-                        ProductDecomposition(fs, value, fs[0], fs[-1] - fs[0], degree)
-                    )
-                return
+                    out.append(ProductDecomposition(fs + (q,), value, b, q - b, degree))
+                continue
             for f in range(lo, hi + 1):
                 if f > q:
                     break
@@ -94,15 +97,7 @@ def decompose(value: int, degree: int, max_spread: int) -> List[ProductDecomposi
                     break  # even the smallest allowed tail overshoots
                 if hi ** (slots - 1) < q2:
                     continue  # tail cannot reach q2; a larger f might
-                acc.append(f)
-                rec(f, slots - 1, q2)
-                acc.pop()
-
-        if degree == 1:
-            if b == value:
-                out.append(ProductDecomposition((b,), value, b, 0, 1))
-        else:
-            rec(b, degree - 1, value // b)
+                stack.append((f, slots - 1, q2, fs + (f,)))
     out.sort(key=lambda p: p.factors)
     return out
 
@@ -192,12 +187,12 @@ def enumerate_products(
     in [b, b + s] with b = min, so b**d <= X <= max_value, which the base
     loop reaches, and (b + s)**d >= X >= min_value >= r**d with r the
     integer d-th root of min_value, so b >= r - s, where the base loop
-    starts.  Within the class the recursion tries every next factor in
-    [previous, b + s] and cuts only prefixes that cannot complete in
-    range: the `break` where even the smallest completion, all remaining
-    factors equal to f, exceeds max_value (larger f exceed it too), and
-    the return where even the largest, all equal to b + s, stays below
-    min_value.
+    starts.  Within the class the walk, depth first on an explicit stack,
+    tries every next factor in [previous, b + s] and cuts only prefixes
+    that cannot complete in range: the `break` where even the smallest
+    completion, all remaining factors equal to f, exceeds max_value
+    (larger f exceed it too), and the skip where even the largest, all
+    equal to b + s, stays below min_value.
     """
     if max_value < 1 or min_value < 1:
         raise ValueError("max_value and min_value must be >= 1")
@@ -211,27 +206,21 @@ def enumerate_products(
         while b**d <= max_value:
             hi = b + s_cap
             batch: List[ProductDecomposition] = []
-            acc = [b]
-
-            def rec(lo: int, slots: int, prod: int) -> None:
+            # (least next factor, factors left, product, factors so far)
+            stack = [(b, d - 1, b, (b,))]
+            while stack:
+                lo, slots, prod, fs = stack.pop()
                 if prod * hi**slots < min_value:
-                    return
+                    continue
                 if slots == 0:
-                    dec = ProductDecomposition(
-                        tuple(acc), prod, acc[0], acc[-1] - acc[0], d
-                    )
-                    if m_bound is not None and dec.spread_sq_over_base() > m_bound:
-                        return
-                    batch.append(dec)
-                    return
+                    dec = ProductDecomposition(fs, prod, b, fs[-1] - b, d)
+                    if m_bound is None or dec.spread_sq_over_base() <= m_bound:
+                        batch.append(dec)
+                    continue
                 for f in range(lo, hi + 1):
                     if prod * f**slots > max_value:
                         break
-                    acc.append(f)
-                    rec(f, slots - 1, prod * f)
-                    acc.pop()
-
-            rec(b, d - 1, b)
+                    stack.append((f, slots - 1, prod * f, fs + (f,)))
             batch.sort(key=lambda p: (p.value, p.factors))
             yield from batch
             b += 1

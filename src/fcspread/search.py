@@ -24,13 +24,13 @@ they test P +/- Q against:
   (1/3 + 1/3 + 1/3 is not below 1) and every unit with a square, whose
   third term would be a square too (1/2 + 1/2 is not below 1).  The
   planned units reach every triple that `_fc_candidate` accepts, under any
-  bound.  With coefficients (1, 1, 1) and M <= 2**62 a pair or fcone unit
-  first forms x**n +/- y**m in int64 numpy blocks of at most 2**14 cells
-  and keeps the cells whose sum or difference is 1, in the sorted power
-  table or a square (`_maybe_usable`, a superset of the exact test); only
-  those are checked for coprimality and passed to the exact
-  `_fc_try_pair`.  Other coefficients and larger bounds run the scalar
-  `_pairs` loop.
+  bound.  The solver and its block keep read one table of the six slot
+  layouts, `_fc_layouts`, whose third term is (a P + b Q) / c.  While
+  max(A + B, C) * M <= 2**63 a pair or fcone unit walks int64 numpy blocks
+  of at most 2**14 cells and keeps a cell when some |a P + b Q| / c is 1,
+  in the sorted power table or a square (`_maybe_usable`, a superset of
+  the exact test); only those are checked for coprimality and passed to
+  the exact `_fc_try_pair`.  Larger bounds run the scalar `_pairs` loop.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  The plan, the scan and
@@ -42,10 +42,11 @@ they test P +/- Q against:
   report 0), and a record that no unit can give fails verification
   (`_scan_caps`, which `_product_record` reads).  For the coprime and
   non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
-  blocks and keeps a cell only if x**n + y**m or |x**n - y**m| has, for
-  some (degree d, spread cap s) of the unit, a divisor in a window one
-  wider on each side than [root - s, root], root its integer d-th root,
-  which holds the smallest factor of every qualifying decomposition
+  blocks and keeps a cell only if x**n + y**m (sign plus) or |x**n - y**m|
+  (minus) has, for some (degree d, spread cap s) of the unit, a divisor
+  in a window one wider on each side than [root - s, root], root its
+  integer d-th root, which holds the smallest factor of every qualifying
+  decomposition
   (`_maybe_product`, a superset of the exact test).  The
   relation test and `decompose` see only those survivors.  The maxgcd
   relation and larger bounds run the scalar `_pairs` loop.  Power bases
@@ -83,10 +84,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, product as iterproduct
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -140,12 +141,6 @@ _MODE_FIELDS: Dict[str, Tuple[str, ...]] = {
         "pillai": "degree max_spread f_bound f_strict m_bound difference",
         "survey": "sign degree n_range m_range max_spread f_bound f_strict",
     }.items()}
-
-
-def _parse_fraction(v: Union[str, int, float, Fraction, None]) -> Optional[Fraction]:
-    if v is None or isinstance(v, Fraction):
-        return v
-    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -268,7 +263,7 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
     values.pop("mode", None)
     for key in ("f_bound", "m_bound"):
         if values.get(key) is not None:
-            values[key] = _parse_fraction(values[key])
+            values[key] = Fraction(values[key])
     for key in ("degree", "n_range", "m_range", "coeffs"):
         if values.get(key) is not None:
             values[key] = tuple(values[key])
@@ -347,14 +342,15 @@ def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
     return r * r == t or t in power_set
 
 
-# Bound and block size of the int64 pair prefilter in front of the exact
-# tests.  With P, Q <= 2**62, P + Q <= 2**63 and |P - Q| < 2**62; the one sum
-# that overflows int64 (P = Q = 2**62) wraps negative, and every predicate
-# rejects values < 1.  Blocks of 2**14 cells keep the temporaries near 1 MB.
-_PREFILTER_MAX = 1 << 62
+# Guard and block size of the int64 pair prefilter.  A keep forms a*P + b*Q,
+# exact modulo 2**64, and runs only where each |value| <= _INT64_BOUND (so
+# M <= 2**62, as `_maybe_usable` and `_maybe_product` need): only a*M + b*M
+# = 2**63 at P = Q = M = 2**k can wrap, and no relation admits two even
+# bases.  Blocks of 2**14 cells keep the temporaries near 1 MB.
+_INT64_BOUND = 1 << 63
 _PREFILTER_CELLS = 1 << 14
 
-Keep = Callable[[np.ndarray], np.ndarray]
+Keep = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=128)
@@ -416,12 +412,12 @@ def _maybe_product(t: np.ndarray, M: int,
 
 def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
                        same: bool, first: int) -> Iterator[Tuple[int, int]]:
-    """Bases x in [lo, hi], y >= first where x**n + y**m or |x**n - y**m| passes `keep`.
+    """Bases x in [lo, hi], y >= first where `keep` holds for (x**n, y**m).
 
     The cells come in blocks of at most `_PREFILTER_CELLS`, row by row; with
-    `same` the scan is the triangle y < x.  `keep` maps an int64 array to a
-    bool array and must be True wherever the caller's exact test may hold.
-    Needs M <= `_PREFILTER_MAX`.
+    `same` the scan is the triangle y < x.  `keep(P, Q)` maps the int64
+    column of x**n and row of y**m to the bool block of cells to keep, True
+    wherever the caller's exact test may hold.
     """
     pn, pm = _powers_i64(M, n), _powers_i64(M, m)
     cols = max(1, min(len(pm) - first, _PREFILTER_CELLS))
@@ -431,9 +427,7 @@ def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
         P = pn[x0:x1, None]
         yend = x1 - 1 if same else len(pm)  # same: y < x <= x1 - 1
         for y0 in range(first, yend, cols):
-            Q = pm[None, y0:min(y0 + cols, yend)]
-            hit = keep(P + Q) | keep(np.abs(P - Q))
-            rows_i, cols_j = np.nonzero(hit)
+            rows_i, cols_j = np.nonzero(keep(P, pm[None, y0:min(y0 + cols, yend)]))
             for i, j in zip(rows_i.tolist(), cols_j.tolist()):
                 if not same or y0 + j < x0 + i:  # a block can reach past y < x
                     yield x0 + i, y0 + j
@@ -452,9 +446,9 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     P >= Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
     bounds must lie in the base range of the table they index.
 
-    With a vector predicate `keep` and M <= `_PREFILTER_MAX`, the coprime
-    and nonmaxgcd relations visit only the cells of `_prefiltered_cells`;
-    the maxgcd relation does not take one.
+    With a block predicate `keep` the coprime and nonmaxgcd relations visit
+    only the cells of `_prefiltered_cells`; the maxgcd relation takes none.
+    Without one, the scalar walk is the path past the int64 bound.
     """
     pn, pm = _powers(M, n), _powers(M, m)
     first = 1 if m == 0 else 2
@@ -463,7 +457,7 @@ def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
     rows: Iterable[Tuple[int, Iterable[int]]]
     if relation == "maxgcd":
         rows = ((x, (y,)) for y in range(lo, hi + 1) for x in range(y, len(pn), y))
-    elif keep is not None and M <= _PREFILTER_MAX:
+    elif keep is not None:
         rows = ((x, (y,)) for x, y in _prefiltered_cells(M, n, m, lo, hi, keep,
                                                          same, first))
     else:
@@ -535,12 +529,6 @@ def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int
         if cap >= floor_s:
             caps.append((d, cap))
     return caps
-
-
-def _pillai_degree_range(cfg: SearchConfig) -> Tuple[int, int]:
-    if cfg.degree is not None:
-        return cfg.degree
-    return 2, cfg.max_bits
 
 
 # ---------------------------------------------------------------------------
@@ -695,43 +683,73 @@ def _fc_candidate(cfg: SearchConfig, vx: int, vy: int,
     }
 
 
+@lru_cache(maxsize=16)
+def _fc_layouts(coeffs: Tuple[int, int, int]) -> Tuple[Tuple[Any, ...], ...]:
+    """The placings (a, b, c, slots) of term values P, Q in A vx + B vy = C vz.
+
+    The third value is t = (a P + b Q) / c; (vx, vy, vz) is (P, Q, t) at `slots`.
+    """
+    A, B, C = coeffs
+    return ((A, B, C, (0, 1, 2)), (C, -A, B, (1, 2, 0)), (C, -B, A, (2, 1, 0)),
+            (B, A, C, (1, 0, 2)), (-A, C, B, (0, 2, 1)), (-B, C, A, (2, 0, 1)))
+
+
 def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
                  acc: Dict[Tuple, Dict[str, Any]]) -> None:
     """Solve A vx + B vy = C vz for the slot left over by the term values P, Q.
 
-    Every layout of (P, Q) in two of the three slots is tried; layouts that
-    give one triple, as (P, Q) and (Q, P) do when A == B, merge under
-    `_record_key`.
+    Each layout of `_fc_layouts` whose third value is a positive integer
+    passing `_usable_power` is tried; layouts that give one triple, as
+    (P, Q) and (Q, P) do when A == B, merge under `_record_key`.
     """
     M = cfg.max_value
+    for a, b, c, slots in _fc_layouts(cfg.coeffs):
+        num = a * P + b * Q
+        if num > 0 and num % c == 0 and _usable_power(num // c, M, power_set):
+            vals = (P, Q, num // c)
+            _merge_into(acc, _fc_candidate(cfg, *(vals[i] for i in slots)))
+
+
+def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
+    """Keep cells where a third value of `_fc_layouts` may pass `_usable_power`.
+
+    A form and its negative test one |a P + b Q| <= max(A + B, C) * M, so
+    (1, 1, 1) tests P + Q and |P - Q| only.  None past the int64 bound.
+    """
     A, B, C = cfg.coeffs
-    for va, vb in ((P, Q), (Q, P)):
-        num = A * va + B * vb
-        if num % C == 0 and _usable_power(num // C, M, power_set):
-            _merge_into(acc, _fc_candidate(cfg, va, vb, num // C))
-        num = C * va - A * vb
-        if num > 0 and num % B == 0 and _usable_power(num // B, M, power_set):
-            _merge_into(acc, _fc_candidate(cfg, vb, num // B, va))
-        num = C * va - B * vb
-        if num > 0 and num % A == 0 and _usable_power(num // A, M, power_set):
-            _merge_into(acc, _fc_candidate(cfg, num // A, vb, va))
+    M = cfg.max_value
+    if max(A + B, C) * M > _INT64_BOUND:
+        return None
+    table = _usable_table_i64(M)
+    forms = dict.fromkeys((a, b, c) if a > 0 else (-a, -b, c)
+                          for a, b, c, _ in _fc_layouts(cfg.coeffs))
+
+    def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        hit = False
+        for a, b, c in forms:
+            t = np.abs(a * P + b * Q)
+            if c == 1:
+                hit = hit | _maybe_usable(t, M, table)
+            else:  # only the multiples of c, tested as their quotients
+                t, r = np.divmod(t, c)
+                kept = np.zeros(t.shape, dtype=bool)
+                kept[r == 0] = _maybe_usable(t[r == 0], M, table)
+                hit = hit | kept
+        return hit
+
+    return keep
 
 
 def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
                       acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Pair and fcone units: `_fc_try_pair` on the coprime (x**e1, y**e2).
+    """Pair and fcone units: `_fc_try_pair` on the coprime cells `_fc_keep` keeps.
 
-    An fcone unit has e2 == 0, so its second term is the literal 1.  With
-    coefficients (1, 1, 1) and M <= 2**62 only the pairs whose sum or
-    difference passes `_maybe_usable` go on to `_fc_try_pair`.
+    An fcone unit has e2 == 0, so its second term is the literal 1.
     """
     M = cfg.max_value
     power_set = _power_value_set(M)
-    keep = None
-    if cfg.coeffs == (1, 1, 1):  # other coefficients solve for other slots
-        keep = lambda t: _maybe_usable(t, M, _usable_table_i64(M))  # noqa: E731
     for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
-                       unit["xhi"], keep=keep):
+                       unit["xhi"], keep=_fc_keep(cfg)):
         _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
@@ -844,11 +862,14 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     M = cfg.max_value
     relation, floor_s = _PRODUCT_MODES[cfg.mode]
     signs = _signs(cfg)
-    keep = None
-    if relation != "maxgcd":
-        keep = lambda t: _maybe_product(t, M, caps)  # noqa: E731
-    for P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
-                       ordered=survey, keep=keep):
+
+    def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
+        return reduce(np.logical_or, (_maybe_product(
+            P + Q if sign == "plus" else np.abs(P - Q), M, caps) for sign in signs))
+
+    for P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
+                       keep=keep if relation != "maxgcd" and 2 * M <= _INT64_BOUND
+                       else None):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -868,8 +889,8 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
                    zdec: ProductDecomposition) -> Optional[Dict[str, Any]]:
     """The record the scan writes for witnesses of X and Z; None if it writes none."""
-    lo, hi = _pillai_degree_range(cfg)
-    s_cap = cfg.max_spread if cfg.max_spread is not None else 0
+    cons = _pillai_constraints(cfg)
+    (lo, hi), s_cap = cons.degree_range(), cons.max_spread
     w = xdec.weight + zdec.weight
     if (zdec.value - xdec.value != cfg.difference or zdec.value > cfg.max_value
             or not _weight_ok(cfg, w)):
@@ -891,8 +912,8 @@ def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
 
 
 def _pillai_constraints(cfg: SearchConfig) -> SpreadConstraints:
-    s_cap = cfg.max_spread if cfg.max_spread is not None else 0
-    return SpreadConstraints(degree=_pillai_degree_range(cfg), max_spread=s_cap,
+    return SpreadConstraints(degree=cfg.degree or (2, cfg.max_bits),
+                             max_spread=cfg.max_spread or 0,
                              max_spread_sq_over_base=cfg.m_bound)
 
 
@@ -952,6 +973,9 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> 
         """Nondecreasing `slots`-tuples in [f, high] with product <= q."""
         if slots == 0:
             return int(q >= 1)
+        if f == 1:  # k 1s in one step: at most q.bit_length() factors >= 2 follow
+            return sum(tails(2, high, slots - k, q)
+                       for k in range(max(0, slots - q.bit_length()), slots + 1))
         n = 0
         for g in range(f, high + 1):
             if g**slots > q:
@@ -1362,30 +1386,22 @@ def expected_fc_triples(cfg: SearchConfig) -> List[Tuple[int, int, int]]:
 
 
 def expected_degree3_triples(cfg: SearchConfig) -> List[Tuple[int, int, int]]:
-    out = []
-    for sol in families.degree3_catalog():
-        vals = [v for v, _ in sol.terms]
-        if max(vals) <= cfg.max_value:
-            out.append((vals[0], vals[1], vals[2]))
-    return sorted(out)
+    triples = (tuple(v for v, _ in sol.terms) for sol in families.degree3_catalog())
+    return sorted(t for t in triples if max(t) <= cfg.max_value)
 
 
 def expectation_report(cfg: SearchConfig,
                        records: List[Dict[str, Any]]) -> Tuple[bool, str]:
     """(expectation met, human summary) for a completed run."""
-    if cfg.mode == "fermat-catalan":
-        if cfg.coeffs != (1, 1, 1):
-            return True, f"{len(records)} records (no catalog for coefficients)"
-        found = sorted(tuple(r["values"]) for r in records)
-        want = expected_fc_triples(cfg)
-        ok = found == want
-        return ok, (
-            f"found {len(found)} solutions, catalog predicts {len(want)}"
-            + ("" if ok else " (MISMATCH)")
-        )
-    if cfg.mode == "nonmaxgcd3":
-        found = sorted({(r["p"], r["q"], r["z"]) for r in records})
-        want = expected_degree3_triples(cfg)
+    if cfg.mode == "fermat-catalan" and cfg.coeffs != (1, 1, 1):
+        return True, f"{len(records)} records (no catalog for coefficients)"
+    if cfg.mode in ("fermat-catalan", "nonmaxgcd3"):
+        if cfg.mode == "fermat-catalan":
+            found = sorted(tuple(r["values"]) for r in records)
+            want = expected_fc_triples(cfg)
+        else:
+            found = sorted({(r["p"], r["q"], r["z"]) for r in records})
+            want = expected_degree3_triples(cfg)
         ok = found == want
         return ok, (
             f"found {len(found)} solutions, catalog predicts {len(want)}"

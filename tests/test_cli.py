@@ -373,6 +373,18 @@ def test_decompose_cli(tmp_path):
     assert _verify(out) == EXIT_OK
 
     assert cli.run(["decompose", "576", "--output", str(tmp_path / "x")]) == EXIT_USAGE
+
+
+def test_degrees_past_the_recursion_limit(tmp_path):
+    code, _, records, _, out = _run(tmp_path, ["decompose", "1", "--degree", "1000"])
+    assert code == EXIT_OK and [r["factors"] for r in records] == [[1] * 1000]
+    assert _verify(out) == EXIT_OK
+    # the only spread-0 product of degree 1000 is 1, and 1 - 1 is no product
+    code, _, records, _, out = _run(
+        tmp_path, ["search", "pillai", "--difference", "1", "--degree", "1000..1000",
+                   "--max-bits", "20"], name="pillai.jsonl")
+    assert code == EXIT_OK and records == []
+    assert _verify(out) == EXIT_OK
     assert cli.run(["decompose", "0", "--degree", "2",
                     "--output", str(tmp_path / "x")]) == EXIT_USAGE
 

@@ -34,6 +34,9 @@ def test_decompose_examples():
     assert [d.factors for d in decompose(266240, 3, 1)] == [(64, 64, 65)]
     assert decompose(30, 3, 0) == []
     assert [d.factors for d in decompose(576, 3, 1)] == [(8, 8, 9)]
+    # degrees past the recursion limit
+    assert [d.factors for d in decompose(1, 1000, 0)] == [(1,) * 1000]
+    assert [d.factors for d in decompose(6, 1000, 2)] == [(1,) * 998 + (2, 3)]
 
 
 def _brute_decompose(value, degree, max_spread):
@@ -148,19 +151,24 @@ def test_enumerate_products_round_trip():
     assert len(seen) > 100
 
 
-@pytest.mark.parametrize("vlo, vhi",
-                         [(1, 3000), (700, 3000), (2000, 2100), (4096, 4096)])
+@pytest.mark.parametrize("vlo, vhi, degrees", [
+    pytest.param(vlo, vhi, degrees, id=f"{vlo}-{vhi}" + ("" if degrees == (1, 5) else
+                                                          f"-degree{degrees[0]}"))
+    for vlo, vhi, degrees in [(1, 3000, (1, 5)), (700, 3000, (1, 5)),
+                              (2000, 2100, (1, 5)), (4096, 4096, (1, 5)),
+                              (1, 100, (1000, 1000))]])
 @pytest.mark.parametrize("s, m_bound", [(0, None), (2, None), (3, Fraction(1, 2))])
-def test_enumerate_products_window_equals_decompose(vlo, vhi, s, m_bound):
+def test_enumerate_products_window_equals_decompose(vlo, vhi, degrees, s, m_bound):
     # every decomposition decompose returns for a value in the window, and
-    # only those, comes out of the enumerator with that lower bound
-    cons = SpreadConstraints(degree=(1, 5), max_spread=s,
+    # only those, comes out of the enumerator with that lower bound; degree
+    # 1000 is past the recursion limit, its products mostly 1s
+    cons = SpreadConstraints(degree=degrees, max_spread=s,
                              max_spread_sq_over_base=m_bound)
     got = [p.factors for p in products.enumerate_products(cons, vhi, vlo)]
     want = {
         p.factors
         for x in range(vlo, vhi + 1)
-        for d in range(1, 6)
+        for d in range(degrees[0], degrees[1] + 1)
         for p in decompose(x, d, s)
         if m_bound is None or p.spread_sq_over_base() <= m_bound
     }

@@ -49,8 +49,8 @@ def test_power_value_set_against_comprehension():
     assert search._power_value_set(100) == {8, 16, 27, 32, 64, 81}
 
 
-def _keep_all(t):
-    return np.ones(t.shape, dtype=bool)
+def _keep_all(P, Q):
+    return np.ones(np.broadcast_shapes(P.shape, Q.shape), dtype=bool)
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -131,12 +131,25 @@ def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
         assert sorted(got) == want
 
 
-@pytest.mark.parametrize("cells", [7, 1 << 14])
-def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
+# Coefficient triples the fc block keep is checked on; the last is past the
+# int64 bound at 2**20 (max(A + B, C) * M = 2**64), so it runs the scalar loop.
+FC_COEFFS = [(1, 1, 1), (1, 2, 3), (3, 1, 1), (1, 1, 2), (1, 7, 8), (2, 3, 5),
+             (2**43, 2**43, 2**44)]
+
+
+# Blocks of 7 cells cost a numpy pass each; two triples take them, one with
+# c > 1.  The ids name the triple, but for the plain (1, 1, 1).
+@pytest.mark.parametrize("coeffs, cells", [
+    pytest.param(c, cells, id=("" if c == (1, 1, 1) else "%d,%d,%d-" % c) + str(cells))
+    for c, cells in [(c, 1 << 14) for c in FC_COEFFS] + [((1, 1, 1), 7), ((1, 1, 2), 7)]])
+def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
     monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
     # f_bound 3/2 keeps every exponent pair, (3, 3) included, and fcone 2
-    cfg = make_config("fermat-catalan", max_bits=20, f_bound=Fraction(3, 2))
+    cfg = make_config("fermat-catalan", max_bits=20, f_bound=Fraction(3, 2),
+                      coeffs=coeffs)
     M = cfg.max_value
+    A, B, C = coeffs
+    assert (search._fc_keep(cfg) is None) == (max(A + B, C) * M > 2**63)
     power_set = search._power_value_set(M)
     units = search._mode_units(cfg)
     assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "fcpair"} >= {
@@ -152,7 +165,34 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(cells, monkeypatch):
             for P, Q in pairs:
                 search._fc_try_pair(cfg, P, Q, power_set, slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
-        assert len(fast) > (5 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
+        assert len(fast) > (50 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
+
+
+@pytest.mark.parametrize("coeffs", FC_COEFFS[:-1], ids="%d,%d,%d".__mod__)
+def test_fc_keep_holds_every_cell_with_a_record(coeffs):
+    # Every coprime cell of every planned unit at a small bound: where
+    # `_fc_try_pair` writes a record, the block keep keeps the cell.
+    cfg = make_config("fermat-catalan", max_bits=14, f_bound=Fraction(2),
+                      coeffs=coeffs)
+    M = cfg.max_value
+    keep, power_set = search._fc_keep(cfg), search._power_value_set(M)
+    cells = with_record = 0
+    for u in search._mode_units(cfg):
+        if u["kind"] == "fcwild":
+            continue
+        pn, pm = search._powers(M, u["e1"]), search._powers(M, u["e2"])
+        ys = range(1 if u["e2"] == 0 else 2, len(pm))
+        kept = keep(np.array(pn, dtype=np.int64)[:, None],
+                    np.array(pm, dtype=np.int64)[None, :])
+        for x in range(u["xlo"], u["xhi"] + 1):
+            for y in (y for y in ys if math.gcd(x, y) == 1):
+                acc = {}
+                search._fc_try_pair(cfg, max(pn[x], pm[y]), min(pn[x], pm[y]),
+                                    power_set, acc)
+                cells += 1
+                with_record += bool(acc)
+                assert kept[x, y] or not acc, (u, x, y, acc)
+    assert cells > 10000 and with_record > 20, (cells, with_record)
 
 
 def _fc_wild_reference(cfg, acc):
@@ -246,6 +286,8 @@ def _scalar_product_unit(cfg, unit, acc):
     ("fp", {"max_bits": 24, "f_bound": Fraction(2)}),
     ("survey", {"max_bits": 18, "n_range": (3, 5), "m_range": (3, 5),
                 "degree": (3, 5)}),
+    ("gbtz", {"max_bits": 20, "f_bound": Fraction(2), "sign": "plus"}),
+    ("gbtz", {"max_bits": 20, "f_bound": Fraction(2), "sign": "minus"}),
 ])
 def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
                                                     monkeypatch):
@@ -653,6 +695,15 @@ def test_pillai_index_refused_up_front(monkeypatch):
         run_chunked(cfg, n_chunks=16)
 
 
+def test_check_memory_at_a_degree_past_the_recursion_limit():
+    # the class bound passes the budget, so the classes are counted exactly
+    cfg = make_config("pillai", difference=1, degree=(1000, 1000), max_bits=20,
+                      max_spread=2)
+    plan = search.plan_chunks(cfg, 16)
+    assert search._pillai_index_bytes(cfg, plan[0][0], 1 << 80) > 4 << 30
+    search._check_memory(cfg, plan, 1)
+
+
 @pytest.mark.parametrize("extra", [
     {"max_bits": 20},
     {"max_bits": 16, "degree": (1, 6), "max_spread": 3},
@@ -660,6 +711,7 @@ def test_pillai_index_refused_up_front(monkeypatch):
     {"max_bits": 18, "difference": 5, "max_spread": 0},
     {"max_bits": 16, "max_spread": 8},
     {"max_bits": 18, "max_spread": 12, "degree": (16, 18)},
+    {"max_bits": 20, "degree": (1000, 1000)},  # past the recursion limit
 ])
 def test_pillai_index_bytes_count_the_index(extra):
     # the class bound covers every entry a unit indexes; asked for more
