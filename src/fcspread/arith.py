@@ -198,6 +198,29 @@ def iroot(n: int, k: int) -> Tuple[int, bool]:
     return x, x**k == n
 
 
+def cube_splits(n: int, factors: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Every (a, b), a, b >= 1, with a**3 + b**3 or a**3 - b**3 equal to n >= 1.
+
+    `factors` is n's factorization; a sum comes in both orders.  A divisor d
+    of n with n <= d**3 <= 4n is a + b, one with d**3 < n is a - b, and
+    fixes ab by n = d (d**2 -/+ 3ab); a, b solve a quadratic, in integers.
+    """
+    hi = iroot(4 * n, 3)[0]
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1) if d * p**k <= hi]
+    out = []
+    for d in divisors:
+        sign = 1 if d**3 >= n else -1
+        ab, r = divmod(sign * (d * d - n // d), 3)
+        disc = d * d - 4 * sign * ab  # (a -/+ b)**2, >= 0 as ab rounds down
+        s = math.isqrt(disc)
+        if r == 0 and ab >= 1 and s * s == disc and (d + s) % 2 == 0:
+            a, b = (d + s) // 2, sign * (d - s) // 2
+            out += [(a, b), (b, a)] if sign > 0 and a != b else [(a, b)]
+    return out
+
+
 def perfect_power_exponents(n: int) -> List[Tuple[int, int]]:
     """All (base, exp) with exp >= 2 and base ** exp == n, exp ascending.
 

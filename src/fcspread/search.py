@@ -31,6 +31,9 @@ they test P +/- Q against:
   in the sorted power table or a square (`_maybe_usable`, a superset of
   the exact test); only those are checked for coprimality and passed to
   the exact `_fc_try_pair`.  Larger bounds run the scalar `_pairs` loop.
+  A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
+  runs as an fccube unit over a range of y: its cells with a cube third
+  term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  The plan, the scan and
@@ -210,6 +213,8 @@ class SearchConfig:
             raise ValueError("coeffs must be three positive integers")
         if self.mode == "pillai" and (self.difference is None or self.difference < 1):
             raise ValueError("pillai mode needs a positive difference")
+        if self.mode == "pillai" and self.degree is None and self.max_bits < 2:
+            raise ValueError("pillai's default degrees 2..max_bits need max_bits >= 2")
         if self.mode == "survey" and (self.n_range is None or self.m_range is None):
             raise ValueError("survey mode needs n_range and m_range")
         floor = _DEGREE_FLOOR.get(self.mode)
@@ -614,11 +619,24 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
     is e_b, or e_a when e_b = 0, so min_exp <= e_c <= e3 = min(e1, max_exp,
     min_exp_cap), the lightest allowed third exponent, and 1/e1 + 1/e2 +
     1/e3 (0 for e2 = 0) is at most the weight of the assignment.
+
+    Unit (3, e2) runs as fccube (`_fc_cube_unit`) when the coefficients are
+    (1, 1, 1), e3 = 3 and no square third term is admissible, so a triple
+    this proof gives it has e_c = 3: its third term is a cube.  A walk of
+    its cells would also meet triples with another unit in this proof:
+    33**8 + 1549034**2 = 15613**3, through the square, has (3, 8).
     """
     e3 = min(e1, cfg.max_exp, cfg.min_exp_cap)
     # the weight as one Fraction: the plan asks this for every unit
     num, den = (e2 * (e1 + e3) + e1 * e3, e1 * e2 * e3) if e2 else (e1 + e3, e1 * e3)
     return e3 >= cfg.min_exp and _weight_ok(cfg, Fraction(num, den))
+
+
+def _fc_cube_unit(cfg: SearchConfig, e1: int, e2: int) -> bool:
+    """Whether the planned pair unit (e1, e2) runs as fccube (`_fc_pair_needed`)."""
+    return (cfg.coeffs == (1, 1, 1) and e2 >= 3
+            and e1 == min(e1, cfg.max_exp, cfg.min_exp_cap) == 3
+            and not _fc_pair_needed(dataclasses.replace(cfg, min_exp_cap=2), e1, e2))
 
 
 def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
@@ -751,6 +769,21 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
     for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
                        unit["xhi"], keep=_fc_keep(cfg)):
         _fc_try_pair(cfg, P, Q, power_set, acc)
+
+
+def _run_fc_cube_unit(cfg: SearchConfig, unit: Dict[str, Any],
+                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
+    """fccube units: per y in [xlo, xhi], `_fc_try_pair` on the walk's cells (x, y)
+    of unit (3, e2) with a cube third term, x a side of a split of y**e2.
+    """
+    M, e2 = cfg.max_value, unit["e2"]
+    power_set, xhi = _power_value_set(M), _max_base(M, 3)
+    for y in range(unit["xlo"], unit["xhi"] + 1):
+        N = y**e2
+        splits = arith.cube_splits(N, [(p, k * e2) for p, k in arith.factorize(y)])
+        for x in {x for split in splits for x in split}:
+            if 2 <= x <= xhi and math.gcd(x, y) == 1:
+                _fc_try_pair(cfg, x**3, N, power_set, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1052,7 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
 _UNIT_RUNNERS = {
     "fcpair": _run_fc_pair_unit,
     "fcone": _run_fc_pair_unit,  # the pairs (x**e, 1)
+    "fccube": _run_fc_cube_unit,
     "fcwild": lambda cfg, unit, acc: _fc_try_pair(  # the pair (1, 1)
         cfg, 1, 1, _power_value_set(cfg.max_value), acc),
     "product": _run_product_unit,
@@ -1046,6 +1080,8 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                     units.append({"kind": "fcpair" if e2 else "fcone",
                                   "e1": e1, "e2": e2, "xlo": 2, "xhi": xhi,
                                   "cost": (xhi - 1) * n2})
+                    if _fc_cube_unit(cfg, e1, e2):  # a range of y, cost 1 each
+                        units[-1].update(kind="fccube", xhi=n2 + 1, cost=n2)
     elif cfg.mode == "pillai":
         # one value range of Z; plan_chunks splits it like a base range
         units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,

@@ -126,6 +126,42 @@ def test_perfect_power_exponents_vs_brute_table():
             assert arith.perfect_power_exponents(n) == []
 
 
+def _brute_cube_splits(n, cubes):
+    """Every (a, b), a, b >= 1, with a**3 + b**3 == n or a**3 - b**3 == n.
+
+    `cubes` maps a**3 to a at least up to the largest a a difference can
+    have: a**3 - (a - 1)**3 = 3a(a - 1) + 1 <= n.
+    """
+    top = math.isqrt(n // 3) + 2
+    return {(cubes[b**3 + n], b) for b in range(1, top) if b**3 + n in cubes} | {
+        (cubes[n - b**3], b) for b in range(1, top) if n - b**3 in cubes}
+
+
+def test_cube_splits_against_brute_force():
+    limit = 1 << 16
+    want = {}
+    for a in range(1, 150):
+        for b in range(1, a + 1):
+            for n, pair in ((a**3 + b**3, (a, b)), (a**3 + b**3, (b, a)),
+                            (a**3 - b**3, (a, b))):
+                if 1 <= n < limit:
+                    want.setdefault(n, set()).add(pair)
+    assert len(want) > 100 and any(len(v) > 2 for v in want.values())  # 1729
+    for n in range(1, limit):
+        got = arith.cube_splits(n, arith.factorize(n))
+        assert len(got) == len(set(got)) and set(got) == want.get(n, set()), n
+    cubes = {a**3: a for a in range(1, math.isqrt(60**6 // 3) + 3)}
+    hits = 0
+    for y in range(2, 61):
+        for e in range(3, 7):
+            n = y**e
+            got = arith.cube_splits(n, [(p, k * e) for p, k in arith.factorize(y)])
+            assert len(got) == len(set(got)), n
+            assert set(got) == _brute_cube_splits(n, cubes), n
+            hits += bool(got)
+    assert hits > 10, hits  # e.g. 2**3 + 2**3 = 2**4, 14**3 - 7**3 = 7**4
+
+
 def test_is_prime():
     assert arith.is_prime(113)
     assert not arith.is_prime(1)

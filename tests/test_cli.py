@@ -217,6 +217,15 @@ def test_search_usage_errors(tmp_path):
                     "--output", out]) == EXIT_USAGE
 
 
+def test_search_pillai_default_degrees_need_two_bits(tmp_path, capsys):
+    code = cli.run(["search", "pillai", "--difference", "1", "--max-bits", "1",
+                    "--output", str(tmp_path / "x.jsonl")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_bits >= 2" in err
+    assert "Traceback" not in err
+
+
 def test_search_config_file_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"max_bits": 12}))

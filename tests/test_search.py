@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fcspread import arith, search
+from fcspread import arith, families, search
 from fcspread.products import SpreadConstraints, decompose, enumerate_products
 from fcspread.search import (
     CheckpointMismatch,
@@ -193,6 +193,48 @@ def test_fc_keep_holds_every_cell_with_a_record(coeffs):
                 with_record += bool(acc)
                 assert kept[x, y] or not acc, (u, x, y, acc)
     assert cells > 10000 and with_record > 20, (cells, with_record)
+
+
+def _fc_cube_by_walk(cfg, unit, acc):
+    """An fccube unit run as the pair walk of its unit (3, e2), over every x."""
+    xhi = search._max_base(cfg.max_value, 3)
+    search._run_fc_pair_unit(cfg, dict(unit, kind="fcpair", xlo=2, xhi=xhi), acc)
+
+
+@pytest.mark.parametrize("extra", [
+    {"max_bits": 30}, {"max_bits": 36}, {"max_bits": 30, "min_exp": 3},
+    {"max_bits": 30, "f_bound": Fraction(9, 10)},
+    {"max_bits": 30, "f_strict": False}], ids=str)
+def test_fc_cube_units_match_the_pair_walk(extra, monkeypatch):
+    cfg = make_config("fermat-catalan", **extra)
+    assert any(u["kind"] == "fccube" for u in search._mode_units(cfg))
+    cube = _records(cfg)
+    monkeypatch.setitem(search._UNIT_RUNNERS, "fccube", _fc_cube_by_walk)
+    assert canon_json(cube) == canon_json(_records(cfg))
+
+
+@pytest.mark.parametrize("extra", [
+    {"f_bound": Fraction(3, 2)}, {"min_exp_cap": 2}, {"coeffs": (1, 2, 3)}], ids=str)
+def test_fc_cube_units_only_where_the_third_term_is_a_cube(extra):
+    # a square or a scaled third term is admissible here
+    cfg = make_config("fermat-catalan", max_bits=30, **extra)
+    assert not any(u["kind"] == "fccube" for u in search._mode_units(cfg))
+
+
+def test_fc_at_2_44_finds_the_catalog():
+    # Unit (3, 8) alone reaches 33**8 + 1549034**2 = 15613**3: its third
+    # term for unit (3, 4), where 33**8 = 1089**4, is a square.
+    cfg = make_config("fermat-catalan", max_bits=44)
+    records = _records(cfg)
+    want = sorted(tuple(sorted(v for v, _ in sol.terms))
+                  for sol in families.fermat_catalan_catalog()
+                  if max(v for v, _ in sol.terms) <= cfg.max_value)
+    assert sorted(tuple(sorted(r["values"])) for r in records) == want
+    assert len(want) == 7
+    assert [33**8, 1549034**2, 15613**3] in [r["values"] for r in records]
+    assert (3, 8) in {(u["e1"], u["e2"]) for u in search._mode_units(cfg)
+                      if u["kind"] == "fcpair"}
+    _assert_all_verify(records, cfg)
 
 
 def _fc_wild_reference(cfg, acc):
