@@ -8,12 +8,14 @@ small-denominator parameters get the same exact integer treatment, anything
 else is decided by escalating-precision evaluation that reports "borderline"
 instead of guessing when the margin stays inside its own error bound.
 
-The brute-force scan covers every coprime split a + b = c <= limit.  A numpy
-radical sieve plus two sound log-space prefilters (derived from the target
-inequality itself, with a generous slack that can only over-include) shrink
-the candidate set to a handful of pairs, each confirmed in exact integers;
-the second prefilter bounds the smaller radical of a and b, so each c visits
-only its few small-radical partners instead of all c/2 splits.
+The three sieve scans read one set of tables, rad(n), ln n and ln rad(n)
+from a numpy radical sieve, refused over a memory budget before any is
+built.  The explicit scan and the quality count walk the coprime splits a +
+b = c <= limit through sound log-space prefilters (derived from the target
+inequality, with a slack that can only over-include) that bound the smaller
+radical of a and b, so each c visits only its few small-radical partners.
+The excess pairs, of any gcd, take ln rad(abc) from the tables in one numpy
+pass per c.  Every survivor is decided in exact integers.
 """
 
 from __future__ import annotations
@@ -138,19 +140,13 @@ class AbcReport:
 def check_explicit(t: AbcTriple) -> AbcReport:
     """Exact check of c < max(rad(ab), rad(ac), rad(bc)) * rad(abc)^(7/8)."""
     ra, rb, rc = t.radicals
-    rad_ab, rad_ac, rad_bc = ra * rb, ra * rc, rb * rc
-    rad_abc = ra * rb * rc
-    max_rad = max(rad_ab, rad_ac, rad_bc)
-    passed = t.c**8 < max_rad**8 * rad_abc**7
-    return AbcReport(
-        triple=t,
-        rad_ab=rad_ab,
-        rad_ac=rad_ac,
-        rad_bc=rad_bc,
-        rad_abc=rad_abc,
-        explicit_pass=passed,
-        quality=quality(t),
-    )
+    return AbcReport(t, ra * rb, ra * rc, rb * rc, ra * rb * rc,
+                     _explicit_pass(t.c, ra, rb, rc), quality(t))
+
+
+def _explicit_pass(c: int, ra: int, rb: int, rc: int) -> bool:
+    """The explicit inequality in integers, both sides to the 8th power."""
+    return c**8 < max(ra * rb, ra * rc, rb * rc) ** 8 * (ra * rb * rc) ** 7
 
 
 def quality(t: AbcTriple) -> Any:
@@ -319,6 +315,44 @@ def _partner_splits(
         yield c, np.unique(np.minimum(s, c - s)).tolist()
 
 
+def _scan_tables(limit: int, memory_budget: int) -> Tuple[np.ndarray, ...]:
+    """rad(n), ln n and ln rad(n) for n <= limit; the budget is checked first."""
+    est = (limit + 1) * 24  # the sieve plus two log tables
+    if est > memory_budget:
+        raise MemoryError(f"scan tables to {limit} need about {est} bytes, "
+                          f"over the budget of {memory_budget} bytes")
+    rad = radical_sieve(limit, memory_budget)
+    return (rad,) + _log_tables(rad)
+
+
+def _coprime_splits(limit: int, memory_budget: int, explicit: bool
+                    ) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """(a, b, c, r(a), r(b), r(c)) for the coprime splits a + b = c <= limit
+    that pass the log filter of _partner_splits, by c then a.
+
+    Only the c with 2^j r(c)^k <= c^w are walked: (j, k, w) = (7, 15, 8)
+    for the explicit test, (1, 1, 1) for the quality test.  The scan and
+    the count each argue that every c they keep passes that mask.
+    """
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    rad, lg, lgr = _scan_tables(limit, memory_budget)
+    k, lead, w, slack = ((15.0, 7.0 * math.log(2.0), 8.0, _LOG_SLACK) if explicit
+                         else (1.0, math.log(2.0), 1.0, 2 * _LOG_SLACK))
+    block = 1 << 16  # keeps the c-mask temporaries small next to the tables
+    cs = np.concatenate([
+        np.flatnonzero(
+            k * lgr[lo : lo + block] + lead <= w * lg[lo : lo + block] + slack
+        ) + lo
+        for lo in range(3, limit + 1, block)
+    ])
+    for c, splits in _partner_splits(lg, lgr, cs, explicit):
+        for a in splits:
+            b = c - a
+            if math.gcd(a, b) == 1:
+                yield a, b, c, int(rad[a]), int(rad[b]), int(rad[c])
+
+
 def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple]:
     """All violations of the explicit inequality among a + b = c <= limit.
 
@@ -338,35 +372,9 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
     and the partner reach is that bound / 30 plus a slack of its own, so it
     can only over-include (argued in _partner_splits).
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    est = (limit + 1) * 24  # the sieve plus two log tables; checked before any is built
-    if est > memory_budget:
-        raise MemoryError(
-            f"scan tables to {limit} need about {est} bytes, "
-            f"over the budget of {memory_budget} bytes"
-        )
-    rad = radical_sieve(limit, memory_budget)
-    lg, lgr = _log_tables(rad)
-    ln2_7 = 7.0 * math.log(2.0)
-    block = 1 << 16  # keeps the c-mask temporaries small next to the tables
-    cs = np.concatenate([
-        np.flatnonzero(
-            15.0 * lgr[lo : lo + block] + ln2_7 <= 8.0 * lg[lo : lo + block] + _LOG_SLACK
-        ) + lo
-        for lo in range(3, limit + 1, block)
-    ])
-    out: List[AbcTriple] = []
-    for c, splits in _partner_splits(lg, lgr, cs, explicit=True):
-        for a in splits:
-            b = c - a
-            if math.gcd(a, b) != 1:
-                continue
-            ra, rb, rc = int(rad[a]), int(rad[b]), int(rad[c])
-            max_rad = max(ra * rb, ra * rc, rb * rc)
-            if c**8 >= max_rad**8 * (ra * rb * rc) ** 7:
-                out.append(AbcTriple(a, b, c))
-    return out
+    return [AbcTriple(a, b, c)
+            for a, b, c, ra, rb, rc in _coprime_splits(limit, memory_budget, True)
+            if not _explicit_pass(c, ra, rb, rc)]
 
 
 def count_high_quality(limit: int, memory_budget: int = 4 << 30) -> int:
@@ -377,30 +385,12 @@ def count_high_quality(limit: int, memory_budget: int = 4 << 30) -> int:
     so only c with 2 r(c) < c can count; that c-mask carries twice the
     slack of the pair test, so float rounding can only over-include.
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    rad = radical_sieve(limit, memory_budget)
-    lg, lgr = _log_tables(rad)
-    cs = np.flatnonzero(lgr[3:] + math.log(2.0) <= lg[3:] + 2 * _LOG_SLACK) + 3
-    count = 0
-    for c, splits in _partner_splits(lg, lgr, cs, explicit=False):
-        for a in splits:
-            b = c - a
-            if (
-                math.gcd(a, b) == 1
-                and int(rad[a]) * int(rad[b]) * int(rad[c]) < c
-            ):
-                count += 1
-    return count
+    return sum(1 for a, b, c, ra, rb, rc
+               in _coprime_splits(limit, memory_budget, False) if ra * rb * rc < c)
 
 
 # ---------------------------------------------------------------------------
 # Radical-excess pairs without the coprimality assumption
-
-
-def _merge_radicals(u: int, v: int) -> int:
-    """rad(u*v) for squarefree u, v."""
-    return u * v // math.gcd(u, v)
 
 
 def excess_pairs(limit: int, q_bound: RationalLike,
@@ -409,30 +399,39 @@ def excess_pairs(limit: int, q_bound: RationalLike,
     and gcd(a,b)/rad(gcd(a,b)) <= q_bound.
 
     The radical of the product uses the union of prime supports, so shared
-    primes are not double-counted.  A float pass drops the pairs whose
-    margin ln c - (1+eps) ln rad(abc) is below -slack, which only a failing
-    pair can have; _excess_record decides each survivor exactly.  Sorted by
-    (c, a).
+    primes are not double-counted (_rad_abc).  One numpy pass per c takes
+    ln rad(abc) = lgr[a] + lgr[b] + lgr[c] - 2 lgr[g] over all its splits
+    and drops those whose margin ln c - (1+eps) ln rad(abc) is below -slack.
+    A qualifying pair has a margin above 0, so 1 + eps < ln c / ln 2, and
+    its float margin errs by under 1e-12 for c < 10^9, far below the slack.
+    _excess_record decides each survivor exactly.  Sorted by (c, a).
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     q_boundF, epsF = Fraction(q_bound), Fraction(eps)
     if epsF <= 0 or q_boundF <= 0:
         raise ValueError("eps and the gcd quality bound must be positive")
-    rad = radical_sieve(limit).tolist()
+    rad, lg, lgr = _scan_tables(limit, 4 << 30)
+    radical = rad.tolist().__getitem__
     config = {"limit": limit, "q_bound": q_boundF, "eps": epsF}
-    eps_float = float(epsF)
+    one_eps = 1.0 + float(epsF)
     out: List[Dict[str, Any]] = []
     for c in range(2, limit + 1):
-        lc = math.log(c)
-        for a in range(1, c // 2 + 1):
-            rad_abc = _merge_radicals(_merge_radicals(rad[a], rad[c - a]), rad[c])
-            if lc - (1.0 + eps_float) * math.log(rad_abc) < -_LOG_SLACK:
-                continue
-            rec = _excess_record(a, c - a, config, rad.__getitem__)
+        a = np.arange(1, c // 2 + 1)
+        margin = lg[c] - one_eps * (lgr[a] + lgr[c - a] + lgr[c]
+                                    - 2.0 * lgr[np.gcd(a, c)])
+        for x in (np.flatnonzero(margin >= -_LOG_SLACK) + 1).tolist():
+            rec = _excess_record(x, c - x, config, radical)
             if rec is not None:
                 out.append(rec)
     return out
+
+
+def _rad_abc(a: int, b: int, radical: Callable[[int], int]) -> int:
+    """rad(a b c), c = a + b: a prime dividing two of a, b, c divides g =
+    gcd(a, b) and all three, so r(a) r(b) r(c) counts it three times."""
+    g = math.gcd(a, b)
+    return radical(a) * radical(b) * radical(a + b) // radical(g) ** 2
 
 
 def _excess_record(a: int, b: int, config: Dict[str, Any],
@@ -448,7 +447,7 @@ def _excess_record(a: int, b: int, config: Dict[str, Any],
     gcd_quality = Fraction(g, radical(g))
     if gcd_quality > Fraction(config["q_bound"]):
         return None
-    rad_abc = _merge_radicals(_merge_radicals(radical(a), radical(b)), radical(c))
+    rad_abc = _rad_abc(a, b, radical)
     if _compare_power(c, rad_abc, 1 + Fraction(config["eps"]), Fraction(1)) != "gt":
         return None
     return {"a": a, "b": b, "c": c, "gcd": g, "gcd_over_rad": str(gcd_quality),

@@ -236,12 +236,14 @@ def _catalog_records(params: Dict[str, Any]) -> List[Dict[str, Any]]:
             if max_bits is None or max(v for v, _ in sol.terms) <= 1 << max_bits]
 
 
-# The generator of each `gen` family and the params it takes, in order.
+# The generator of each `gen` family and the params it takes, in order, with
+# their defaults.
 _GEN_FAMILIES = {
-    "standard": (families.gen_standard, ("v", "w", "n")),
-    "maxgcd-trivial": (families.gen_maxgcd_trivial, ("x", "p")),
-    "pythagorean": (families.gen_pythagorean, ("a", "n", "m")),
-    "counterexample": (families.gen_counterexample_family, ("a", "alpha", "extra_degree")),
+    "standard": (families.gen_standard, {"v": 1, "w": 2, "n": 3}),
+    "maxgcd-trivial": (families.gen_maxgcd_trivial, {"x": 2, "p": 5}),
+    "pythagorean": (families.gen_pythagorean, {"a": 2, "n": 4, "m": 5}),
+    "counterexample": (families.gen_counterexample_family,
+                       {"a": 2, "alpha": 2, "extra_degree": 100}),
 }
 
 
@@ -703,25 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a parametric family member")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_std = gen_sub.add_parser("standard")
-    g_std.add_argument("--v", type=int, default=1)
-    g_std.add_argument("--w", type=int, default=2)
-    g_std.add_argument("--n", type=int, default=3)
-    _add_common(g_std)
-    g_tri = gen_sub.add_parser("maxgcd-trivial")
-    g_tri.add_argument("--x", type=int, default=2)
-    g_tri.add_argument("--p", type=int, default=5)
-    _add_common(g_tri)
-    g_pyt = gen_sub.add_parser("pythagorean")
-    g_pyt.add_argument("--a", type=int, default=2)
-    g_pyt.add_argument("--n", type=int, default=4)
-    g_pyt.add_argument("--m", type=int, default=5)
-    _add_common(g_pyt)
-    g_ctr = gen_sub.add_parser("counterexample")
-    g_ctr.add_argument("--a", type=int, default=2)
-    g_ctr.add_argument("--alpha", type=int, default=2)
-    g_ctr.add_argument("--extra-degree", dest="extra_degree", type=int, default=100)
-    _add_common(g_ctr)
+    for family, (_, defaults) in _GEN_FAMILIES.items():
+        g = gen_sub.add_parser(family)
+        for key, default in defaults.items():
+            g.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
+                           default=default)
+        _add_common(g)
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_cat = sub.add_parser("catalog", help="print a known-solution catalog")

@@ -52,7 +52,8 @@ they test P +/- Q against:
   decomposition
   (`_maybe_product`, a superset of the exact test).  The
   relation test and `decompose` see only those survivors.  The maxgcd
-  relation and larger bounds run the scalar `_pairs` loop.  Power bases
+  relation, larger bounds and units where some window reaches base 1
+  (it keeps every cell) run the scalar `_pairs` loop.  Power bases
   start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
   except in the maxgcd relation, whose rows are the multiples x = w*y of
   each y >= 1: they parametrize exactly the maxgcd pairs, so `_pairs`
@@ -406,8 +407,6 @@ def _maybe_product(t: np.ndarray, M: int,
     tf = t.astype(np.float64)
     hit = np.zeros(t.shape, dtype=bool)
     for d, s in caps:
-        if arith.iroot(M, d)[0] <= s + 1:
-            return ok  # lo = 1 for every t <= M, and 1 divides everything
         b = np.maximum(np.power(tf, 1.0 / d).astype(np.int64) - s - 1, 1)
         for _ in range(s + 3):
             hit |= np.fmod(t, b) == 0
@@ -491,15 +490,12 @@ def _weight_ok(cfg: SearchConfig, w: Fraction) -> bool:
 def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
     """Largest spread s >= 0 with 1/n + 1/m + (1+s)/d under the bound.
 
-    Returns -1 when not even s = 0 qualifies.
+    Returns -1 when not even s = 0 qualifies.  With f_bound = p/q the test
+    (1+s)/d < p/q - 1/n - 1/m reads (1+s) q n m < d (p n m - q (n + m)).
     """
-    rem = f_bound - Fraction(1, n) - Fraction(1, m)
-    limit = d * rem - 1
-    if strict:
-        cap = math.ceil(limit) - 1
-    else:
-        cap = math.floor(limit)
-    return max(cap, -1)
+    p, q = f_bound.numerator, f_bound.denominator
+    num, den = d * (p * n * m - q * (n + m)), q * n * m
+    return max(-(-num // den) - 2 if strict else num // den - 1, -1)
 
 
 # Pair relation and least witness spread of each product mode.
@@ -895,14 +891,16 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     M = cfg.max_value
     relation, floor_s = _PRODUCT_MODES[cfg.mode]
     signs = _signs(cfg)
+    # A window reaching base 1 (iroot(M, d) <= s + 1) would keep every cell.
+    prefilter = (relation != "maxgcd" and 2 * M <= _INT64_BOUND
+                 and all(arith.iroot(M, d)[0] > s + 1 for d, s in caps))
 
     def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
         return reduce(np.logical_or, (_maybe_product(
             P + Q if sign == "plus" else np.abs(P - Q), M, caps) for sign in signs))
 
     for P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
-                       keep=keep if relation != "maxgcd" and 2 * M <= _INT64_BOUND
-                       else None):
+                       keep=keep if prefilter else None):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -1119,21 +1117,34 @@ def _unit_order_key(u: Dict[str, Any]) -> Tuple:
     return (u["kind"], u["e1"], u.get("e2", 0), u.get("d", 0), u["xlo"])
 
 
+# A plan holds about 1 KB per piece: its dict, heap entry and group slot.
+_PIECE_BYTES = 1 << 10
+
+
 def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     """Deterministic chunk plan: a list of unit lists covering the search.
 
     The costliest piece is split on its base sub-range, or set aside if it
     does not split, until n_chunks pieces exist or none splits; then the
-    pieces are packed into n_chunks balanced groups.
+    pieces are packed into n_chunks balanced groups.  A piece spans at
+    least one base, so a plan whose pieces could pass a 4 GB budget is
+    refused before any split.
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
+    units = _mode_units(cfg)
+    pieces = min(n_chunks, sum(max(1, u["xhi"] - u["xlo"] + 1) for u in units))
+    budget = 4 << 30
+    if pieces * _PIECE_BYTES > budget:
+        raise MemoryError(f"a plan of {n_chunks} chunks splits into up to {pieces} "
+                          f"pieces, about {pieces * _PIECE_BYTES} bytes, over the "
+                          f"{budget}-byte budget; fewer --chunks make a smaller plan")
 
     def entry(u: Dict[str, Any]) -> Tuple[Tuple, Dict[str, Any]]:
         # Unique per piece (split halves differ in xlo), so dicts never compare.
         return (-u["cost"],) + _unit_order_key(u), u
 
-    heap = [entry(u) for u in _mode_units(cfg)]
+    heap = [entry(u) for u in units]
     heapq.heapify(heap)
     whole: List[Dict[str, Any]] = []  # pieces that do not split
     # a plan with no units is one empty group

@@ -269,6 +269,15 @@ def test_scan_memory_budget(monkeypatch):
         brute_force_scan(10**6, memory_budget=10**7)
 
 
+def test_count_memory_budget(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the sieve was built before the budget check")
+
+    monkeypatch.setattr(abc_check, "radical_sieve", no_sieve)
+    with pytest.raises(MemoryError, match="scan tables"):
+        count_high_quality(10**6, memory_budget=10**7)
+
+
 def test_count_high_quality():
     assert count_high_quality(2000) == 40
     assert count_high_quality(20000) == 204
@@ -327,6 +336,45 @@ def test_excess_pairs_uses_union_radical():
     # rad(2 * 16 * 18) must be 6, not rad(2)*rad(16)*rad(18) = 24
     got = [r for r in excess_pairs(18, 1, "1/100") if (r["a"], r["b"]) == (2, 16)]
     assert got and got[0]["rad_abc"] == 6
+
+
+def _excess_pairs_walk(limit, q_bound, eps):
+    """excess_pairs as the plain walk over every split, with rad(abc) merged
+    from the radicals of a, b and c."""
+    rad = radical_sieve(limit).tolist()
+    config = {"limit": limit, "q_bound": Fraction(q_bound), "eps": Fraction(eps)}
+
+    def merge(u, v):  # rad(u v) for squarefree u, v
+        return u * v // math.gcd(u, v)
+
+    out = []
+    for c in range(2, limit + 1):
+        for a in range(1, c // 2 + 1):
+            rad_abc = merge(merge(rad[a], rad[c - a]), rad[c])
+            if math.log(c) - (1.0 + float(Fraction(eps))) * math.log(rad_abc) < -1e-9:
+                continue
+            rec = abc_check._excess_record(a, c - a, config, rad.__getitem__)
+            if rec is not None:
+                out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("q_bound, eps", [
+    (1, "1/5"), (2, "1/7"), ("3/2", "1/100"),
+    (1, "2/129"),  # a denominator past _EXACT_DENOM_LIMIT: the mpmath path
+])
+def test_excess_pairs_match_the_split_walk(q_bound, eps):
+    got = excess_pairs(400, q_bound, eps)
+    assert got == _excess_pairs_walk(400, q_bound, eps)
+    assert len(got) > 100
+
+
+def test_rad_abc_is_the_radical_of_the_product():
+    rad = radical_sieve(600).tolist()
+    for c in range(2, 601):
+        for a in range(1, c // 2 + 1):
+            want = arith.radical(a * (c - a) * c)
+            assert abc_check._rad_abc(a, c - a, rad.__getitem__) == want, (a, c)
 
 
 def test_excess_pairs_exact_boundary():

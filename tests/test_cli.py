@@ -527,6 +527,28 @@ def test_search_pillai_index_over_budget_exits_runtime(tmp_path, capsys):
     assert err.startswith("error: ") and "--chunks" in err and not out.exists()
 
 
+def test_search_plan_over_budget_exits_runtime(tmp_path, capsys):
+    # 10**12 chunks would split 2^40 values into 10**12 pieces: refused with
+    # the estimate before any split, from --chunks and from a checkpoint
+    out = tmp_path / "x.jsonl"
+    argv = ["search", "pillai", "--difference", "1", "--max-bits", "40",
+            "--threads", "1", "--output", str(out)]
+    assert cli.run(argv + ["--chunks", str(10**12)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: a plan of 1000000000000 chunks")
+    assert "Traceback" not in err and not out.exists()
+    cfg = search.make_config("pillai", difference=1, max_bits=40)
+    ckpt = tmp_path / "run.ckpt"
+    ckpt.write_text(search.canon_json({
+        "format": search.CHECKPOINT_FORMAT, "version": FORMAT_VERSION,
+        "config_digest": cfg.digest(), "config": cfg.semantic_dict(),
+        "plan_digest": "0" * 64, "n_chunks": 10**12, "done": {},
+        "done_sha256": {}}))
+    assert cli.run(argv + ["--checkpoint", str(ckpt), "--resume"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: a plan of") and "Traceback" not in err
+
+
 def test_abc_filter_cli(tmp_path):
     code, header, records, _, out = _run(
         tmp_path,

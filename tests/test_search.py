@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -540,6 +541,61 @@ def test_spread_cap():
         assert Fraction(1, n) + Fraction(1, m) + Fraction(2 + cap, d) >= 1
 
 
+def test_spread_cap_matches_fraction_formula():
+    # the integer cap against ceil/floor of d (f_bound - 1/n - 1/m) - 1
+    for f_bound in map(Fraction, ("1", "41/42", "9/10", "3/2", "5/4", "1/2",
+                                  "2", "7/3")):
+        for n in range(1, 30):
+            for m in range(n, 30):
+                rem = f_bound - Fraction(1, n) - Fraction(1, m)
+                for d in range(1, 40):
+                    limit = d * rem - 1
+                    for strict, cap in ((True, math.ceil(limit) - 1),
+                                        (False, math.floor(limit))):
+                        assert search._spread_cap(n, m, d, f_bound, strict) == max(
+                            cap, -1), (n, m, d, f_bound, strict)
+                        assert search._spread_cap(m, n, d, f_bound, strict) == max(
+                            cap, -1)
+
+
+def test_product_units_whose_window_reaches_one_walk_without_the_prefilter(
+        monkeypatch):
+    # Where some cap's window reaches base 1 the block filter would keep
+    # every cell, so such a unit walks the scalar pairs; both kinds of unit
+    # hand decompose the Z values of the plain walk, once per (Z, d, cap).
+    cfg = make_config("gbtz", max_bits=18, f_bound=Fraction(2))
+    M = cfg.max_value
+    calls = []
+    real = search.decompose
+    monkeypatch.setattr(search, "decompose",
+                        lambda Z, d, s: calls.append((Z, d, s)) or real(Z, d, s))
+    # a hit's record decomposes Z again: count only the walk's calls
+    monkeypatch.setattr(search, "_product_record", lambda *args: None)
+    monkeypatch.setattr(search, "_merge_into", lambda acc, rec: None)
+    tiny = {True: 0, False: 0}
+    filtered = {"calls": 0, "want": 0}
+    for unit in search._mode_units(cfg):
+        caps = search._degree_caps(cfg, unit)
+        reaches_one = any(arith.iroot(M, d)[0] <= s + 1 for d, s in caps)
+        tiny[reaches_one] += 1
+        want = []
+        for P, Q in search._pairs(M, "coprime", unit["e1"], unit["e2"],
+                                  unit["xlo"], unit["xhi"]):
+            for Z in (P + Q, P - Q):
+                if 1 <= Z <= M:
+                    want.extend((Z, d, s) for d, s in caps)
+        calls.clear()
+        search._run_product_unit(cfg, unit, {})
+        if reaches_one:
+            assert sorted(calls) == sorted(want), unit
+        else:  # the filter only drops calls
+            assert not Counter(calls) - Counter(want), unit
+            filtered["calls"] += len(calls)
+            filtered["want"] += len(want)
+    assert tiny[True] > 10 and tiny[False] > 10
+    assert filtered["calls"] < filtered["want"] / 2
+
+
 # ---------------------------------------------------------------------------
 # fermat-catalan mode
 
@@ -858,6 +914,39 @@ def _plan_chunks_resorting(cfg, n_chunks):
     for g in groups:
         g.sort(key=search._unit_order_key)
     return groups
+
+
+def test_plan_size_refused_before_any_split(tmp_path, monkeypatch):
+    # 10**12 chunks of pillai 2^40 would need about 1 PB of plan; the
+    # refusal comes before the first piece is keyed, also on resume
+    def no_split(*args):
+        raise AssertionError("the plan was split before its size was checked")
+
+    cfg = make_config("pillai", difference=1, max_bits=40)
+    monkeypatch.setattr(search, "_unit_order_key", no_split)
+    with pytest.raises(MemoryError, match="fewer --chunks"):
+        run_chunked(cfg, n_chunks=10**12)
+    ckpt = tmp_path / "run.ckpt"
+    ckpt.write_text(canon_json({
+        "format": search.CHECKPOINT_FORMAT, "version": search.FORMAT_VERSION,
+        "config_digest": cfg.digest(), "config": cfg.semantic_dict(),
+        "plan_digest": "0" * 64, "n_chunks": 10**12, "done": {},
+        "done_sha256": {}}))
+    with pytest.raises(MemoryError, match="fewer --chunks"):
+        run_chunked(cfg, checkpoint_path=str(ckpt), resume=True)
+    monkeypatch.undo()
+
+    # pieces are bounded by the chunks and by the bases of the units
+    small = make_config("fermat-catalan", max_bits=13)
+    bases = sum(max(1, u["xhi"] - u["xlo"] + 1) for u in search._mode_units(small))
+    for n_chunks, pieces in ((10**9, bases), (16, 16)):
+        monkeypatch.setattr(search, "_PIECE_BYTES", (4 << 30) // pieces)
+        search.plan_chunks(small, n_chunks)
+        monkeypatch.setattr(search, "_PIECE_BYTES", (4 << 30) // pieces + 1)
+        with pytest.raises(MemoryError):
+            search.plan_chunks(small, n_chunks)
+    monkeypatch.undo()
+    assert search.plan_chunks(small, 10**9) == search.plan_chunks(small, bases)
 
 
 @pytest.mark.parametrize("mode", search.MODES)
