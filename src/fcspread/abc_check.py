@@ -223,7 +223,7 @@ def report(t: AbcTriple,
 # Sieved brute-force scanning
 
 
-def radical_sieve(limit: int, memory_budget: int = 4 << 30) -> np.ndarray:
+def radical_sieve(limit: int, memory_budget: int = search.MEMORY_BUDGET) -> np.ndarray:
     """rad(n) for n in 0..limit as int64 (rad(0) = 0, rad(1) = 1).
 
     Only the primes p <= isqrt(limit) are sieved: each multiplies rad over
@@ -353,7 +353,8 @@ def _coprime_splits(limit: int, memory_budget: int, explicit: bool
                 yield a, b, c, int(rad[a]), int(rad[b]), int(rad[c])
 
 
-def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple]:
+def brute_force_scan(limit: int,
+                     memory_budget: int = search.MEMORY_BUDGET) -> List[AbcTriple]:
     """All violations of the explicit inequality among a + b = c <= limit.
 
     A violation needs c^8 >= max_rad^8 * rad(abc)^7.  With r* = rad(*) and
@@ -377,7 +378,7 @@ def brute_force_scan(limit: int, memory_budget: int = 4 << 30) -> List[AbcTriple
             if not _explicit_pass(c, ra, rb, rc)]
 
 
-def count_high_quality(limit: int, memory_budget: int = 4 << 30) -> int:
+def count_high_quality(limit: int, memory_budget: int = search.MEMORY_BUDGET) -> int:
     """Number of coprime triples with quality > 1 (c > rad(abc)), c <= limit.
 
     r(a) r(b) r(c) < c gives min(r(a), r(b)) < (c / r(c))^(1/2), so the
@@ -411,7 +412,7 @@ def excess_pairs(limit: int, q_bound: RationalLike,
     q_boundF, epsF = Fraction(q_bound), Fraction(eps)
     if epsF <= 0 or q_boundF <= 0:
         raise ValueError("eps and the gcd quality bound must be positive")
-    rad, lg, lgr = _scan_tables(limit, 4 << 30)
+    rad, lg, lgr = _scan_tables(limit, search.MEMORY_BUDGET)
     radical = rad.tolist().__getitem__
     config = {"limit": limit, "q_bound": q_boundF, "eps": epsF}
     one_eps = 1.0 + float(epsF)

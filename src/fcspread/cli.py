@@ -118,10 +118,10 @@ def _merge_options(
 
 
 def _int_option(merged: Dict[str, Any], key: str, default: int) -> int:
-    try:
-        return int(merged.get(key, default))
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer") from None
+    value = merged.get(key, default)
+    if type(value) is not int:  # a bool, float or string is refused, not coerced
+        raise UsageError(f"{key} must be an integer")
+    return value
 
 
 def _now() -> str:
@@ -399,6 +399,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     _merge_options(args, ())  # reads no config key, so refuses any
+    if args.max_bits is not None and args.max_bits < 0:
+        raise UsageError("max_bits must be >= 0")
     params: Dict[str, Any] = {"catalog": args.which, "max_bits": args.max_bits}
     records = _catalog_records(params)
     sys.stderr.write(f"catalog {args.which}: {len(records)} entries\n")
@@ -730,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_scn = abc_sub.add_parser("scan")
     a_scn.add_argument("--limit", type=int, metavar="N")
     a_scn.add_argument("--memory-budget", dest="memory_budget", type=int,
-                       default=4 << 30, metavar="BYTES")
+                       default=search.MEMORY_BUDGET, metavar="BYTES")
     _add_common(a_scn)
     a_scn.set_defaults(handler=_cmd_abc_scan)
     a_flt = abc_sub.add_parser("filter")

@@ -37,11 +37,11 @@ they test P +/- Q against:
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  The plan, the scan and
-  `verify_record` read one rule: `_PRODUCT_MODES` gives each mode's pair
-  relation and least witness spread, `_degree_caps` each exponent pair's
-  (degree, spread cap) list, the cap exact from the weight inequality so
-  that `decompose` is called with the largest admissible spread and nothing
-  more.  Units with an empty list are not planned (survey cells are, and
+  `verify_record` read one rule: each mode's row of `_MODES` gives its pair
+  relation, least witness spread and any spread ceiling, `_degree_caps`
+  each exponent pair's (degree, spread cap) list, the cap the ceiling or
+  else exact from the weight inequality, so that `decompose` is called
+  with the largest admissible spread and nothing more.  Units with an empty list are not planned (survey cells are, and
   report 0), and a record that no unit can give fails verification
   (`_scan_caps`, which `_product_record` reads).  For the coprime and
   non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
@@ -90,8 +90,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, product as iterproduct
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -106,45 +106,59 @@ from .products import (
 
 FORMAT_VERSION = 2
 
-MODES = (
-    "fermat-catalan",
-    "gbtz",
-    "nonmaxgcd3",
-    "fp",
-    "maxgcd-spread1",
-    "pillai",
-    "survey",
-)
+# The bytes a search plan, its pillai indexes and the abc sieve tables may take.
+MEMORY_BUDGET = 4 << 30
 
-_MODE_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "fermat-catalan": {"max_bits": 34, "sign": "plus", "degree": None},
-    "gbtz": {"max_bits": 30, "sign": "both", "degree": (3, 10)},
-    "nonmaxgcd3": {"max_bits": 28, "sign": "both", "degree": (3, 3)},
-    "fp": {"max_bits": 30, "sign": "both", "degree": (4, 21)},
-    "maxgcd-spread1": {"max_bits": 30, "sign": "both", "degree": (5, 10)},
-    "pillai": {
-        "max_bits": 20,
-        "sign": "plus",
-        "degree": None,
-        "max_spread": 0,
-        "f_bound": Fraction(41, 42),
-        "f_strict": False,
-    },
-    "survey": {"max_bits": 24, "sign": "both", "degree": (3, 6)},
+
+class _Mode(NamedTuple):
+    """A search mode: the fields it reads, its defaults and how it scans.
+
+    The digest covers `fields`; any other field keeps its mode default
+    (`defaults`, else the dataclass default).  A product mode pairs powers by
+    `relation`, from degree `degree_floor` up, with witnesses of spread at
+    least `min_spread` and at most `spread_ceiling` (else the weight cap).
+    """
+
+    reads: str
+    defaults: Dict[str, Any]
+    relation: Optional[str] = None
+    min_spread: int = 0
+    degree_floor: Optional[int] = None
+    spread_ceiling: Optional[int] = None
+
+    @property
+    def fields(self) -> Tuple[str, ...]:
+        return ("mode", "max_bits") + tuple(self.reads.split())
+
+    @property
+    def first_base(self) -> int:  # maxgcd rows x = w*y start at y = 1
+        return 1 if self.relation == "maxgcd" else 2
+
+
+_MODES: Dict[str, _Mode] = {
+    "fermat-catalan": _Mode("min_exp max_exp min_exp_cap f_bound f_strict coeffs",
+                            {"max_bits": 34, "sign": "plus", "degree": None}),
+    "gbtz": _Mode("sign min_exp max_exp degree max_spread f_bound f_strict",
+                  {"max_bits": 30, "sign": "both", "degree": (3, 10)},
+                  "coprime", degree_floor=3),
+    # nonmaxgcd3 takes degree (3, 3) only, so it has no degree floor
+    "nonmaxgcd3": _Mode("sign min_exp max_exp degree max_spread f_bound f_strict",
+                        {"max_bits": 28, "sign": "both", "degree": (3, 3)},
+                        "nonmaxgcd", min_spread=1),
+    "fp": _Mode("sign degree max_spread f_bound f_strict",
+                {"max_bits": 30, "sign": "both", "degree": (4, 21)},
+                "nonmaxgcd", degree_floor=4),
+    "maxgcd-spread1": _Mode("sign degree max_spread",
+                            {"max_bits": 30, "sign": "both", "degree": (5, 10)},
+                            "maxgcd", degree_floor=2, spread_ceiling=1),
+    "pillai": _Mode("degree max_spread f_bound f_strict m_bound difference",
+                    {"max_bits": 20, "sign": "plus", "degree": None, "max_spread": 0,
+                     "f_bound": Fraction(41, 42), "f_strict": False}),
+    "survey": _Mode("sign degree n_range m_range max_spread f_bound f_strict",
+                    {"max_bits": 24, "sign": "both", "degree": (3, 6)}, "nonmaxgcd"),
 }
 
-# The fields each mode reads.  The digest covers only these; any other field
-# must keep its mode default (`_MODE_DEFAULTS`, else the dataclass default).
-_MODE_FIELDS: Dict[str, Tuple[str, ...]] = {
-    mode: ("max_bits",) + tuple(fields.split()) for mode, fields in {
-        "fermat-catalan": "min_exp max_exp min_exp_cap f_bound f_strict coeffs",
-        "gbtz": "sign min_exp max_exp degree max_spread f_bound f_strict",
-        "nonmaxgcd3": "sign min_exp max_exp degree max_spread f_bound f_strict",
-        "fp": "sign degree max_spread f_bound f_strict",
-        "maxgcd-spread1": "sign degree max_spread",
-        "pillai": "degree max_spread f_bound f_strict m_bound difference",
-        "survey": "sign degree n_range m_range max_spread f_bound f_strict",
-    }.items()}
+MODES = tuple(_MODES)
 
 
 @dataclass(frozen=True)
@@ -175,17 +189,19 @@ class SearchConfig:
         """Refuse an invalid config, then fold each alias into the value it means.
 
         Folding here, not in `make_config`, gives one search one digest
-        however the config was built: each mode in `_DEGREE_FLOOR` scans
-        degrees from its floor up, and maxgcd-spread1 caps the spread at 1.
+        however the config was built: a mode with a degree floor in `_MODES`
+        scans degrees from its floor up, and one with a spread ceiling caps
+        the spread there.
         """
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        reads, defaults = ("mode",) + _MODE_FIELDS[self.mode], _MODE_DEFAULTS[self.mode]
+        row = _MODES[self.mode]
+        reads = row.fields
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.default is not None and value is None:  # a file's null is no default
                 raise ValueError(f"{f.name} must not be null")
-            if f.name not in reads and value != defaults.get(f.name, f.default):
+            if f.name not in reads and value != row.defaults.get(f.name, f.default):
                 raise ValueError(f"{self.mode} mode does not use {f.name}")
         # a bool or a float can equal an int and still change the digest
         for name in _INT_FIELDS:
@@ -218,19 +234,19 @@ class SearchConfig:
             raise ValueError("pillai's default degrees 2..max_bits need max_bits >= 2")
         if self.mode == "survey" and (self.n_range is None or self.m_range is None):
             raise ValueError("survey mode needs n_range and m_range")
-        floor = _DEGREE_FLOOR.get(self.mode)
+        floor, ceiling = row.degree_floor, row.spread_ceiling
         if floor is not None:
             lo, hi = self.degree
             if hi < floor:
                 raise ValueError(f"{self.mode} mode scans degrees {floor} and up")
             object.__setattr__(self, "degree", (max(floor, lo), hi))
-        if self.mode == "maxgcd-spread1" and self.max_spread is not None and (
-                self.max_spread >= 1):
+        if ceiling is not None and self.max_spread is not None and (
+                self.max_spread >= ceiling):
             object.__setattr__(self, "max_spread", None)
 
     def semantic_dict(self) -> Dict[str, Any]:
         """The mode, the format and the fields the mode reads."""
-        d = {f: jsonify(getattr(self, f)) for f in ("mode",) + _MODE_FIELDS[self.mode]}
+        d = {f: jsonify(getattr(self, f)) for f in _MODES[self.mode].fields}
         d["format"] = FORMAT_VERSION
         return d
 
@@ -245,10 +261,6 @@ class SearchConfig:
         )
 
 
-# The least degree each product mode scans; a lower `degree` low end aliases it.
-# (nonmaxgcd3 takes degree (3, 3) only, so it has no alias.)
-_DEGREE_FLOOR = {"gbtz": 3, "fp": 4, "maxgcd-spread1": 2}
-
 # The integer fields, and those holding a tuple of integers.
 _INT_FIELDS = ("max_bits", "min_exp", "max_exp", "min_exp_cap", "max_spread",
                "difference", "degree", "n_range", "m_range", "coeffs")
@@ -262,7 +274,7 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    values: Dict[str, Any] = dict(_MODE_DEFAULTS[mode])
+    values: Dict[str, Any] = dict(_MODES[mode].defaults)
     for k, v in overrides.items():
         if v is not None or k not in values:
             values[k] = v
@@ -375,18 +387,16 @@ def _maybe_usable(t: np.ndarray, M: int, table: np.ndarray) -> np.ndarray:
 
     Sound for int64 t and M <= 2**62: 1 and the powers of exponent >= 3 are
     found by exact search in `table`; a square t = k*k <= 2**62 has
-    |sqrt(float(t)) - k| < 2**-20, so the truncated root r is k - 1 or k and
-    one of (r-1)**2, r**2, (r+1)**2 (each < 2**63) equals t.  Values < 1
-    are rejected, which `_fc_try_pair` never tests.
+    |sqrt(float(t)) - k| < 2**-20 < 1/2, so the rounded root is k, and its
+    square equals t; a rounded root is at most 2**31, so no square wraps.
+    Values < 1 are rejected, which `_fc_try_pair` never tests.
     """
     ok = (t >= 1) & (t <= M)
     t = np.where(ok, t, 1)
     idx = np.searchsorted(table, t)
     hit = table[np.minimum(idx, len(table) - 1)] == t
-    r = np.sqrt(t.astype(np.float64)).astype(np.int64)
-    for k in (r - 1, r, r + 1):
-        hit |= k * k == t
-    return ok & hit
+    k = np.rint(np.sqrt(t.astype(np.float64))).astype(np.int64)
+    return ok & (hit | (k * k == t))
 
 
 def _maybe_product(t: np.ndarray, M: int,
@@ -498,36 +508,25 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
     return max(-(-num // den) - 2 if strict else num // den - 1, -1)
 
 
-# Pair relation and least witness spread of each product mode.
-_PRODUCT_MODES: Dict[str, Tuple[str, int]] = {
-    "gbtz": ("coprime", 0),
-    "nonmaxgcd3": ("nonmaxgcd", 1),
-    "fp": ("nonmaxgcd", 0),
-    "maxgcd-spread1": ("maxgcd", 0),
-    "survey": ("nonmaxgcd", 0),
-}
-
-
 def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int]]:
     """(degree, spread cap) for each product degree a unit tests P +/- Q at.
 
     A degree whose cap is below the mode's least witness spread is dropped.
     """
-    n, m = unit["e1"], unit["e2"]
+    n, m, row = unit["e1"], unit["e2"], _MODES[cfg.mode]
     if cfg.mode == "survey":
         degrees = [unit["d"]] if unit["d"] > 2 else []
     elif cfg.mode in ("fp", "maxgcd-spread1"):
         degrees = [n]
     else:
         degrees = range(cfg.degree[0], min(n, m, cfg.degree[1]) + 1)
-    floor_s = _PRODUCT_MODES[cfg.mode][1]
     caps = []
     for d in degrees:
-        cap = 1 if cfg.mode == "maxgcd-spread1" else _spread_cap(
+        cap = row.spread_ceiling if row.spread_ceiling is not None else _spread_cap(
             n, m, d, cfg.f_bound, cfg.f_strict)
         if cfg.max_spread is not None:
             cap = min(cap, cfg.max_spread)
-        if cap >= floor_s:
+        if cap >= row.min_spread:
             caps.append((d, cap))
     return caps
 
@@ -809,16 +808,15 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
     """The record the scan writes for P +/- Q = Z at degree d; None if it writes none.
 
     Its assignments are every (n, m) with P = x**n and Q = y**m, bases the
-    scan walks (>= 2, or >= 1 in the maxgcd relation), whose unit the plan
+    scan walks (from the mode's `first_base` up), whose unit the plan
     scans at degree d and whose own spread cap admits a witness.  Its
     witnesses are those of all its assignments.  A survey solution (`cell`
     given) takes only its cell's (n, m), in that order.
     """
-    relation, floor_s = _PRODUCT_MODES[cfg.mode]
+    row = _MODES[cfg.mode]
     if (sign not in _signs(cfg) or Z != (P + Q if sign == "plus" else P - Q)
-            or Z < 1 or max(P, Q, Z) > cfg.max_value
-            or min(P, Q) < (1 if relation == "maxgcd" else 2)
-            or not (cell or P >= Q) or not _related(relation, P, Q)):
+            or Z < 1 or max(P, Q, Z) > cfg.max_value or min(P, Q) < row.first_base
+            or not (cell or P >= Q) or not _related(row.relation, P, Q)):
         return None
     units = _scan_caps(cfg).get(d, {})
     if cell:
@@ -833,7 +831,7 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
         return None
     # decompose is complete, so the witnesses under a smaller cap are those
     # of the largest cap with spread at most the smaller one
-    wits = [w for w in decompose(Z, d, max(caps.values())) if w.spread >= floor_s]
+    wits = [w for w in decompose(Z, d, max(caps.values())) if w.spread >= row.min_spread]
     if not wits:
         return None
     least = min(w.spread for w in wits)
@@ -889,17 +887,17 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     if not caps:
         return
     M = cfg.max_value
-    relation, floor_s = _PRODUCT_MODES[cfg.mode]
+    row = _MODES[cfg.mode]
     signs = _signs(cfg)
     # A window reaching base 1 (iroot(M, d) <= s + 1) would keep every cell.
-    prefilter = (relation != "maxgcd" and 2 * M <= _INT64_BOUND
+    prefilter = (row.relation != "maxgcd" and 2 * M <= _INT64_BOUND
                  and all(arith.iroot(M, d)[0] > s + 1 for d, s in caps))
 
     def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
         return reduce(np.logical_or, (_maybe_product(
             P + Q if sign == "plus" else np.abs(P - Q), M, caps) for sign in signs))
 
-    for P, Q in _pairs(M, relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
+    for P, Q in _pairs(M, row.relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
                        keep=keep if prefilter else None):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
@@ -907,7 +905,7 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
                 continue
             for d, cap in caps:
                 wits = decompose(Z, d, cap)  # almost always empty: skip any() then
-                if not (wits and any(w.spread >= floor_s for w in wits)):
+                if not (wits and any(w.spread >= row.min_spread for w in wits)):
                     continue
                 if survey:
                     _merge_into(acc, {"mode": "survey", "cell": cell, "count": 1,
@@ -1030,20 +1028,20 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> 
 
 
 def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
-                  threads: int, budget: int = 4 << 30) -> None:
+                  threads: int) -> None:
     """Refuse a plan whose pillai indexes would not fit the budget.
 
     A unit's index lives while the unit runs and up to `threads` chunks run
     at once, so each unit gets that share of the budget.
     """
-    share = budget // max(1, min(threads, len(plan)))
+    share = MEMORY_BUDGET // max(1, min(threads, len(plan)))
     for unit in (u for g in plan for u in g if u["kind"] == "pillai"):
         est = _pillai_index_bytes(cfg, unit, share)
         if est > share:
             raise MemoryError(
                 f"the pillai product index for z in [{unit['xlo']}, {unit['xhi']}] "
                 f"needs at least {est} bytes, over its share {share} of the "
-                f"{budget}-byte budget; more --chunks make each range smaller"
+                f"{MEMORY_BUDGET}-byte budget; more --chunks make each range smaller"
             )
 
 
@@ -1099,7 +1097,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
                 cfg.n_range, cfg.m_range, cfg.degree))))
         else:  # fp and maxgcd-spread1 take both powers to the degree
             cells = [(n, n) for n in range(cfg.degree[0], cfg.degree[1] + 1)]
-        first = 1 if _PRODUCT_MODES[cfg.mode][0] == "maxgcd" else 2
+        first = _MODES[cfg.mode].first_base
         for cell in cells:
             unit = dict(zip(("e1", "e2", "d"), cell), kind="product", xlo=first, xhi=0)
             if _degree_caps(cfg, unit):
@@ -1134,11 +1132,11 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
         raise ValueError("n_chunks must be >= 1")
     units = _mode_units(cfg)
     pieces = min(n_chunks, sum(max(1, u["xhi"] - u["xlo"] + 1) for u in units))
-    budget = 4 << 30
-    if pieces * _PIECE_BYTES > budget:
+    if pieces * _PIECE_BYTES > MEMORY_BUDGET:
         raise MemoryError(f"a plan of {n_chunks} chunks splits into up to {pieces} "
                           f"pieces, about {pieces * _PIECE_BYTES} bytes, over the "
-                          f"{budget}-byte budget; fewer --chunks make a smaller plan")
+                          f"{MEMORY_BUDGET}-byte budget; fewer --chunks make a "
+                          "smaller plan")
 
     def entry(u: Dict[str, Any]) -> Tuple[Tuple, Dict[str, Any]]:
         # Unique per piece (split halves differ in xlo), so dicts never compare.
@@ -1390,7 +1388,7 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
 def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
                     cell: Optional[Tuple[int, int]] = None) -> List[str]:
     P, Q, Z = (int(rec[k]) for k in ("p", "q", "z"))
-    relation = _PRODUCT_MODES[cfg.mode][0]
+    relation = _MODES[cfg.mode].relation
     if not _related(relation, P, Q):
         return [f"{cfg.mode} requires {relation} pairs"]
     if cell is None:

@@ -351,6 +351,14 @@ def test_config_file_values_are_checked(tmp_path, capsys):
         (["search", "pillai"], {"difference": True}),
         (["search", "fc", "--max-bits", "12"], {"f_strict": 1}),
         (["search", "fc", "--max-bits", "12"], {"coeffs": [1, 1, True]}),
+        # nor in the integer options of decompose and abc
+        (["abc", "scan"], {"limit": 1000.9}),
+        (["abc", "scan"], {"limit": True}),
+        (["abc", "filter"], {"limit": "1000"}),
+        (["decompose", "36"], {"max_spread": 1.5, "degree": 2}),
+        # a negative bit bound is a usage error, not a crash
+        (["catalog", "fc", "--max-bits", "-5"], {}),
+        (["catalog", "degree3", "--max-bits", "-5"], {}),
     ):
         cfg.write_text(json.dumps(doc))
         assert cli.run(argv + ["--config", str(cfg)] + out) == EXIT_USAGE, argv

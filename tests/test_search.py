@@ -451,6 +451,33 @@ def test_config_round_trip_and_digest():
                          degree=(2, 5))
     assert survey.digest() == (
         "38452dd5e5d0d2ca57295f6c20fbb7b18efa8d3ee54e2853c16c892ca72b1739")
+    # every mode's default config and its 16-chunk plan, pinned the same way
+    for mode, overrides, digest, plan_digest in (
+            ("fermat-catalan", {},
+             "5679b48ae10790b4ecfc9901c4dd2850c467cf8907a572ae0d57c70317f9718d",
+             "f62dcb583ccc1151cb6dae45570844a18069d8dfdfdcf242d61f95a67437f284"),
+            ("gbtz", {},
+             "c882b4618d758a1a24d6be2312ae397f87f0f711fba54ef5ce88e33521a539f5",
+             "69c7616488055e56b955d6776953bb7a57079542409bcf2cdf23724f0d6820a4"),
+            ("nonmaxgcd3", {},
+             "7320bf1722ac52fa517c1f7f37850540d6d428fadb8d639c4dc3af9d46ed33b0",
+             "734bcc31de05e5738d92a89b859b4c947a08bb39191902354fc21a6f453388a9"),
+            ("fp", {},
+             "6de9854642126bb8f21c9d502c90faa4f15c2a7e8dd2a0023c1e96548230ba93",
+             "80afc59a83e1e30ecb84798619b7b8b257329f108767e888b7fed76953473525"),
+            ("maxgcd-spread1", {},
+             "12a8dc0a5f5101d8c2b5b8b48162418cdc12ba7b1eb14a541620a0b48edfd82b",
+             "02c10f06722070e98619dcf2d680c6711e87d73a1d8225004a8c768814f1f7a4"),
+            ("pillai", {"difference": 1},
+             "cf82a6b94f2d1bef024447794ef4f410a13bde357503d6c85800286da2da3dc7",
+             "a61d5a6028875e36f07c78caea6a5368a992bcc4e607c0bbe307bdcd5013c307"),
+            ("survey", {"n_range": (3, 6), "m_range": (3, 6)},
+             "48e915e426134a77386e1eb54a49bd2ecad7a2012ebef6ac550db9743353ef30",
+             "ecbdf0d8bad6ac6b42c5981cc45100fb54ec66f3c4bf65a689d432c8e7438db0"),
+    ):
+        cfg = make_config(mode, **overrides)
+        assert cfg.digest() == digest, mode
+        assert search._sha256(search.plan_chunks(cfg, 16)) == plan_digest, mode
 
 
 def test_aliased_configs_share_a_digest_and_a_plan():
