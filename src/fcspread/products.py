@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
+import numpy as np
 
 from . import arith
 
@@ -100,6 +101,32 @@ def decompose(value: int, degree: int, max_spread: int) -> List[ProductDecomposi
                 stack.append((f, slots - 1, q2, fs + (f,)))
     out.sort(key=lambda p: p.factors)
     return out
+
+
+def product_values(max_value: int, degree: int, max_spread: int) -> np.ndarray:
+    """Sorted int64 array of every v <= max_value with `decompose(v, degree, max_spread)`.
+
+    `enumerate_products`' walk over every base b <= iroot(max_value, d) at
+    once, d the degree and s the spread cap: a state is a product, its last
+    factor and b; the next factor f runs over [last, b + s], and the product
+    stays only if value * f * b**r <= max_value, r the factors still to come
+    (each >= f >= b), so no completion in range is dropped.  It is tested as
+    value <= (max_value // b**r) // f, exact for positive integers, and
+    b**r <= b**d <= max_value <= 2**62 and value * f <= max_value, so no int64
+    operation wraps.  The walk visits at most iroot(max_value, d) *
+    C(d - 1 + s, s) states, the bases times the multisets of the other factors.
+    """
+    if not 1 <= max_value <= 1 << 62 or degree < 1 or max_spread < 0:
+        raise ValueError("need 1 <= max_value <= 2**62, degree >= 1, max_spread >= 0")
+    base = np.arange(1, arith.iroot(max_value, degree)[0] + 1, dtype=np.int64)
+    value, last = base, base
+    for r in range(degree - 2, -1, -1):
+        cut, steps = max_value // base**r, []
+        for f in (last + j for j in range(max_spread + 1)):
+            keep = (f <= base + max_spread) & (value <= cut // f)
+            steps.append((value[keep] * f[keep], f[keep], base[keep]))
+        value, last, base = (np.concatenate(parts) for parts in zip(*steps))
+    return np.unique(value)
 
 
 def fc_weight(terms: Iterable[Tuple[int, int]]) -> Fraction:

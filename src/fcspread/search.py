@@ -44,16 +44,14 @@ they test P +/- Q against:
   with the largest admissible spread and nothing more.  Units with an empty list are not planned (survey cells are, and
   report 0), and a record that no unit can give fails verification
   (`_scan_caps`, which `_product_record` reads).  For the coprime and
-  non-maxgcd relations with M <= 2**62, `_pairs` walks the same int64
-  blocks and keeps a cell only if x**n + y**m (sign plus) or |x**n - y**m|
-  (minus) has, for some (degree d, spread cap s) of the unit, a divisor
-  in a window one wider on each side than [root - s, root], root its
-  integer d-th root, which holds the smallest factor of every qualifying
-  decomposition
-  (`_maybe_product`, a superset of the exact test).  The
-  relation test and `decompose` see only those survivors.  The maxgcd
-  relation, larger bounds and units where some window reaches base 1
-  (it keeps every cell) run the scalar `_pairs` loop.  Power bases
+  non-maxgcd relations with M <= 2**62, a degree whose table costs at most
+  the cells the plan tests at it (`_tabled_caps`) gets, once per run, the
+  values <= M with a decomposition of its largest cap (`_product_table`).
+  A unit whose degrees all have one walks the int64 blocks and keeps a
+  cell only if x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one,
+  so the relation test and `decompose` see only true hits.  The maxgcd
+  relation, larger bounds and units with an untabled degree run the scalar
+  `_pairs` loop.  Power bases
   start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
   except in the maxgcd relation, whose rows are the multiples x = w*y of
   each y >= 1: they parametrize exactly the maxgcd pairs, so `_pairs`
@@ -102,6 +100,7 @@ from .products import (
     analyze,
     decompose,
     enumerate_products,
+    product_values,
 )
 
 FORMAT_VERSION = 2
@@ -362,7 +361,7 @@ def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
 
 # Guard and block size of the int64 pair prefilter.  A keep forms a*P + b*Q,
 # exact modulo 2**64, and runs only where each |value| <= _INT64_BOUND (so
-# M <= 2**62, as `_maybe_usable` and `_maybe_product` need): only a*M + b*M
+# M <= 2**62, as `_maybe_usable` and `_product_table` need): only a*M + b*M
 # = 2**63 at P = Q = M = 2**k can wrap, and no relation admits two even
 # bases.  Blocks of 2**14 cells keep the temporaries near 1 MB.
 _INT64_BOUND = 1 << 63
@@ -399,29 +398,20 @@ def _maybe_usable(t: np.ndarray, M: int, table: np.ndarray) -> np.ndarray:
     return ok & (hit | (k * k == t))
 
 
-def _maybe_product(t: np.ndarray, M: int,
-                   caps: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Vector prefilter: True wherever some `decompose(t, d, s)` of `caps` may hit.
+@lru_cache(maxsize=32)
+def _product_table(M: int, d: int, s: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact membership in `product_values(M, d, s)`, sifted by 16-32 slots per value."""
+    values = product_values(M, d, s)
+    slots = np.zeros(1 << (len(values).bit_length() + 4), dtype=bool)
+    slots[values & (len(slots) - 1)] = True
 
-    `decompose` finds the smallest factor b of a qualifying decomposition in
-    [max(1, root - s), root], root = floor(t**(1/d)), and t % b == 0.  For
-    int64 1 <= t <= 2**62 and d >= 3 the float root t**(1/d) is below 2**21
-    and off by far less than 1 (float(t) and the exponent 1/d each carry a
-    relative error near 2**-53, magnified at most ln(2**62) < 43 times), so
-    its floor r is root - 1, root or root + 1, and the s + 3 bases from
-    lo = max(1, r - s - 1) up cover that range.  Keeping t when one of them
-    divides t can therefore only let extra values through.
-    """
-    ok = (t >= 1) & (t <= M)
-    t = np.where(ok, t, 1)
-    tf = t.astype(np.float64)
-    hit = np.zeros(t.shape, dtype=bool)
-    for d, s in caps:
-        b = np.maximum(np.power(tf, 1.0 / d).astype(np.int64) - s - 1, 1)
-        for _ in range(s + 3):
-            hit |= np.fmod(t, b) == 0
-            b += 1
-    return ok & hit
+    def member(t: np.ndarray) -> np.ndarray:
+        hit = slots[t & (len(slots) - 1)]  # True at every value; t < 0 indexes too
+        sub = t[hit]
+        hit[hit] = values[np.minimum(np.searchsorted(values, sub), len(values) - 1)] == sub
+        return hit
+
+    return member
 
 
 def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
@@ -797,6 +787,26 @@ def _scan_caps(cfg: SearchConfig) -> Dict[int, Dict[Tuple[int, int], int]]:
     return caps
 
 
+@lru_cache(maxsize=16)
+def _tabled_caps(cfg: SearchConfig) -> Dict[int, Tuple[int, int]]:
+    """Degree -> (largest cap s, build bound) of the degrees given a value table.
+
+    Only the coprime and non-maxgcd relations below the int64 bound filter
+    blocks.  A degree d is tabled when its build bound, iroot(M, d) bases
+    times C(d - 1 + s, s) multisets of the other factors, is at most the
+    cells the plan's units test at d; past that, walking them costs less.
+    """
+    if _MODES[cfg.mode].relation in (None, "maxgcd") or 2 * cfg.max_value > _INT64_BOUND:
+        return {}
+    cells: Dict[int, int] = {}
+    for unit in _mode_units(cfg):
+        for d, _ in _degree_caps(cfg, unit):
+            cells[d] = cells.get(d, 0) + unit["cost"]
+    caps = {d: max(_scan_caps(cfg)[d].values()) for d in cells}
+    return {d: (s, bound) for d, s in caps.items() if (bound := arith.iroot(
+        cfg.max_value, d)[0] * math.comb(d - 1 + s, s)) <= cells[d]}
+
+
 def _related(relation: str, P: int, Q: int) -> bool:
     g = math.gcd(P, Q)
     return {"coprime": g == 1, "nonmaxgcd": g != min(P, Q),
@@ -875,7 +885,10 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     """Test x**n +/- y**m against bounded-spread products of the unit's degrees.
 
     A (Z, d) with a witness of at least the mode's least spread goes to
-    `_product_record`; a survey solution joins its cell's record.
+    `_product_record`; a survey solution joins its cell's record.  If all
+    the unit's degrees are tabled (`_tabled_caps`), only the cells whose
+    P + Q or |P - Q| (the configured signs) is in one of their tables reach
+    `decompose`; otherwise every cell does.
     """
     n, m = unit["e1"], unit["e2"]
     survey = cfg.mode == "survey"
@@ -889,16 +902,16 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
     M = cfg.max_value
     row = _MODES[cfg.mode]
     signs = _signs(cfg)
-    # A window reaching base 1 (iroot(M, d) <= s + 1) would keep every cell.
-    prefilter = (row.relation != "maxgcd" and 2 * M <= _INT64_BOUND
-                 and all(arith.iroot(M, d)[0] > s + 1 for d, s in caps))
+    tabled = _tabled_caps(cfg)
+    tables = ([_product_table(M, d, tabled[d][0]) for d, _ in caps]
+              if all(d in tabled for d, _ in caps) else [])
 
     def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
-        return reduce(np.logical_or, (_maybe_product(
-            P + Q if sign == "plus" else np.abs(P - Q), M, caps) for sign in signs))
+        ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
+        return reduce(np.logical_or, (member(t) for t in ts for member in tables))
 
     for P, Q in _pairs(M, row.relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
-                       keep=keep if prefilter else None):
+                       keep=keep if tables else None):
         for sign in signs:
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -1029,12 +1042,19 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> 
 
 def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
                   threads: int) -> None:
-    """Refuse a plan whose pillai indexes would not fit the budget.
+    """Refuse a plan whose product value tables or pillai indexes would not fit.
 
-    A unit's index lives while the unit runs and up to `threads` chunks run
-    at once, so each unit gets that share of the budget.
+    Each worker builds the tables once, in at most 96 bytes per state of
+    their build bounds (a build peaks near 89, a built table keeps <= 40).
+    A unit's index lives while it runs, and up to `threads` chunks run at
+    once, so each unit gets that share of the budget.
     """
     share = MEMORY_BUDGET // max(1, min(threads, len(plan)))
+    est = 96 * sum(bound for _, bound in _tabled_caps(cfg).values())
+    if est > share:
+        raise MemoryError(f"the product value tables need about {est} bytes per worker, "
+                          f"over its share {share} of the {MEMORY_BUDGET}-byte budget; "
+                          "fewer --threads or a smaller --max-bits need less")
     for unit in (u for g in plan for u in g if u["kind"] == "pillai"):
         est = _pillai_index_bytes(cfg, unit, share)
         if est > share:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from fcspread import arith, families, search
-from fcspread.products import SpreadConstraints, decompose, enumerate_products
+from fcspread.products import (SpreadConstraints, decompose, enumerate_products,
+                               product_values)
 from fcspread.search import (
     CheckpointMismatch,
     SearchConfig,
@@ -263,33 +264,37 @@ def test_fc_wild_unit_matches_the_three_layouts():
     assert found > 10
 
 
-def test_product_prefilter_keeps_every_decomposable_value():
-    M = 1 << 16
-    t = np.arange(1, M + 2, dtype=np.int64)
-    for d in range(3, 9):
-        for s in range(0, 5):
-            kept = search._maybe_product(t, M, [(d, s)])
-            for v in t[~kept].tolist():
-                assert v > M or not decompose(v, d, s), (v, d, s)
-            assert not kept[-1]  # M + 1
-            if d == 3:  # a cube root near 40 leaves few divisor candidates
-                assert kept[:-1].mean() < 0.25, (d, s)
+def test_product_tables_hold_exactly_the_decomposable_values():
+    for M in (1 << 16, 3**10 + 7):
+        t = np.arange(-2, M + 3, dtype=np.int64)
+        for d in range(3, 9):
+            # decompose is complete, so decompose(v, d, s) is nonempty exactly
+            # when decompose(v, d, 4) has a witness of spread <= s
+            least = {v: min(w.spread for w in wits) for v in range(1, M + 1)
+                     if (wits := decompose(v, d, 4))}
+            for s in range(0, 5):
+                want = sorted(v for v, spread in least.items() if spread <= s)
+                values = product_values(M, d, s)
+                assert values.dtype == np.int64 and values.tolist() == want, (M, d, s)
+                member = search._product_table(M, d, s)
+                assert np.flatnonzero(member(t)).tolist() == [v + 2 for v in want]
 
     # Near the int64 limit: powers, their neighbours and products b**(d-1)*(b+s).
+    # (Degrees 3 and 4 at s = 4 would build over a million states each.)
     M = 1 << 62
-    for d in range(3, 9):
+    for d, spreads in ((4, (0, 1)), (5, range(5)), (6, range(5)), (7, range(5)),
+                       (8, range(5))):
         root = arith.iroot(M, d)[0]
-        for s in range(0, 5):
-            values = set()
+        for s in spreads:
+            values = {M + 1}
             for k in range(root - 30, root + 2):
                 values |= {k**d - 1, k**d, k**d + 1, k ** (d - 1) * (k + s)}
             values = sorted(v for v in values if 1 <= v < 2**63)
-            kept = search._maybe_product(np.array(values, dtype=np.int64), M,
-                                         [(d, s)])
             hits = [bool(v <= M and decompose(v, d, s)) for v in values]
             assert sum(hits) > 20
-            assert all(k for k, h in zip(kept.tolist(), hits) if h), (d, s)
-            assert not search._maybe_product(np.array([M + 1]), M, [(d, s)])[0]
+            t = np.array(values, dtype=np.int64)
+            assert search._product_table(M, d, s)(t).tolist() == hits, (d, s)
+            assert np.isin(t, product_values(M, d, s)).tolist() == hits, (d, s)
 
 
 def _scalar_product_unit(cfg, unit, acc):
@@ -326,11 +331,12 @@ def _scalar_product_unit(cfg, unit, acc):
 @pytest.mark.parametrize("mode, extra", [
     ("gbtz", {"max_bits": 20, "f_bound": Fraction(3, 2)}),
     ("nonmaxgcd3", {"max_bits": 24}),
-    ("fp", {"max_bits": 24, "f_bound": Fraction(2)}),
+    ("fp", {"max_bits": 26, "f_bound": Fraction(2)}),
     ("survey", {"max_bits": 18, "n_range": (3, 5), "m_range": (3, 5),
                 "degree": (3, 5)}),
     ("gbtz", {"max_bits": 20, "f_bound": Fraction(2), "sign": "plus"}),
     ("gbtz", {"max_bits": 20, "f_bound": Fraction(2), "sign": "minus"}),
+    ("gbtz", {"max_bits": 24, "f_bound": Fraction(2)}),  # degrees 5..10 untabled
 ])
 def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
                                                     monkeypatch):
@@ -339,11 +345,24 @@ def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
     units = search._mode_units(cfg)
     if mode == "survey":  # both n == m and n != m cells
         assert {u["e1"] == u["e2"] for u in units} == {True, False}
+    filtered = Counter()  # units whose walk takes the table keep, and the others
+    pairs = search._pairs
+
+    def counted_pairs(*args, keep=None, **kwargs):
+        filtered[keep is not None] += 1
+        return pairs(*args, keep=keep, **kwargs)
+
     fast, slow = {}, {}
     for u in units:
+        monkeypatch.setattr(search, "_pairs", counted_pairs)
         search._run_product_unit(cfg, u, fast)
+        monkeypatch.setattr(search, "_pairs", pairs)
         _scalar_product_unit(cfg, u, slow)
     assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
+    assert filtered[True], mode
+    # a degree the cost rule leaves without a table makes its units walk
+    degrees = {d for u in units for d, _ in search._degree_caps(cfg, u)}
+    assert bool(filtered[False]) == bool(degrees - set(search._tabled_caps(cfg)))
     found = [r for r in fast.values() if r.get("count", 1)]
     assert len(found) >= 2, mode
 
@@ -585,13 +604,16 @@ def test_spread_cap_matches_fraction_formula():
                             cap, -1)
 
 
-def test_product_units_whose_window_reaches_one_walk_without_the_prefilter(
-        monkeypatch):
-    # Where some cap's window reaches base 1 the block filter would keep
-    # every cell, so such a unit walks the scalar pairs; both kinds of unit
-    # hand decompose the Z values of the plain walk, once per (Z, d, cap).
+def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
+    # A unit with a degree the cost rule leaves untabled hands decompose the
+    # Z values of the plain walk, once per (Z, d, cap); a unit whose degrees
+    # are all tabled hands it exactly those of the cells with a Z in a table.
     cfg = make_config("gbtz", max_bits=18, f_bound=Fraction(2))
     M = cfg.max_value
+    tabled = search._tabled_caps(cfg)
+    assert set(tabled) == {3}
+    for d, (s, bound) in tabled.items():
+        assert bound == arith.iroot(M, d)[0] * math.comb(d - 1 + s, s)
     calls = []
     real = search.decompose
     monkeypatch.setattr(search, "decompose",
@@ -599,28 +621,28 @@ def test_product_units_whose_window_reaches_one_walk_without_the_prefilter(
     # a hit's record decomposes Z again: count only the walk's calls
     monkeypatch.setattr(search, "_product_record", lambda *args: None)
     monkeypatch.setattr(search, "_merge_into", lambda acc, rec: None)
-    tiny = {True: 0, False: 0}
+    kinds = {True: 0, False: 0}
     filtered = {"calls": 0, "want": 0}
     for unit in search._mode_units(cfg):
         caps = search._degree_caps(cfg, unit)
-        reaches_one = any(arith.iroot(M, d)[0] <= s + 1 for d, s in caps)
-        tiny[reaches_one] += 1
-        want = []
-        for P, Q in search._pairs(M, "coprime", unit["e1"], unit["e2"],
-                                  unit["xlo"], unit["xhi"]):
-            for Z in (P + Q, P - Q):
-                if 1 <= Z <= M:
-                    want.extend((Z, d, s) for d, s in caps)
+        walks = any(d not in tabled for d, _ in caps)
+        kinds[walks] += 1
+        cells = [[(Z, d, s) for Z in (P + Q, P - Q) if 1 <= Z <= M for d, s in caps]
+                 for P, Q in search._pairs(M, "coprime", unit["e1"], unit["e2"],
+                                           unit["xlo"], unit["xhi"])]
+        want = [c for cell in cells for c in cell]
         calls.clear()
         search._run_product_unit(cfg, unit, {})
-        if reaches_one:
+        if walks:
             assert sorted(calls) == sorted(want), unit
-        else:  # the filter only drops calls
-            assert not Counter(calls) - Counter(want), unit
+        else:
+            kept = [c for cell in cells if any(real(Z, d, tabled[d][0])
+                                               for Z, d, _ in cell) for c in cell]
+            assert sorted(calls) == sorted(kept), unit
             filtered["calls"] += len(calls)
             filtered["want"] += len(want)
-    assert tiny[True] > 10 and tiny[False] > 10
-    assert filtered["calls"] < filtered["want"] / 2
+    assert kinds[True] > 10 and kinds[False] > 10
+    assert filtered["calls"] < filtered["want"] / 20
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +840,31 @@ def test_pillai_index_refused_up_front(monkeypatch):
     cfg = make_config("pillai", difference=1, degree=(1, 3), max_bits=40)
     with pytest.raises(MemoryError, match="--chunks"):
         run_chunked(cfg, n_chunks=16)
+
+
+def test_product_tables_refused_up_front(monkeypatch):
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("no chunk may run")
+
+    cfg = make_config("gbtz", max_bits=24, f_bound=Fraction(2))
+    tabled = search._tabled_caps(cfg)
+    need = 96 * sum(bound for _, bound in tabled.values())
+    assert set(tabled) == {3, 4}
+    monkeypatch.setattr(search, "run_chunk", no_chunk)
+    monkeypatch.setattr(search, "_run_chunk_task", no_chunk)
+    for budget, threads in ((need - 1, 1), (2 * need - 1, 2)):
+        monkeypatch.setattr(search, "MEMORY_BUDGET", budget)
+        with pytest.raises(MemoryError, match="product value tables need about "
+                           f"{need} bytes per worker.*fewer --threads"):
+            run_chunked(cfg, n_chunks=4, threads=threads)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "MEMORY_BUDGET", 2 * need)
+    assert len(_records(cfg, n_chunks=4, threads=1)) == 29
+    # maxgcd pairs and modes without a product target build no table
+    for other in (make_config("maxgcd-spread1", max_bits=24),
+                  make_config("fermat-catalan", max_bits=24),
+                  make_config("pillai", max_bits=16, difference=1)):
+        assert search._tabled_caps(other) == {}
 
 
 def test_check_memory_at_a_degree_past_the_recursion_limit():
@@ -1173,6 +1220,12 @@ def test_checkpoint_binds_the_records_of_each_done_chunk(tmp_path):
      "dd8f3f073fbcec0fab911a5dd8560bbcaa8e39a3c6f9778a18b130fa1698f50d"),
     ("fermat-catalan", {"max_bits": 16, "coeffs": (1, 7, 8)}, 5,
      "b43b9596ebf77215bb8275d4d11025867510fa9a5b4e69107ecea3a70f640c57"),
+    # product configs with records, against the bench's empty gbtz and fp logs
+    ("gbtz", {"max_bits": 24, "f_bound": Fraction(2)}, 29,
+     "6e56cfdb685436f4bff03e819ed6352dfc20cd50452d11525fbcae649e27d8fe"),
+    ("survey", {"max_bits": 26, "n_range": (3, 6), "m_range": (3, 6),
+                "degree": (3, 6)}, 64,
+     "c747d5995d712b110bc5631d00ba96687ac13a2faa8a5311319649d0438f4136"),
 ])
 def test_record_sections_are_pinned(mode, extra, count, digest):
     cfg = make_config(mode, **extra)
