@@ -28,9 +28,9 @@ they test P +/- Q against:
   layouts, `_fc_layouts`, whose third term is (a P + b Q) / c.  While
   max(A + B, C) * M <= 2**63 a pair or fcone unit walks int64 numpy blocks
   of at most 2**14 cells and keeps a cell when some |a P + b Q| / c is 1,
-  in the sorted power table or a square (`_maybe_usable`, a superset of
-  the exact test); only those are checked for coprimality and passed to
-  the exact `_fc_try_pair`.  Larger bounds run the scalar `_pairs` loop.
+  a square or cube by its rounded float root, or a prime-exponent >= 5
+  power in a sifted set (`_usable_i64`, exact); only those are checked for
+  coprimality and go to `_fc_try_pair`.  Larger bounds run the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as an fccube unit over a range of y: its cells with a cube third
   term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
@@ -333,14 +333,12 @@ def _powers(M: int, e: int) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _power_value_set(bound: int) -> frozenset:
-    """Values x**e <= bound with x >= 2, e >= 3: the powers `_usable_power` looks up.
+    """Values x**p <= bound, x >= 2, p prime >= 5: with squares and cubes, every power.
 
-    Deliberately wider than any configured exponent window: candidates that
-    pass are re-derived exactly (and range-filtered) before recording.
+    Wider than any exponent window: `_fc_candidate` re-derives every hit.
     """
-    return frozenset(
-        v for e in range(3, bound.bit_length()) for v in _powers(bound, e)[2:]
-    )
+    return frozenset(v for p in range(5, bound.bit_length()) if arith.is_prime(p)
+                     for v in _powers(bound, p)[2:])
 
 
 def _max_base(M: int, e: int) -> int:
@@ -350,24 +348,26 @@ def _max_base(M: int, e: int) -> int:
 
 
 def _usable_power(t: int, M: int, power_set: frozenset) -> bool:
-    """Quick filter: t is 1, or t <= M and t is a perfect power."""
-    if t == 1:
-        return True
-    if t > M:
-        return False
-    r = math.isqrt(t)
-    return r * r == t or t in power_set
+    """Exact test: t is 1, or 1 < t <= M and t is a square, a cube or in `power_set`.
+
+    A cube is 0 or +/-1 modulo 7 and 9, which 6 in 7 other values are not.
+    """
+    if not 1 < t <= M:
+        return t == 1
+    return (math.isqrt(t) ** 2 == t or t in power_set
+            or (t % 7 in (0, 1, 6) and t % 9 in (0, 1, 8) and arith.iroot(t, 3)[1]))
 
 
 # Guard and block size of the int64 pair prefilter.  A keep forms a*P + b*Q,
 # exact modulo 2**64, and runs only where each |value| <= _INT64_BOUND (so
-# M <= 2**62, as `_maybe_usable` and `_product_table` need): only a*M + b*M
+# M <= 2**62, as `_usable_i64` and `_product_table` need): only a*M + b*M
 # = 2**63 at P = Q = M = 2**k can wrap, and no relation admits two even
 # bases.  Blocks of 2**14 cells keep the temporaries near 1 MB.
 _INT64_BOUND = 1 << 63
 _PREFILTER_CELLS = 1 << 14
 
 Keep = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Member = Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=128)
@@ -375,33 +375,8 @@ def _powers_i64(M: int, e: int) -> np.ndarray:
     return np.array(_powers(M, e), dtype=np.int64)
 
 
-@lru_cache(maxsize=8)
-def _usable_table_i64(M: int) -> np.ndarray:
-    """Sorted int64 copy of `_power_value_set(M)` plus the wildcard 1."""
-    return np.array(sorted(_power_value_set(M) | {1}), dtype=np.int64)
-
-
-def _maybe_usable(t: np.ndarray, M: int, table: np.ndarray) -> np.ndarray:
-    """Vector prefilter: True wherever `_usable_power(t, M, ...)` may hold.
-
-    Sound for int64 t and M <= 2**62: 1 and the powers of exponent >= 3 are
-    found by exact search in `table`; a square t = k*k <= 2**62 has
-    |sqrt(float(t)) - k| < 2**-20 < 1/2, so the rounded root is k, and its
-    square equals t; a rounded root is at most 2**31, so no square wraps.
-    Values < 1 are rejected, which `_fc_try_pair` never tests.
-    """
-    ok = (t >= 1) & (t <= M)
-    t = np.where(ok, t, 1)
-    idx = np.searchsorted(table, t)
-    hit = table[np.minimum(idx, len(table) - 1)] == t
-    k = np.rint(np.sqrt(t.astype(np.float64))).astype(np.int64)
-    return ok & (hit | (k * k == t))
-
-
-@lru_cache(maxsize=32)
-def _product_table(M: int, d: int, s: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact membership in `product_values(M, d, s)`, sifted by 16-32 slots per value."""
-    values = product_values(M, d, s)
+def _sifted_member(values: np.ndarray) -> Member:
+    """Exact membership in the sorted int64 `values`, sifted by 16-32 slots per value."""
     slots = np.zeros(1 << (len(values).bit_length() + 4), dtype=bool)
     slots[values & (len(slots) - 1)] = True
 
@@ -412,6 +387,30 @@ def _product_table(M: int, d: int, s: int) -> Callable[[np.ndarray], np.ndarray]
         return hit
 
     return member
+
+
+def _usable_i64(t: np.ndarray, M: int, member: Member) -> np.ndarray:
+    """Vector `_usable_power` for int64 t and M <= 2**62, `member` sifting its set.
+
+    Exact.  t outside [1, M] is masked to 1, so the float roots see t <= 2**62
+    and are at most 2**31.  float64(t), the correctly rounded sqrt and the
+    few-ulp libm cbrt keep each within a relative 2**-50, so within 2**-19 <
+    1/2 of the true root: a square or cube of k rounds to k.  Rounded roots
+    are at most 2**31 and 1664511, so k*k <= 2**62 and k**3 < 2**63 cannot
+    wrap, and the exact products decide.
+    """
+    ok = (t >= 1) & (t <= M)
+    t = np.where(ok, t, 1)
+    f = t.astype(np.float64)
+    k = np.rint(np.sqrt(f)).astype(np.int64)
+    c = np.rint(np.cbrt(f)).astype(np.int64)
+    return ok & ((k * k == t) | (c * c * c == t) | member(t))
+
+
+@lru_cache(maxsize=32)
+def _product_table(M: int, d: int, s: int) -> Member:
+    """Exact membership in `product_values(M, d, s)` (`_sifted_member`)."""
+    return _sifted_member(product_values(M, d, s))
 
 
 def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
@@ -701,9 +700,9 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
                  acc: Dict[Tuple, Dict[str, Any]]) -> None:
     """Solve A vx + B vy = C vz for the slot left over by the term values P, Q.
 
-    Each layout of `_fc_layouts` whose third value is a positive integer
-    passing `_usable_power` is tried; layouts that give one triple, as
-    (P, Q) and (Q, P) do when A == B, merge under `_record_key`.
+    Each layout of `_fc_layouts` whose third value passes `_usable_power`
+    (1, or a power <= M: a square, a cube or in `power_set`) is tried; layouts
+    giving one triple, as (P, Q) and (Q, P) do when A == B, merge by `_record_key`.
     """
     M = cfg.max_value
     for a, b, c, slots in _fc_layouts(cfg.coeffs):
@@ -713,17 +712,19 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
             _merge_into(acc, _fc_candidate(cfg, *(vals[i] for i in slots)))
 
 
+@lru_cache(maxsize=16)
 def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
-    """Keep cells where a third value of `_fc_layouts` may pass `_usable_power`.
+    """Keep exactly the cells where a third value of `_fc_layouts` passes `_usable_power`.
 
     A form and its negative test one |a P + b Q| <= max(A + B, C) * M, so
-    (1, 1, 1) tests P + Q and |P - Q| only.  None past the int64 bound.
+    (1, 1, 1) tests P + Q and |P - Q| only, by `_usable_i64`.  None past the
+    int64 bound.  Built once per config, shared by its units.
     """
     A, B, C = cfg.coeffs
     M = cfg.max_value
     if max(A + B, C) * M > _INT64_BOUND:
         return None
-    table = _usable_table_i64(M)
+    member = _sifted_member(np.array(sorted(_power_value_set(M)), dtype=np.int64))
     forms = dict.fromkeys((a, b, c) if a > 0 else (-a, -b, c)
                           for a, b, c, _ in _fc_layouts(cfg.coeffs))
 
@@ -732,11 +733,11 @@ def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
         for a, b, c in forms:
             t = np.abs(a * P + b * Q)
             if c == 1:
-                hit = hit | _maybe_usable(t, M, table)
+                hit = hit | _usable_i64(t, M, member)
             else:  # only the multiples of c, tested as their quotients
                 t, r = np.divmod(t, c)
-                kept = np.zeros(t.shape, dtype=bool)
-                kept[r == 0] = _maybe_usable(t[r == 0], M, table)
+                kept, whole = np.zeros(t.shape, dtype=bool), r == 0
+                kept[whole] = _usable_i64(t[whole], M, member)
                 hit = hit | kept
         return hit
 
@@ -749,8 +750,7 @@ def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
 
     An fcone unit has e2 == 0, so its second term is the literal 1.
     """
-    M = cfg.max_value
-    power_set = _power_value_set(M)
+    M, power_set = cfg.max_value, _power_value_set(cfg.max_value)
     for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
                        unit["xhi"], keep=_fc_keep(cfg)):
         _fc_try_pair(cfg, P, Q, power_set, acc)

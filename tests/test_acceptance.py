@@ -454,6 +454,12 @@ _FC_PLAN_CONFIGS = {
     "min_exp4": dict(min_exp=4),
     "max_exp5": dict(max_exp=5),
     "min_exp_cap3": dict(min_exp_cap=3),
+    "min_exp_cap4": dict(min_exp_cap=4),
+    "min_exp_cap4-f5/4": dict(min_exp_cap=4, f_bound=Fraction(5, 4)),
+    "min_exp3-cap3": dict(min_exp=3, min_exp_cap=3),
+    "min_exp3-cap4": dict(min_exp=3, min_exp_cap=4),
+    "min_exp4-cap4": dict(min_exp=4, min_exp_cap=4),
+    "min_exp_cap2": dict(min_exp_cap=2),
     # two squares are admissible, yet the plan drops cube x cube: with the
     # third exponent capped at 2, 1/3 + 1/3 + 1/2 is over the bound
     "min_exp_cap2-f21/20": dict(min_exp_cap=2, f_bound=Fraction(21, 20),

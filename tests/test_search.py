@@ -41,14 +41,18 @@ def _assert_all_verify(records, cfg):
 
 def test_power_value_set_against_comprehension():
     bound = 10**6
-    want = {
-        x**e
-        for e in range(3, bound.bit_length())
-        for x in range(2, int(round(bound ** (1 / e))) + 2)
-        if x**e <= bound
-    }
-    assert search._power_value_set(bound) == want
-    assert search._power_value_set(100) == {8, 16, 27, 32, 64, 81}
+    primes = [p for p in range(5, bound.bit_length()) if arith.is_prime(p)]
+    want = {x**p for p in primes for x in range(2, int(round(bound ** (1 / p))) + 2)
+            if x**p <= bound}
+    power_set = search._power_value_set(bound)
+    assert power_set == want
+    assert search._power_value_set(3000) == {32, 128, 243, 1024, 2048, 2187}
+    # With squares and cubes it finds every perfect power of exponent >= 2.
+    powers3 = {x**e for e in range(3, bound.bit_length())
+               for x in range(2, int(round(bound ** (1 / e))) + 2) if x**e <= bound}
+    squares = {x * x for x in range(1, 1001)}
+    assert squares | {x**3 for x in range(1, 101)} | power_set == {1} | squares | powers3
+    assert len(search._power_value_set(2**62)) < 10_000
 
 
 def _keep_all(P, Q):
@@ -91,28 +95,30 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
     assert want
 
 
-def test_prefilter_keeps_every_usable_value():
-    M = 1 << 16
+def _usable_kept(values, M):
     power_set = search._power_value_set(M)
-    t = np.arange(1, M + 2, dtype=np.int64)
-    kept = search._maybe_usable(t, M, search._usable_table_i64(M))
-    usable = np.array([search._usable_power(v, M, power_set) for v in t.tolist()])
-    assert usable.any() and not (usable & ~kept).any()
+    member = search._sifted_member(np.array(sorted(power_set), dtype=np.int64))
+    kept = search._usable_i64(np.array(values, dtype=np.int64), M, member)
+    return kept, np.array([search._usable_power(v, M, power_set) for v in values])
 
-    # Near the int64 limit, against a few table powers of its own.
+
+def test_prefilter_keeps_every_usable_value():
+    # The block keep is exact: it keeps a value iff `_usable_power` does.
+    M = 1 << 20
+    kept, usable = _usable_kept(list(range(-2, M + 3)), M)
+    assert usable.sum() > 1000 and (kept == usable).all()
+
+    # Near the int64 limit: the powers of the largest bases, each +/- 1.
     M = 1 << 62
-    powers = {b**e for e in range(3, 63)
-              for b in (arith.iroot(M, e)[0], arith.iroot(M, e)[0] - 1) if b >= 2}
-    table = np.array(sorted(powers | {1}), dtype=np.int64)
-    values = {1, M, M + 1} | powers
-    for k in range(2**31 - 40, 2**31 + 2):
-        values |= {k * k - 1, k * k, k * k + 1, (k - 1) ** 2, (k + 1) ** 2}
+    values = {M, M + 1, M + 2, 2**63 - 1, 3 * 2**61, 2**62 + 2**40 + 1}
+    for e in (2, 3, 5, 7, 11):
+        top = arith.iroot(M, e)[0]
+        values |= {k**e + d for k in range(max(2, top - 3000), top + 2)
+                   for d in (-1, 0, 1)}
     values = sorted(v for v in values if v < 2**63)
-    kept = search._maybe_usable(np.array(values, dtype=np.int64), M, table)
-    usable = np.array([search._usable_power(v, M, powers) for v in values])
-    assert usable.sum() > 40 and not (usable & ~kept).any()
-    assert not kept[values.index(M + 1)]
-    assert not kept[values.index((2**31 - 1) ** 2 + 1)]
+    kept, usable = _usable_kept(values, M)
+    assert usable.sum() > 9000 and (kept == usable).all()
+    assert not kept[values.index(M + 1)] and kept[values.index(M)]
 
 
 @pytest.mark.parametrize("cells", [1, 7, 40, 1 << 14])
