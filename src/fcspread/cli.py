@@ -657,7 +657,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-bits", dest="max_bits", type=int, metavar="N",
                    help="search ceiling 2^N")
     p.add_argument("--threads", type=int, metavar="N",
-                   help="worker processes (default: hardware)")
+                   help="worker processes, at most one per chunk to run "
+                   "(default: hardware)")
     p.add_argument("--chunks", type=int, metavar="N",
                    help="chunk count for the work plan")
     p.add_argument("--checkpoint", metavar="PATH", help="checkpoint file")

@@ -36,26 +36,27 @@ they test P +/- Q against:
   term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
-  term to be a bounded-spread product.  The plan, the scan and
-  `verify_record` read one rule: each mode's row of `_MODES` gives its pair
-  relation, least witness spread and any spread ceiling, `_degree_caps`
-  each exponent pair's (degree, spread cap) list, the cap the ceiling or
-  else exact from the weight inequality, so that `decompose` is called
-  with the largest admissible spread and nothing more.  Units with an empty list are not planned (survey cells are, and
-  report 0), and a record that no unit can give fails verification
-  (`_scan_caps`, which `_product_record` reads).  For the coprime and
+  term to be a bounded-spread product.  Each mode's row of `_MODES` gives
+  its pair relation, least witness spread and any spread ceiling; one
+  cached pass over the mode's cells, `_product_plan`, gives the rest that
+  the plan, the scan and `verify_record` read.  Each cell gets its
+  (degree, spread cap) list, the cap the ceiling or else exact from the
+  weight inequality and cut to max_spread, so that `decompose` is called
+  with the largest admissible spread and nothing more; a degree whose cap
+  is below the least witness spread is dropped.  A cell with an empty list
+  is not planned (a survey cell is, and reports 0), and a record that no
+  planned cell can give fails verification.  For the coprime and
   non-maxgcd relations with M <= 2**62, a degree whose table costs at most
-  the cells the plan tests at it (`_tabled_caps`) gets, once per run, the
-  values <= M with a decomposition of its largest cap (`_product_table`).
-  A unit whose degrees all have one walks the int64 blocks and keeps a
-  cell only if x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one,
-  so the relation test and `decompose` see only true hits.  The maxgcd
-  relation, larger bounds and units with an untabled degree run the scalar
-  `_pairs` loop.  Power bases
-  start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
-  except in the maxgcd relation, whose rows are the multiples x = w*y of
-  each y >= 1: they parametrize exactly the maxgcd pairs, so `_pairs`
-  tests no relation on them.
+  the cells the plan tests at it gets, once per run, the values <= M with
+  a decomposition of its largest cap (`_product_table`).  A unit whose
+  degrees all have one walks the int64 blocks and keeps a cell only if
+  x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one, so the
+  relation test and `decompose` see only true hits.  The maxgcd relation,
+  larger bounds and units with an untabled degree run the scalar `_pairs`
+  loop.  Power bases start at 2 (the literal 1 belongs to the
+  fermat-catalan wildcard only), except in the maxgcd relation, whose rows
+  are the multiples x = w*y of each y >= 1: they parametrize exactly the
+  maxgcd pairs, so `_pairs` tests no relation on them.
 * pillai joins the bounded-spread products with themselves: a unit is a
   value range of Z, and `_run_pillai_unit` indexes once every product
   with value in [Z range low - B, Z range high] and pairs each Z with the
@@ -497,29 +498,6 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
     return max(-(-num // den) - 2 if strict else num // den - 1, -1)
 
 
-def _degree_caps(cfg: SearchConfig, unit: Dict[str, Any]) -> List[Tuple[int, int]]:
-    """(degree, spread cap) for each product degree a unit tests P +/- Q at.
-
-    A degree whose cap is below the mode's least witness spread is dropped.
-    """
-    n, m, row = unit["e1"], unit["e2"], _MODES[cfg.mode]
-    if cfg.mode == "survey":
-        degrees = [unit["d"]] if unit["d"] > 2 else []
-    elif cfg.mode in ("fp", "maxgcd-spread1"):
-        degrees = [n]
-    else:
-        degrees = range(cfg.degree[0], min(n, m, cfg.degree[1]) + 1)
-    caps = []
-    for d in degrees:
-        cap = row.spread_ceiling if row.spread_ceiling is not None else _spread_cap(
-            n, m, d, cfg.f_bound, cfg.f_strict)
-        if cfg.max_spread is not None:
-            cap = min(cap, cfg.max_spread)
-        if cap >= row.min_spread:
-            caps.append((d, cap))
-    return caps
-
-
 # ---------------------------------------------------------------------------
 # Records
 
@@ -775,36 +753,71 @@ def _run_fc_cube_unit(cfg: SearchConfig, unit: Dict[str, Any],
 # product-target modes
 
 
-@lru_cache(maxsize=16)
-def _scan_caps(cfg: SearchConfig) -> Dict[int, Dict[Tuple[int, int], int]]:
-    """Degree -> {(e1, e2): spread cap} of the planned units (-1: bare survey cell)."""
-    caps: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for unit in _mode_units(cfg):
-        if cfg.mode == "survey":
-            caps.setdefault(unit["d"], {})[unit["e1"], unit["e2"]] = -1
-        for d, cap in _degree_caps(cfg, unit):
-            caps.setdefault(d, {})[unit["e1"], unit["e2"]] = cap
-    return caps
+class _ProductPlan(NamedTuple):
+    """A config's planned product units; a cell is (e1, e2), in survey (e1, e2, d)."""
+
+    units: List[Dict[str, Any]]
+    caps: Dict[Tuple[int, ...], List[Tuple[int, int]]]  # cell -> [(degree, cap)]
+    by_degree: Dict[int, Dict[Tuple[int, int], int]]  # degree -> {(e1, e2): cap}
+    tables: Dict[int, Tuple[int, int]]  # tabled degree -> (largest cap, build bound)
 
 
 @lru_cache(maxsize=16)
-def _tabled_caps(cfg: SearchConfig) -> Dict[int, Tuple[int, int]]:
-    """Degree -> (largest cap s, build bound) of the degrees given a value table.
+def _product_plan(cfg: SearchConfig) -> _ProductPlan:
+    """One pass over the product cells of a config (none for fc and pillai).
 
-    Only the coprime and non-maxgcd relations below the int64 bound filter
-    blocks.  A degree d is tabled when its build bound, iroot(M, d) bases
-    times C(d - 1 + s, s) multisets of the other factors, is at most the
-    cells the plan's units test at d; past that, walking them costs less.
+    A unit spans the bases from the relation's first to the max base, none
+    when no degree is left, and costs the cells that range spans, halved on
+    the e1 == e2 triangle of an unordered scan.  A degree d is tabled when
+    its build bound, iroot(M, d) bases times C(d - 1 + s, s) multisets of
+    the other factors, is at most the cells the planned units test at d;
+    past that, walking them costs less.
     """
-    if _MODES[cfg.mode].relation in (None, "maxgcd") or 2 * cfg.max_value > _INT64_BOUND:
-        return {}
-    cells: Dict[int, int] = {}
-    for unit in _mode_units(cfg):
-        for d, _ in _degree_caps(cfg, unit):
-            cells[d] = cells.get(d, 0) + unit["cost"]
-    caps = {d: max(_scan_caps(cfg)[d].values()) for d in cells}
-    return {d: (s, bound) for d, s in caps.items() if (bound := arith.iroot(
-        cfg.max_value, d)[0] * math.comb(d - 1 + s, s)) <= cells[d]}
+    row, M = _MODES[cfg.mode], cfg.max_value
+    survey, first = cfg.mode == "survey", row.first_base
+    cells: Iterable[Tuple[Tuple[int, ...], Iterable[int]]]  # (cell, its degrees)
+    if survey:
+        cells = (((n, m, d), [d] if d > 2 else []) for n, m, d in iterproduct(
+            *(range(lo, hi + 1) for lo, hi in (cfg.n_range, cfg.m_range, cfg.degree))))
+    elif cfg.mode in ("fp", "maxgcd-spread1"):  # both powers to the degree
+        cells = (((n, n), [n]) for n in range(cfg.degree[0], cfg.degree[1] + 1))
+    elif cfg.mode in ("gbtz", "nonmaxgcd3"):
+        lo, hi = max(3, cfg.min_exp), min(cfg.max_exp, cfg.max_bits)
+        cells = (((n, m), range(cfg.degree[0], min(n, cfg.degree[1]) + 1))
+                 for n in range(lo, hi + 1) for m in range(n, hi + 1))
+    else:
+        cells = ()
+    plan = _ProductPlan([], {}, {}, {})
+    cost_at: Dict[int, int] = {}  # degree -> the cells the planned units test at it
+    for cell, degrees in cells:
+        n, m = cell[:2]
+        caps = []
+        for d in degrees:
+            cap = row.spread_ceiling if row.spread_ceiling is not None else _spread_cap(
+                n, m, d, cfg.f_bound, cfg.f_strict)
+            if cfg.max_spread is not None:
+                cap = min(cap, cfg.max_spread)
+            if cap >= row.min_spread:
+                caps.append((d, cap))
+        xhi = _max_base(M, n) if caps else 0
+        cost = max(0, xhi - first + 1) * max(0, _max_base(M, m) - first + 1)
+        if n == m and not survey:
+            cost //= 2
+        if not (cost or survey):
+            continue
+        plan.units.append(dict(zip(("e1", "e2", "d"), cell), kind="product",
+                               xlo=first, xhi=xhi, cost=cost))
+        plan.caps[cell] = caps
+        for d, cap in caps:
+            plan.by_degree.setdefault(d, {})[n, m] = cap
+            cost_at[d] = cost_at.get(d, 0) + cost
+    if row.relation != "maxgcd" and 2 * M <= _INT64_BOUND:
+        for d, at_d in plan.by_degree.items():
+            s = max(at_d.values())
+            bound = arith.iroot(M, d)[0] * math.comb(d - 1 + s, s)
+            if bound <= cost_at[d]:
+                plan.tables[d] = (s, bound)
+    return plan
 
 
 def _related(relation: str, P: int, Q: int) -> bool:
@@ -828,7 +841,7 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
             or Z < 1 or max(P, Q, Z) > cfg.max_value or min(P, Q) < row.first_base
             or not (cell or P >= Q) or not _related(row.relation, P, Q)):
         return None
-    units = _scan_caps(cfg).get(d, {})
+    units = _product_plan(cfg).by_degree.get(d, {})
     if cell:
         units = {cell: units[cell]} if cell in units else {}
     top = max((max(nm) for nm in units), default=0)
@@ -836,7 +849,7 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
     ep, eq = ({e for e in range(1, top + 1) if arith.iroot(v, e)[1]} for v in (P, Q))
     caps = {(n, m): cap for (e1, e2), cap in units.items()
             for n, m in ([(e1, e2)] if cell else [(e1, e2), (e2, e1)])
-            if cap >= 0 and n in ep and m in eq}
+            if n in ep and m in eq}
     if not caps:
         return None
     # decompose is complete, so the witnesses under a smaller cap are those
@@ -886,25 +899,25 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
 
     A (Z, d) with a witness of at least the mode's least spread goes to
     `_product_record`; a survey solution joins its cell's record.  If all
-    the unit's degrees are tabled (`_tabled_caps`), only the cells whose
+    the unit's degrees are tabled (`_product_plan`), only the cells whose
     P + Q or |P - Q| (the configured signs) is in one of their tables reach
     `decompose`; otherwise every cell does.
     """
     n, m = unit["e1"], unit["e2"]
     survey = cfg.mode == "survey"
+    cell = (n, m, unit["d"]) if survey else (n, m)
     if survey:  # every cell is reported, empty ones included
-        cell = [n, m, unit["d"]]
-        acc.setdefault(("survey", tuple(cell)),
-                       {"mode": "survey", "cell": cell, "count": 0, "solutions": []})
-    caps = _degree_caps(cfg, unit)
+        acc.setdefault(("survey", cell), {"mode": "survey", "cell": list(cell),
+                                          "count": 0, "solutions": []})
+    plan = _product_plan(cfg)
+    caps = plan.caps[cell]
     if not caps:
         return
     M = cfg.max_value
     row = _MODES[cfg.mode]
     signs = _signs(cfg)
-    tabled = _tabled_caps(cfg)
-    tables = ([_product_table(M, d, tabled[d][0]) for d, _ in caps]
-              if all(d in tabled for d, _ in caps) else [])
+    tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
+              if all(d in plan.tables for d, _ in caps) else [])
 
     def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
         ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
@@ -921,7 +934,7 @@ def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
                 if not (wits and any(w.spread >= row.min_spread for w in wits)):
                     continue
                 if survey:
-                    _merge_into(acc, {"mode": "survey", "cell": cell, "count": 1,
+                    _merge_into(acc, {"mode": "survey", "cell": list(cell), "count": 1,
                                       "solutions": [_product_record(
                                           cfg, sign, P, Q, Z, d, (n, m))]})
                 else:
@@ -1050,7 +1063,7 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
     once, so each unit gets that share of the budget.
     """
     share = MEMORY_BUDGET // max(1, min(threads, len(plan)))
-    est = 96 * sum(bound for _, bound in _tabled_caps(cfg).values())
+    est = 96 * sum(bound for _, bound in _product_plan(cfg).tables.values())
     if est > share:
         raise MemoryError(f"the product value tables need about {est} bytes per worker, "
                           f"over its share {share} of the {MEMORY_BUDGET}-byte budget; "
@@ -1102,32 +1115,8 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
         # one value range of Z; plan_chunks splits it like a base range
         units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,
                       "cost": M})
-    else:
-        # One unit per (e1, e2[, d]) cell, over the bases from the relation's
-        # first to the max base; a unit whose degrees admit no product scans
-        # none.  Its cost is the cells that range spans, halved on the
-        # e1 == e2 triangle of an unordered scan.  A unit of cost 0 is not
-        # planned, except that every survey cell is, so that it is reported.
-        survey = cfg.mode == "survey"
-        if cfg.mode in ("gbtz", "nonmaxgcd3"):
-            lo, hi = max(3, cfg.min_exp), min(cfg.max_exp, cfg.max_bits)
-            cells = [(n, m) for n in range(lo, hi + 1) for m in range(n, hi + 1)]
-        elif survey:
-            cells = list(iterproduct(*(range(lo, hi + 1) for lo, hi in (
-                cfg.n_range, cfg.m_range, cfg.degree))))
-        else:  # fp and maxgcd-spread1 take both powers to the degree
-            cells = [(n, n) for n in range(cfg.degree[0], cfg.degree[1] + 1)]
-        first = _MODES[cfg.mode].first_base
-        for cell in cells:
-            unit = dict(zip(("e1", "e2", "d"), cell), kind="product", xlo=first, xhi=0)
-            if _degree_caps(cfg, unit):
-                unit["xhi"] = _max_base(M, cell[0])
-            cost = (max(0, unit["xhi"] - first + 1)
-                    * max(0, _max_base(M, cell[1]) - first + 1))
-            if cell[0] == cell[1] and not survey:
-                cost //= 2
-            if cost or survey:
-                units.append(dict(unit, cost=cost))
+    else:  # one unit per planned product cell; the plan is shared, so copy
+        units = [dict(u) for u in _product_plan(cfg).units]
     return units
 
 
@@ -1242,7 +1231,7 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
                       ("n_chunks", int), ("done", dict), ("done_sha256", dict)):
         if not isinstance(state.get(key), kind):
             raise CheckpointMismatch(f"checkpoint {path} lacks a valid {key!r}")
-    if state["n_chunks"] < 1:
+    if isinstance(state["n_chunks"], bool) or state["n_chunks"] < 1:  # True is an int
         raise CheckpointMismatch(f"checkpoint {path} lacks a valid 'n_chunks'")
     return state
 
@@ -1344,7 +1333,8 @@ def run_chunked(
             save_checkpoint(checkpoint_path, state)
 
     if threads > 1 and len(to_run) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, len(to_run))) as pool:
             for idx, records in pool.map(
                 _run_chunk_task, [(i, cfg_dict, plan[i]) for i in to_run]
             ):
@@ -1383,7 +1373,7 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
         return [f"record mode {mode!r} does not match the config mode {cfg.mode!r}"]
     if mode == "survey":
         n, m, d = (int(v) for v in rec["cell"])
-        if (n, m) not in _scan_caps(cfg).get(d, {}):
+        if (n, m, d) not in _product_plan(cfg).caps:
             return ["cell outside the survey ranges"]
         sols = rec["solutions"]
         problems = [] if len(sols) == rec["count"] else ["count != len(solutions)"]
@@ -1412,7 +1402,7 @@ def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
     if not _related(relation, P, Q):
         return [f"{cfg.mode} requires {relation} pairs"]
     if cell is None:
-        scanned = _scan_caps(cfg).get(d, {})
+        scanned = _product_plan(cfg).by_degree.get(d, {})
         unscanned = [f"assignment ({n},{m}) at degree {d} is not scanned"
                      for n, m in rec["assignments"]
                      if (min(n, m), max(n, m)) not in scanned]

@@ -1,6 +1,7 @@
 """Search engine: the pair scan, all seven modes, chunking and checkpoints."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -311,7 +312,7 @@ def _scalar_product_unit(cfg, unit, acc):
         cell = [n, m, unit["d"]]
         acc.setdefault(("survey", tuple(cell)),
                        {"mode": "survey", "cell": cell, "count": 0, "solutions": []})
-    caps = search._degree_caps(cfg, unit)
+    caps = search._product_plan(cfg).caps[tuple(cell) if survey else (n, m)]
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
@@ -367,8 +368,8 @@ def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
     assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
     assert filtered[True], mode
     # a degree the cost rule leaves without a table makes its units walk
-    degrees = {d for u in units for d, _ in search._degree_caps(cfg, u)}
-    assert bool(filtered[False]) == bool(degrees - set(search._tabled_caps(cfg)))
+    plan = search._product_plan(cfg)
+    assert bool(filtered[False]) == bool(set(plan.by_degree) - set(plan.tables))
     found = [r for r in fast.values() if r.get("count", 1)]
     assert len(found) >= 2, mode
 
@@ -610,13 +611,57 @@ def test_spread_cap_matches_fraction_formula():
                             cap, -1)
 
 
+def test_product_plan_computes_each_cap_once(monkeypatch):
+    # One cached pass gives every cap a run reads: planning, each chunk, the
+    # table choice and verification call `_spread_cap` once per (cell, degree).
+    cfg = make_config("gbtz", max_bits=24, f_bound=Fraction(2))
+    calls = Counter()
+    real = search._spread_cap
+
+    def counted(n, m, d, f_bound, strict):
+        calls[n, m, d] += 1
+        return real(n, m, d, f_bound, strict)
+
+    monkeypatch.setattr(search, "_spread_cap", counted)
+    search._product_plan.cache_clear()
+    records = _records(cfg, n_chunks=4)
+    assert len(records) == 29
+    _assert_all_verify(records, cfg)
+    # gbtz cells n <= m in 3..24, each tested at the degrees 3..min(n, 10)
+    want = [(n, m, d) for n in range(3, 25) for m in range(n, 25)
+            for d in range(3, min(n, 10) + 1)]
+    assert calls == Counter(want) and len(want) == len(set(want))
+    # the planned cells: those with a degree whose cap admits a witness, less
+    # the (n, n) cells with the one base 2, whose y < x triangle is empty
+    caps = {}
+    for n, m, d in want:
+        cap = real(n, m, d, cfg.f_bound, cfg.f_strict)
+        if cap >= 0 and (n < m or 3**n <= cfg.max_value):
+            caps.setdefault((n, m), []).append((d, cap))
+    assert search._product_plan(cfg).caps == caps
+
+
+@pytest.mark.parametrize("mode, max_bits, tables", [
+    ("gbtz", 31, {3: (1, 3870), 4: (2, 2150), 5: (3, 2555), 6: (4, 4410)}),
+    ("fp", 34, {4: (0, 362), 5: (1, 555), 6: (2, 1050)}),
+    ("nonmaxgcd3", 30, {3: (1, 3072)}),
+    ("maxgcd-spread1", 36, {}),
+])
+def test_bench_product_configs_keep_their_table_choice(mode, max_bits, tables):
+    # degree -> (largest cap, build bound) of the product-target workload's
+    # configs, as the per-degree cost rule chose them before the plan pass
+    cfg = make_config(mode, max_bits=max_bits)
+    assert search._product_plan(cfg).tables == tables
+
+
 def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
     # A unit with a degree the cost rule leaves untabled hands decompose the
     # Z values of the plain walk, once per (Z, d, cap); a unit whose degrees
     # are all tabled hands it exactly those of the cells with a Z in a table.
     cfg = make_config("gbtz", max_bits=18, f_bound=Fraction(2))
     M = cfg.max_value
-    tabled = search._tabled_caps(cfg)
+    plan = search._product_plan(cfg)
+    tabled = plan.tables
     assert set(tabled) == {3}
     for d, (s, bound) in tabled.items():
         assert bound == arith.iroot(M, d)[0] * math.comb(d - 1 + s, s)
@@ -630,7 +675,7 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
     kinds = {True: 0, False: 0}
     filtered = {"calls": 0, "want": 0}
     for unit in search._mode_units(cfg):
-        caps = search._degree_caps(cfg, unit)
+        caps = plan.caps[unit["e1"], unit["e2"]]
         walks = any(d not in tabled for d, _ in caps)
         kinds[walks] += 1
         cells = [[(Z, d, s) for Z in (P + Q, P - Q) if 1 <= Z <= M for d, s in caps]
@@ -853,7 +898,7 @@ def test_product_tables_refused_up_front(monkeypatch):
         raise AssertionError("no chunk may run")
 
     cfg = make_config("gbtz", max_bits=24, f_bound=Fraction(2))
-    tabled = search._tabled_caps(cfg)
+    tabled = search._product_plan(cfg).tables
     need = 96 * sum(bound for _, bound in tabled.values())
     assert set(tabled) == {3, 4}
     monkeypatch.setattr(search, "run_chunk", no_chunk)
@@ -870,7 +915,7 @@ def test_product_tables_refused_up_front(monkeypatch):
     for other in (make_config("maxgcd-spread1", max_bits=24),
                   make_config("fermat-catalan", max_bits=24),
                   make_config("pillai", max_bits=16, difference=1)):
-        assert search._tabled_caps(other) == {}
+        assert search._product_plan(other).tables == {}
 
 
 def test_check_memory_at_a_degree_past_the_recursion_limit():
@@ -1108,6 +1153,48 @@ def test_checkpoint_config_mismatch(tmp_path):
         run_chunked(cfg, resume=True)  # no path given
 
 
+def test_pool_starts_no_more_workers_than_chunks_to_run(monkeypatch):
+    # The fork start method starts every one of max_workers at the first
+    # submit, so the pool is sized to the chunks that run.  No process starts.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    cfg = make_config("fermat-catalan", max_bits=12)
+    serial = _records(cfg)
+    for threads, n_chunks, max_chunks in ((64, 2, None), (3, 8, None), (64, 8, 5)):
+        res = run_chunked(cfg, n_chunks=n_chunks, threads=threads,
+                          max_chunks=max_chunks)
+        assert res.chunks_total == n_chunks
+        assert res.records == (serial if max_chunks is None else [])
+    assert sizes == [2, 3, 5]
+
+
+def test_bench_span_names_resolve():
+    # The traced bench run wraps these names; a rename must fail here too.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(mod, attr) for mod, attr, *_ in spans.LAYER_FUNCTIONS + spans.LAYER_ITERATORS]
+    assert ("search", "decompose") in names and ("search", "enumerate_products") in names
+    for mod, attr in names:
+        target = getattr(importlib.import_module("fcspread." + mod), attr, None)
+        assert callable(target), (mod, attr)
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
@@ -1116,7 +1203,8 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     cfg = make_config("fermat-catalan", max_bits=10)
     run_chunked(cfg, n_chunks=2, checkpoint_path=str(path), max_chunks=1)
     state = json.loads(path.read_text())
-    broken = ["{not json", "[1, 2]", json.dumps(dict(state, n_chunks=0))] + [
+    broken = ["{not json", "[1, 2]"] + [
+        json.dumps(dict(state, n_chunks=bad)) for bad in (0, True)] + [
         json.dumps({k: v for k, v in state.items() if k != key})
         for key in ("config_digest", "plan_digest", "n_chunks", "done", "done_sha256")
     ]
