@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
 from typing import List, Tuple
 
 
@@ -28,6 +29,8 @@ def _small_primes(limit: int) -> List[int]:
 # 10**4 is comfortably past the point where rho beats further trial division.
 _TRIAL_LIMIT = 10_000
 SMALL_PRIMES = _small_primes(_TRIAL_LIMIT)
+# gcd(n, _PRIMORIAL) is the product of the distinct trial primes dividing n.
+_PRIMORIAL = math.prod(SMALL_PRIMES)
 
 # Miller-Rabin with the first twelve prime bases is a proven primality test
 # below this bound (~3.3e24 > 2**81), which covers the required 2**64 range.
@@ -94,7 +97,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # the sign leaves gcd(q, n) unchanged
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -102,7 +105,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # Cycle collapsed onto n itself; retry with fresh parameters.
@@ -111,25 +114,31 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 def factorize(n: int) -> List[Tuple[int, int]]:
     """Prime factorization of n >= 1 as an ordered [(prime, exponent), ...].
 
-    factorize(1) == [].  Trial division by primes up to 10**4, then
-    deterministic-seed Brent rho with perfect-power splitting on cofactors.
+    factorize(1) == [].  Division by the primes up to 10**4 that divide n,
+    read off gcd(n, their product), then deterministic-seed Brent rho with
+    perfect-power splitting on cofactors.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    found = {}
-    m = n
-    for p in SMALL_PRIMES:
-        if p * p > m:
+    found, primes = {}, []
+    m, g = n, math.gcd(n, _PRIMORIAL)
+    for p in SMALL_PRIMES:  # g is squarefree: past sqrt(g) it is 1 or a prime
+        if p * p > g:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found[p] = found.get(p, 0) + e
-    if m > 1 and m < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if g % p == 0:
+            g //= p
+            primes.append(p)
+    if g > 1:
+        primes.append(g)
+    for p in primes:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        found[p] = e
+    if 1 < m < _TRIAL_LIMIT * _TRIAL_LIMIT:
         # Cofactor below the trial square is necessarily prime.
-        found[m] = found.get(m, 0) + 1
+        found[m] = 1
         m = 1
     stack = [(m, 1)] if m > 1 else []
     while stack:
@@ -137,14 +146,16 @@ def factorize(n: int) -> List[Tuple[int, int]]:
         if is_prime(m):
             found[m] = found.get(m, 0) + mult
             continue
-        pp = perfect_power_exponents(m)
-        if pp:
-            base, exp = pp[-1]  # largest exponent: smallest base to split
-            stack.append((base, mult * exp))
-            continue
-        d = _brent_rho(m, random.Random(m * 0x9E3779B97F4A7C15 + 1))
-        stack.append((d, mult))
-        stack.append((m // d, mult))
+        # Every prime factor of m exceeds the trial limit, so m = r**e needs
+        # _TRIAL_LIMIT**e < m, and a power splits at a prime exponent too.
+        for e in takewhile(lambda e: _TRIAL_LIMIT**e < m, SMALL_PRIMES):
+            r, exact = iroot(m, e)
+            if exact:
+                stack.append((r, mult * e))
+                break
+        else:
+            d = _brent_rho(m, random.Random(m * 0x9E3779B97F4A7C15 + 1))
+            stack += [(d, mult), (m // d, mult)]
     return sorted(found.items())
 
 

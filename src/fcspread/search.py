@@ -26,11 +26,12 @@ they test P +/- Q against:
   planned units reach every triple that `_fc_candidate` accepts, under any
   bound.  The solver and its block keep read one table of the six slot
   layouts, `_fc_layouts`, whose third term is (a P + b Q) / c.  While
-  max(A + B, C) * M <= 2**63 a pair or fcone unit walks int64 numpy blocks
-  of at most 2**14 cells and keeps a cell when some |a P + b Q| / c is 1,
-  a square or cube by its rounded float root, or a prime-exponent >= 5
-  power in a sifted set (`_usable_i64`, exact); only those are checked for
-  coprimality and go to `_fc_try_pair`.  Larger bounds run the scalar loop.
+  max(A + B, C) * M <= 2**63 the pair and fcone units of a chunk walk one
+  stream of int64 cells, and the keep runs once per 2**14 of them: a cell
+  stays when some |a P + b Q| / c is 1, a square or cube by its rounded
+  float root, or a prime-exponent >= 5 power in a sifted set (`_usable_i64`,
+  exact); only those are checked for coprimality and go to `_fc_try_pair`.
+  Larger bounds run the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as an fccube unit over a range of y: its cells with a cube third
   term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
@@ -58,7 +59,7 @@ they test P +/- Q against:
   are the multiples x = w*y of each y >= 1: they parametrize exactly the
   maxgcd pairs, so `_pairs` tests no relation on them.
 * pillai joins the bounded-spread products with themselves: a unit is a
-  value range of Z, and `_run_pillai_unit` indexes once every product
+  value range of Z, and `_run_pillai_units` indexes once every product
   with value in [Z range low - B, Z range high] and pairs each Z with the
   witnesses of Z - B.  The index is bounded before any chunk runs
   (`_check_memory`).
@@ -84,11 +85,13 @@ import heapq
 import json
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, product as iterproduct
+from itertools import chain, groupby, product as iterproduct
+from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -108,6 +111,11 @@ FORMAT_VERSION = 2
 
 # The bytes a search plan, its pillai indexes and the abc sieve tables may take.
 MEMORY_BUDGET = 4 << 30
+
+# JSON-ready dicts: a plan unit, a record, and a chunk's records by `_record_key`.
+Unit = Dict[str, Any]
+Record = Dict[str, Any]
+Acc = Dict[Tuple, Record]
 
 
 class _Mode(NamedTuple):
@@ -414,61 +422,96 @@ def _product_table(M: int, d: int, s: int) -> Member:
     return _sifted_member(product_values(M, d, s))
 
 
-def _prefiltered_cells(M: int, n: int, m: int, lo: int, hi: int, keep: Keep,
-                       same: bool, first: int) -> Iterator[Tuple[int, int]]:
-    """Bases x in [lo, hi], y >= first where `keep` holds for (x**n, y**m).
+Span = Tuple[int, int, int, int]  # a unit's (n, m, lo, hi): x in [lo, hi] of x**n, y**m
 
-    The cells come in blocks of at most `_PREFILTER_CELLS`, row by row; with
-    `same` the scan is the triangle y < x.  `keep(P, Q)` maps the int64
-    column of x**n and row of y**m to the bool block of cells to keep, True
-    wherever the caller's exact test may hold.
+
+def _blocks(M: int, spans: Iterable[Span],
+            ordered: bool) -> Iterator[Tuple[Span, int, int, int, int, bool]]:
+    """The cells of each span as blocks (span, x0, x1, y0, y1, same) of at most
+    `_PREFILTER_CELLS`, row by row: x in [x0, x1), y in [y0, y1) and, with
+    `same` (n == m and not `ordered`, where (x, y) and (y, x) give one pair),
+    y < x.  y starts at the first base of the m table: 2, or 1 for m == 0,
+    the literal 1 (`_powers`).
     """
-    pn, pm = _powers_i64(M, n), _powers_i64(M, m)
-    cols = max(1, min(len(pm) - first, _PREFILTER_CELLS))
-    rows = max(1, _PREFILTER_CELLS // cols)
-    for x0 in range(lo, hi + 1, rows):
-        x1 = min(x0 + rows, hi + 1)
-        P = pn[x0:x1, None]
-        yend = x1 - 1 if same else len(pm)  # same: y < x <= x1 - 1
-        for y0 in range(first, yend, cols):
-            rows_i, cols_j = np.nonzero(keep(P, pm[None, y0:min(y0 + cols, yend)]))
-            for i, j in zip(rows_i.tolist(), cols_j.tolist()):
-                if not same or y0 + j < x0 + i:  # a block can reach past y < x
-                    yield x0 + i, y0 + j
+    for span in spans:
+        n, m, lo, hi = span
+        first, top, same = 1 if m == 0 else 2, len(_powers(M, m)), n == m and not ordered
+        cols = max(1, min(top - first, _PREFILTER_CELLS))
+        rows = max(1, _PREFILTER_CELLS // cols)
+        for x0 in range(lo, hi + 1, rows):
+            x1 = min(x0 + rows, hi + 1)
+            yend = x1 - 1 if same else top  # same: y < x <= x1 - 1
+            for y0 in range(first, yend, cols):
+                yield span, x0, x1, y0, min(y0 + cols, yend), same
 
 
-def _pairs(M: int, relation: str, n: int, m: int, lo: int, hi: int,
-           ordered: bool = False,
+def _prefiltered_cells(M: int, spans: Iterable[Span], keep: Keep,
+                       ordered: bool = False) -> Iterator[Tuple[Span, int, int]]:
+    """The cells (span, x, y) of `_blocks` where `keep` holds for (x**n, y**m).
+
+    The blocks of all the spans fill one stream of two int64 buffers of
+    `_PREFILTER_CELLS` cells, the powers x**n and y**m of each cell, and
+    `keep(P, Q)` maps the buffered cells to the bool array of those to keep,
+    True wherever the caller's exact test may hold.  A block never splits:
+    the buffers go to `keep` when the next one does not fit, so small units
+    share one call.
+    """
+    P, Q = np.empty((2, _PREFILTER_CELLS), dtype=np.int64)
+    # the buffered blocks, as (offset, span, x0, y0, cols, same)
+    batch: List[Tuple[int, Span, int, int, int, bool]] = []
+
+    def flush(end: int) -> Iterator[Tuple[Span, int, int]]:
+        starts = [b[0] for b in batch]
+        for h in np.flatnonzero(keep(P[:end], Q[:end])).tolist():
+            start, span, x0, y0, cols, same = batch[bisect_right(starts, h) - 1]
+            i, j = divmod(h - start, cols)
+            if not same or y0 + j < x0 + i:  # a block can reach past y < x
+                yield span, x0 + i, y0 + j
+        batch.clear()
+
+    end = 0
+    for span, x0, x1, y0, y1, same in _blocks(M, spans, ordered):
+        size = (x1 - x0) * (y1 - y0)
+        if end + size > _PREFILTER_CELLS:
+            yield from flush(end)
+            end = 0
+        cells = slice(end, end + size)  # x1 - x0 rows of y1 - y0 cells
+        P[cells].reshape(x1 - x0, -1)[...] = _powers_i64(M, span[0])[x0:x1, None]
+        Q[cells].reshape(x1 - x0, -1)[...] = _powers_i64(M, span[1])[y0:y1]
+        batch.append((end, span, x0, y0, y1 - y0, same))
+        end += size
+    yield from flush(end)
+
+
+def _pairs(M: int, relation: str, spans: Sequence[Span], ordered: bool = False,
            keep: Optional[Keep] = None) -> Iterator[Tuple[int, int]]:
-    """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M.
+    """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M of each span.
 
     relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
-    divides the other) run x over [lo, hi] and y from the first base of the
-    m table: 2, or 1 for m == 0, the literal 1 (`_powers`).  "maxgcd" runs
-    y over [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the
-    pairs whose smaller power divides the larger.  Each pair comes once with
-    P >= Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
+    divides the other) walk the cells of `_blocks`.  "maxgcd" runs y over
+    [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the pairs
+    whose smaller power divides the larger.  Each pair comes once with P >=
+    Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
     bounds must lie in the base range of the table they index.
 
     With a block predicate `keep` the coprime and nonmaxgcd relations visit
-    only the cells of `_prefiltered_cells`; the maxgcd relation takes none.
-    Without one, the scalar walk is the path past the int64 bound.
+    only the cells of `_prefiltered_cells`, one stream for all the spans;
+    the maxgcd relation takes none.  Without one, the scalar walk is the
+    path past the int64 bound.
     """
-    pn, pm = _powers(M, n), _powers(M, m)
-    first = 1 if m == 0 else 2
-    # With one exponent and no order, (x, y) and (y, x) give the same pair.
-    same = n == m and not ordered
-    rows: Iterable[Tuple[int, Iterable[int]]]
+    rows: Iterable[Tuple[Span, int, Iterable[int]]]
     if relation == "maxgcd":
-        rows = ((x, (y,)) for y in range(lo, hi + 1) for x in range(y, len(pn), y))
+        rows = ((s, x, (y,)) for s in spans for y in range(s[2], s[3] + 1)
+                for x in range(y, len(_powers(M, s[0])), y))
     elif keep is not None:
-        rows = ((x, (y,)) for x, y in _prefiltered_cells(M, n, m, lo, hi, keep,
-                                                         same, first))
+        rows = ((s, x, (y,)) for s, x, y in _prefiltered_cells(M, spans, keep, ordered))
     else:
-        rows = ((x, range(first, x if same else len(pm))) for x in range(lo, hi + 1))
+        rows = ((s, x, range(y0, min(x, y1) if same else y1))
+                for s, x0, x1, y0, y1, same in _blocks(M, spans, ordered)
+                for x in range(x0, x1))
     coprime, nonmax = relation == "coprime", relation == "nonmaxgcd"
-    for x, ys in rows:
-        P = pn[x]
+    for (n, m, _, _), x, ys in rows:
+        P, pm = _powers(M, n)[x], _powers(M, m)
         for y in ys:
             Q = pm[y]
             if coprime:
@@ -502,50 +545,34 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
 # Records
 
 
-def _record_sort_key(rec: Dict[str, Any]) -> Tuple:
+def _record_sort_key(rec: Record) -> Tuple:
     if rec["mode"] == "survey":
         return (tuple(rec["cell"]),)
     if "values" in rec:
         vs = sorted(rec["values"], reverse=True)
         return (vs[0], vs[1], vs[2], rec["sign"])
     if rec["mode"] == "pillai":
-        return (
-            rec["z"],
-            rec["x"],
-            tuple(rec["z_witness"]),
-            tuple(rec["x_witness"]),
-        )
+        return rec["z"], rec["x"], tuple(rec["z_witness"]), tuple(rec["x_witness"])
     return _solution_sort_key(rec)
 
 
-def _solution_sort_key(sol: Dict[str, Any]) -> Tuple:
-    return (
-        max(sol["p"], sol["z"]),
-        min(sol["p"], sol["z"]),
-        sol["q"],
-        sol["sign"],
-        sol["d"],
-    )
+def _solution_sort_key(sol: Record) -> Tuple:
+    return (max(sol["p"], sol["z"]), min(sol["p"], sol["z"]), sol["q"], sol["sign"],
+            sol["d"])
 
 
-def _record_key(rec: Dict[str, Any]) -> Tuple:
+def _record_key(rec: Record) -> Tuple:
     if rec["mode"] == "survey":
         return ("survey", tuple(rec["cell"]))
     if "values" in rec:
         return ("fc", tuple(rec["values"]), tuple(rec["coeffs"]))
     if rec["mode"] == "pillai":
-        return (
-            "pillai",
-            rec["x"],
-            rec["z"],
-            tuple(rec["x_witness"]),
-            tuple(rec["z_witness"]),
-        )
+        return ("pillai", rec["x"], rec["z"], tuple(rec["x_witness"]),
+                tuple(rec["z_witness"]))
     return (rec["mode"], rec["sign"], rec["p"], rec["q"], rec["z"], rec["d"])
 
 
-def _merge_into(acc: Dict[Tuple, Dict[str, Any]],
-                rec: Optional[Dict[str, Any]]) -> None:
+def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
     """Add a record to `acc`; a survey cell collects the solutions of its copies.
 
     None, a builder's 'no record', adds nothing.
@@ -617,7 +644,7 @@ def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
 
 
 def _fc_candidate(cfg: SearchConfig, vx: int, vy: int,
-                  vz: int) -> Optional[Dict[str, Any]]:
+                  vz: int) -> Optional[Record]:
     """The record of the slot triple A vx + B vy = C vz; None if it is none."""
     A, B, C = cfg.coeffs
     M = cfg.max_value
@@ -675,7 +702,7 @@ def _fc_layouts(coeffs: Tuple[int, int, int]) -> Tuple[Tuple[Any, ...], ...]:
 
 
 def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
-                 acc: Dict[Tuple, Dict[str, Any]]) -> None:
+                 acc: Acc) -> None:
     """Solve A vx + B vy = C vz for the slot left over by the term values P, Q.
 
     Each layout of `_fc_layouts` whose third value passes `_usable_power`
@@ -710,38 +737,36 @@ def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
         hit = False
         for a, b, c in forms:
             t = np.abs(a * P + b * Q)
-            if c == 1:
-                hit = hit | _usable_i64(t, M, member)
-            else:  # only the multiples of c, tested as their quotients
-                t, r = np.divmod(t, c)
-                kept, whole = np.zeros(t.shape, dtype=bool), r == 0
-                kept[whole] = _usable_i64(t[whole], M, member)
-                hit = hit | kept
+            if c > 1:  # the multiples of c as their quotients, the others as 0
+                t = np.where(t % c == 0, t // c, 0)
+            hit = hit | _usable_i64(t, M, member)
         return hit
 
     return keep
 
 
-def _run_fc_pair_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
+_span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
+
+
+def _run_fc_pair_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """Pair and fcone units: `_fc_try_pair` on the coprime cells `_fc_keep` keeps.
 
-    An fcone unit has e2 == 0, so its second term is the literal 1.
+    An fcone unit has e2 == 0, so its second term is the literal 1.  All
+    the units walk one `_pairs` stream, so the keep runs once per block of
+    cells, not once per unit.
     """
     M, power_set = cfg.max_value, _power_value_set(cfg.max_value)
-    for P, Q in _pairs(M, "coprime", unit["e1"], unit["e2"], unit["xlo"],
-                       unit["xhi"], keep=_fc_keep(cfg)):
+    for P, Q in _pairs(M, "coprime", list(map(_span, units)), keep=_fc_keep(cfg)):
         _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
-def _run_fc_cube_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
+def _run_fc_cube_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """fccube units: per y in [xlo, xhi], `_fc_try_pair` on the walk's cells (x, y)
     of unit (3, e2) with a cube third term, x a side of a split of y**e2.
     """
-    M, e2 = cfg.max_value, unit["e2"]
+    M = cfg.max_value
     power_set, xhi = _power_value_set(M), _max_base(M, 3)
-    for y in range(unit["xlo"], unit["xhi"] + 1):
+    for e2, y in ((u["e2"], y) for u in units for y in range(u["xlo"], u["xhi"] + 1)):
         N = y**e2
         splits = arith.cube_splits(N, [(p, k * e2) for p, k in arith.factorize(y)])
         for x in {x for split in splits for x in split}:
@@ -756,7 +781,7 @@ def _run_fc_cube_unit(cfg: SearchConfig, unit: Dict[str, Any],
 class _ProductPlan(NamedTuple):
     """A config's planned product units; a cell is (e1, e2), in survey (e1, e2, d)."""
 
-    units: List[Dict[str, Any]]
+    units: List[Unit]
     caps: Dict[Tuple[int, ...], List[Tuple[int, int]]]  # cell -> [(degree, cap)]
     by_degree: Dict[int, Dict[Tuple[int, int], int]]  # degree -> {(e1, e2): cap}
     tables: Dict[int, Tuple[int, int]]  # tabled degree -> (largest cap, build bound)
@@ -827,7 +852,7 @@ def _related(relation: str, P: int, Q: int) -> bool:
 
 
 def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int,
-                    cell: Optional[Tuple[int, int]] = None) -> Optional[Dict[str, Any]]:
+                    cell: Optional[Tuple[int, int]] = None) -> Optional[Record]:
     """The record the scan writes for P +/- Q = Z at degree d; None if it writes none.
 
     Its assignments are every (n, m) with P = x**n and Q = y**m, bases the
@@ -865,7 +890,7 @@ def _product_record(cfg: SearchConfig, sign: str, P: int, Q: int, Z: int, d: int
     x, y = arith.iroot(P, n)[0], arith.iroot(Q, m)[0]
     g = math.gcd(P, Q)
     witnesses = sorted(list(w.factors) for w in wits)
-    rec: Dict[str, Any] = {
+    rec: Record = {
         "sign": sign,
         "p": P,
         "q": Q,
@@ -893,56 +918,54 @@ def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
     return ("plus", "minus") if cfg.sign == "both" else (cfg.sign,)
 
 
-def _run_product_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                      acc: Dict[Tuple, Dict[str, Any]]) -> None:
-    """Test x**n +/- y**m against bounded-spread products of the unit's degrees.
+def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
+    """Test x**n +/- y**m against bounded-spread products of each unit's degrees.
 
     A (Z, d) with a witness of at least the mode's least spread goes to
     `_product_record`; a survey solution joins its cell's record.  If all
-    the unit's degrees are tabled (`_product_plan`), only the cells whose
+    a unit's degrees are tabled (`_product_plan`), only the cells whose
     P + Q or |P - Q| (the configured signs) is in one of their tables reach
-    `decompose`; otherwise every cell does.
+    `decompose`; otherwise every cell does.  Each unit walks its own
+    `_pairs` stream, as its keep reads its own tables.
     """
-    n, m = unit["e1"], unit["e2"]
-    survey = cfg.mode == "survey"
-    cell = (n, m, unit["d"]) if survey else (n, m)
-    if survey:  # every cell is reported, empty ones included
-        acc.setdefault(("survey", cell), {"mode": "survey", "cell": list(cell),
-                                          "count": 0, "solutions": []})
-    plan = _product_plan(cfg)
-    caps = plan.caps[cell]
-    if not caps:
-        return
-    M = cfg.max_value
-    row = _MODES[cfg.mode]
-    signs = _signs(cfg)
-    tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
-              if all(d in plan.tables for d, _ in caps) else [])
+    M, row, plan = cfg.max_value, _MODES[cfg.mode], _product_plan(cfg)
+    signs, survey = _signs(cfg), cfg.mode == "survey"
+    for unit in units:
+        n, m = unit["e1"], unit["e2"]
+        cell = (n, m, unit["d"]) if survey else (n, m)
+        if survey:  # every cell is reported, empty ones included
+            acc.setdefault(("survey", cell), {"mode": "survey", "cell": list(cell),
+                                              "count": 0, "solutions": []})
+        caps = plan.caps[cell]
+        if not caps:
+            continue
+        tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
+                  if all(d in plan.tables for d, _ in caps) else [])
 
-    def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
-        ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
-        return reduce(np.logical_or, (member(t) for t in ts for member in tables))
+        def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
+            ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
+            return reduce(np.logical_or, (member(t) for t in ts for member in tables))
 
-    for P, Q in _pairs(M, row.relation, n, m, unit["xlo"], unit["xhi"], ordered=survey,
-                       keep=keep if tables else None):
-        for sign in signs:
-            Z = P + Q if sign == "plus" else P - Q
-            if not 1 <= Z <= M:
-                continue
-            for d, cap in caps:
-                wits = decompose(Z, d, cap)  # almost always empty: skip any() then
-                if not (wits and any(w.spread >= row.min_spread for w in wits)):
+        for P, Q in _pairs(M, row.relation, [_span(unit)], ordered=survey,
+                           keep=keep if tables else None):
+            for sign in signs:
+                Z = P + Q if sign == "plus" else P - Q
+                if not 1 <= Z <= M:
                     continue
-                if survey:
-                    _merge_into(acc, {"mode": "survey", "cell": list(cell), "count": 1,
-                                      "solutions": [_product_record(
-                                          cfg, sign, P, Q, Z, d, (n, m))]})
-                else:
-                    _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
+                for d, cap in caps:
+                    wits = decompose(Z, d, cap)  # almost always empty: skip any() then
+                    if not (wits and any(w.spread >= row.min_spread for w in wits)):
+                        continue
+                    if survey:
+                        sol = _product_record(cfg, sign, P, Q, Z, d, (n, m))
+                        _merge_into(acc, {"mode": "survey", "cell": list(cell),
+                                          "count": 1, "solutions": [sol]})
+                    else:
+                        _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
 
 
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
-                   zdec: ProductDecomposition) -> Optional[Dict[str, Any]]:
+                   zdec: ProductDecomposition) -> Optional[Record]:
     """The record the scan writes for witnesses of X and Z; None if it writes none."""
     cons = _pillai_constraints(cfg)
     (lo, hi), s_cap = cons.degree_range(), cons.max_spread
@@ -954,16 +977,9 @@ def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
         if not (lo <= dec.degree <= hi and dec.spread <= s_cap) or (
                 cfg.m_bound is not None and dec.spread_sq_over_base() > cfg.m_bound):
             return None
-    return {
-        "mode": "pillai",
-        "sign": "plus",
-        "difference": cfg.difference,
-        "x": xdec.value,
-        "z": zdec.value,
-        "x_witness": list(xdec.factors),
-        "z_witness": list(zdec.factors),
-        "weight": str(w),
-    }
+    return {"mode": "pillai", "sign": "plus", "difference": cfg.difference,
+            "x": xdec.value, "z": zdec.value, "x_witness": list(xdec.factors),
+            "z_witness": list(zdec.factors), "weight": str(w)}
 
 
 def _pillai_constraints(cfg: SearchConfig) -> SpreadConstraints:
@@ -972,25 +988,25 @@ def _pillai_constraints(cfg: SearchConfig) -> SpreadConstraints:
                              max_spread_sq_over_base=cfg.m_bound)
 
 
-def _run_pillai_unit(cfg: SearchConfig, unit: Dict[str, Any],
-                     acc: Dict[Tuple, Dict[str, Any]]) -> None:
+def _run_pillai_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """pillai units: Z in [xlo, xhi], joined by value with X = Z - B.
 
-    Every product of the config's degrees, spread cap and s^2/b bound with
-    value in [max(1, xlo - B), xhi] is indexed once, as value -> factor
-    tuples; `enumerate_products` returns every decomposition of each such
-    value, so each Z and each X = Z - B of the range has all its witnesses.
+    Per unit, every product of the config's degrees, spread cap and s^2/b
+    bound with value in [max(1, xlo - B), xhi] is indexed once, as value ->
+    factor tuples; `enumerate_products` returns every decomposition of each
+    such value, so each Z and each X = Z - B of the range has all its witnesses.
     """
-    zlo, B = unit["xlo"], cfg.difference
-    index: Dict[int, List[Tuple[int, ...]]] = {}
-    for dec in enumerate_products(_pillai_constraints(cfg), unit["xhi"],
-                                  max(1, zlo - B)):
-        index.setdefault(dec.value, []).append(dec.factors)
-    for Z, zfs in index.items():
-        if Z < zlo or Z - B not in index:
-            continue
-        for xf, zf in iterproduct(index[Z - B], zfs):
-            _merge_into(acc, _pillai_record(cfg, analyze(xf), analyze(zf)))
+    B = cfg.difference
+    for unit in units:
+        zlo, index = unit["xlo"], {}
+        for dec in enumerate_products(_pillai_constraints(cfg), unit["xhi"],
+                                      max(1, zlo - B)):
+            index.setdefault(dec.value, []).append(dec.factors)
+        for Z, zfs in index.items():
+            if Z < zlo or Z - B not in index:
+                continue
+            for xf, zf in iterproduct(index[Z - B], zfs):
+                _merge_into(acc, _pillai_record(cfg, analyze(xf), analyze(zf)))
 
 
 # Bytes per pillai index entry, over-estimated (208-271 measured at degrees
@@ -999,7 +1015,7 @@ def _run_pillai_unit(cfg: SearchConfig, unit: Dict[str, Any],
 _PILLAI_ENTRY_BYTES = (200, 40)
 
 
-def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> int:
+def _pillai_index_bytes(cfg: SearchConfig, unit: Unit, limit: int) -> int:
     """A bound on the bytes of the index a pillai unit builds, from class counts.
 
     Per degree d, `enumerate_products` visits the bases b from the d-th
@@ -1053,7 +1069,7 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Dict[str, Any], limit: int) -> 
     return total
 
 
-def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
+def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
                   threads: int) -> None:
     """Refuse a plan whose product value tables or pillai indexes would not fit.
 
@@ -1078,14 +1094,15 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Dict[str, Any]]],
             )
 
 
+# Each runner takes a chunk's consecutive units of its kinds (`run_chunk`).
 _UNIT_RUNNERS = {
-    "fcpair": _run_fc_pair_unit,
-    "fcone": _run_fc_pair_unit,  # the pairs (x**e, 1)
-    "fccube": _run_fc_cube_unit,
-    "fcwild": lambda cfg, unit, acc: _fc_try_pair(  # the pair (1, 1)
+    "fcpair": _run_fc_pair_units,
+    "fcone": _run_fc_pair_units,  # the pairs (x**e, 1)
+    "fccube": _run_fc_cube_units,
+    "fcwild": lambda cfg, units, acc: _fc_try_pair(  # the pair (1, 1), one unit
         cfg, 1, 1, _power_value_set(cfg.max_value), acc),
-    "product": _run_product_unit,
-    "pillai": _run_pillai_unit,
+    "product": _run_product_units,
+    "pillai": _run_pillai_units,
 }
 
 
@@ -1093,10 +1110,10 @@ _UNIT_RUNNERS = {
 # Planning and chunked execution
 
 
-def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
+def _mode_units(cfg: SearchConfig) -> List[Unit]:
     """The deterministic unit list covering the whole search space."""
     M = cfg.max_value
-    units: List[Dict[str, Any]] = []
+    units: List[Unit] = []
     if cfg.mode == "fermat-catalan":
         units.append({"kind": "fcwild", "e1": 0, "e2": 0, "xlo": 0, "xhi": 0,
                       "cost": 1})
@@ -1120,7 +1137,7 @@ def _mode_units(cfg: SearchConfig) -> List[Dict[str, Any]]:
     return units
 
 
-def _unit_order_key(u: Dict[str, Any]) -> Tuple:
+def _unit_order_key(u: Unit) -> Tuple:
     return (u["kind"], u["e1"], u.get("e2", 0), u.get("d", 0), u["xlo"])
 
 
@@ -1128,7 +1145,7 @@ def _unit_order_key(u: Dict[str, Any]) -> Tuple:
 _PIECE_BYTES = 1 << 10
 
 
-def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
+def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Unit]]:
     """Deterministic chunk plan: a list of unit lists covering the search.
 
     The costliest piece is split on its base sub-range, or set aside if it
@@ -1147,13 +1164,13 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
                           f"{MEMORY_BUDGET}-byte budget; fewer --chunks make a "
                           "smaller plan")
 
-    def entry(u: Dict[str, Any]) -> Tuple[Tuple, Dict[str, Any]]:
+    def entry(u: Unit) -> Tuple[Tuple, Unit]:
         # Unique per piece (split halves differ in xlo), so dicts never compare.
         return (-u["cost"],) + _unit_order_key(u), u
 
     heap = [entry(u) for u in units]
     heapq.heapify(heap)
-    whole: List[Dict[str, Any]] = []  # pieces that do not split
+    whole: List[Unit] = []  # pieces that do not split
     # a plan with no units is one empty group
     while heap and len(heap) + len(whole) < n_chunks:
         head = heap[0][1]
@@ -1167,7 +1184,7 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
         heapq.heapreplace(heap, entry(left))
         heapq.heappush(heap, entry(right))
     pieces = sorted(whole + [u for _, u in heap], key=_unit_order_key)
-    groups: List[List[Dict[str, Any]]] = [
+    groups: List[List[Unit]] = [
         [] for _ in range(min(n_chunks, max(len(pieces), 1)))
     ]
     loads = [(0, g) for g in range(len(groups))]  # least load, then lowest g
@@ -1181,17 +1198,17 @@ def plan_chunks(cfg: SearchConfig, n_chunks: int) -> List[List[Dict[str, Any]]]:
     return groups
 
 
-def run_chunk(cfg_dict: Dict[str, Any],
-              units: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+def run_chunk(cfg_dict: Dict[str, Any], units: List[Unit]) -> List[Record]:
     """Run one chunk; a pure function of (config, units), process-safe."""
     cfg = SearchConfig.from_dict(cfg_dict)
-    acc: Dict[Tuple, Dict[str, Any]] = {}
-    for unit in units:
-        _UNIT_RUNNERS[unit["kind"]](cfg, unit, acc)
+    acc: Acc = {}
+    # a plan group is sorted by kind, so fcone and fcpair units run as one group
+    for run, group in groupby(units, key=lambda u: _UNIT_RUNNERS[u["kind"]]):
+        run(cfg, list(group), acc)
     return sorted(acc.values(), key=_record_sort_key)
 
 
-def _run_chunk_task(args: Tuple[int, Dict[str, Any], List[Dict[str, Any]]]):
+def _run_chunk_task(args: Tuple[int, Dict[str, Any], List[Unit]]):
     idx, cfg_dict, units = args
     return idx, run_chunk(cfg_dict, units)
 
@@ -1258,7 +1275,7 @@ def _check_done(state: Dict[str, Any], n_plan: int, cfg: SearchConfig) -> None:
 
 @dataclass
 class RunResult:
-    records: List[Dict[str, Any]]
+    records: List[Record]
     chunks_total: int
     chunks_run: int
     completed: bool
@@ -1266,24 +1283,17 @@ class RunResult:
     candidates: int = 0  # per-chunk records before the dedup merge
 
 
-def merge_records(
-    chunk_results: Sequence[Sequence[Dict[str, Any]]]
-) -> List[Dict[str, Any]]:
-    acc: Dict[Tuple, Dict[str, Any]] = {}
+def merge_records(chunk_results: Sequence[Sequence[Record]]) -> List[Record]:
+    acc: Acc = {}
     for records in chunk_results:
         for rec in records:
             _merge_into(acc, json.loads(canon_json(rec)))
     return sorted(acc.values(), key=_record_sort_key)
 
 
-def run_chunked(
-    cfg: SearchConfig,
-    n_chunks: int = 1,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    threads: int = 1,
-    max_chunks: Optional[int] = None,
-) -> RunResult:
+def run_chunked(cfg: SearchConfig, n_chunks: int = 1,
+                checkpoint_path: Optional[str] = None, resume: bool = False,
+                threads: int = 1, max_chunks: Optional[int] = None) -> RunResult:
     """Run a search over a deterministic chunk plan with checkpointing.
 
     `max_chunks` bounds how many pending chunks run in this call (used to
@@ -1291,15 +1301,9 @@ def run_chunked(
     independent of n_chunks, threads and interruptions in between.
     """
     digest = cfg.digest()
-    state: Dict[str, Any] = {
-        "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
-        "config_digest": digest,
-        "config": cfg.semantic_dict(),
-        "n_chunks": n_chunks,
-        "done": {},
-        "done_sha256": {},
-    }
+    state: Dict[str, Any] = {"format": CHECKPOINT_FORMAT, "version": FORMAT_VERSION,
+                             "config_digest": digest, "config": cfg.semantic_dict(),
+                             "n_chunks": n_chunks, "done": {}, "done_sha256": {}}
     if resume:
         if not checkpoint_path:
             raise ValueError("resume requires a checkpoint path")
@@ -1321,12 +1325,12 @@ def run_chunked(
             )
         _check_done(state, len(plan), cfg)
     state["plan_digest"] = plan_digest
-    done: Dict[str, List[Dict[str, Any]]] = state["done"]
+    done: Dict[str, List[Record]] = state["done"]
     pending = [i for i in range(len(plan)) if str(i) not in done]
     to_run = pending if max_chunks is None else pending[:max_chunks]
     cfg_dict = cfg.semantic_dict()
 
-    def note(idx: int, records: List[Dict[str, Any]]) -> None:
+    def note(idx: int, records: List[Record]) -> None:
         done[str(idx)] = records
         state["done_sha256"][str(idx)] = _sha256(records)
         if checkpoint_path:
@@ -1346,21 +1350,16 @@ def run_chunked(
     records = (
         merge_records([done[k] for k in sorted(done, key=int)]) if completed else []
     )
-    return RunResult(
-        records=records,
-        chunks_total=len(plan),
-        chunks_run=len(to_run),
-        completed=completed,
-        config=cfg,
-        candidates=sum(len(v) for v in done.values()),
-    )
+    return RunResult(records=records, chunks_total=len(plan), chunks_run=len(to_run),
+                     completed=completed, config=cfg,
+                     candidates=sum(len(v) for v in done.values()))
 
 
 # ---------------------------------------------------------------------------
 # Record verification (shared by tests and the log verifier)
 
 
-def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
+def verify_record(rec: Record, cfg: SearchConfig) -> List[str]:
     """Rebuild a record from its identity and compare; returns a list of problems.
 
     The identity is the values of an fc record, the two witnesses of a
@@ -1395,7 +1394,7 @@ def verify_record(rec: Dict[str, Any], cfg: SearchConfig) -> List[str]:
     return _verify_product(rec, cfg, int(rec["d"]))
 
 
-def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
+def _verify_product(rec: Record, cfg: SearchConfig, d: int,
                     cell: Optional[Tuple[int, int]] = None) -> List[str]:
     P, Q, Z = (int(rec[k]) for k in ("p", "q", "z"))
     relation = _MODES[cfg.mode].relation
@@ -1411,7 +1410,7 @@ def _verify_product(rec: Dict[str, Any], cfg: SearchConfig, d: int,
     return _compare(rec, _product_record(cfg, rec["sign"], P, Q, Z, d, cell))
 
 
-def _compare(rec: Dict[str, Any], built: Optional[Dict[str, Any]],
+def _compare(rec: Record, built: Optional[Record],
              absent: str = "the search writes no record for this identity") -> List[str]:
     """The fields of `rec` that differ from the rebuilt record `built`.
 
@@ -1446,7 +1445,7 @@ def expected_degree3_triples(cfg: SearchConfig) -> List[Tuple[int, int, int]]:
 
 
 def expectation_report(cfg: SearchConfig,
-                       records: List[Dict[str, Any]]) -> Tuple[bool, str]:
+                       records: List[Record]) -> Tuple[bool, str]:
     """(expectation met, human summary) for a completed run."""
     if cfg.mode == "fermat-catalan" and cfg.coeffs != (1, 1, 1):
         return True, f"{len(records)} records (no catalog for coefficients)"
@@ -1458,18 +1457,12 @@ def expectation_report(cfg: SearchConfig,
             found = sorted({(r["p"], r["q"], r["z"]) for r in records})
             want = expected_degree3_triples(cfg)
         ok = found == want
-        return ok, (
-            f"found {len(found)} solutions, catalog predicts {len(want)}"
-            + ("" if ok else " (MISMATCH)")
-        )
+        return ok, (f"found {len(found)} solutions, catalog predicts {len(want)}"
+                    + ("" if ok else " (MISMATCH)"))
     if cfg.mode in ("gbtz", "fp"):
-        ok = not records
-        return ok, f"{len(records)} counterexample records (expected 0)"
+        return not records, f"{len(records)} counterexample records (expected 0)"
     if cfg.mode == "maxgcd-spread1":
         bad = [r for r in records if not r.get("standard")]
-        ok = not bad
-        return ok, (
-            f"{len(records)} records, {len(bad)} non-standard "
-            "(expected all standard)"
-        )
+        return not bad, (f"{len(records)} records, {len(bad)} non-standard "
+                         "(expected all standard)")
     return True, f"{len(records)} records"

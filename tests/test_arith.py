@@ -33,6 +33,24 @@ def test_factorize_recomposes():
         assert all(arith.is_prime(p) for p in primes)
 
 
+def test_factorize_semiprimes_and_powers_past_the_trial_bound():
+    # Factors just above the 10**4 trial bound and near 2**32 go to rho and
+    # the perfect-power split; small factors come from the trial gcd.
+    low = [p for p in range(10**4, 10**4 + 120) if arith.is_prime(p)]
+    high = [p for p in range(2**32 - 200, 2**32 + 200) if arith.is_prime(p)]
+    assert len(low) >= 5 and len(high) >= 5
+    cases = [p * q for p in low[:3] + high[:3] for q in low[3:6] + high[3:6]]
+    cases += [p**e for p in low[:2] + high[:2] for e in (2, 3, 5, 6, 7)]
+    cases += [p**2 * q**3 for p, q in zip(low, high)]
+    cases += [2**5 * 9973 * n for n in cases[:12]] + [(low[0] * high[0])**6]
+    for n in cases:
+        fac = arith.factorize(n)
+        assert math.prod(p**e for p, e in fac) == n
+        primes = [p for p, _ in fac]
+        assert primes == sorted(set(primes)) and primes[-1] > 10**4
+        assert all(arith.is_prime(p) for p in primes), n
+
+
 def test_factorize_deterministic():
     # randomized splitting inside must not leak into the output
     n = 2**64 + 13

@@ -87,11 +87,13 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
     lo, hi = (1, top[m]) if relation == "maxgcd" else (2, top[n])
     mid = (lo + hi) // 2
     # the int64 cell blocks, with a prefilter that keeps everything, visit
-    # the same pairs as the scalar loop
+    # the same pairs as the scalar loop, the two halves apart or in one stream
     for keep in (None,) if relation == "maxgcd" else (None, _keep_all):
-        got = list(search._pairs(M, relation, n, m, lo, mid, ordered, keep))
-        got += search._pairs(M, relation, n, m, mid + 1, hi, ordered, keep)
-        assert len(got) == len(set(got))
+        got = list(search._pairs(M, relation, [(n, m, lo, mid)], ordered, keep))
+        got += search._pairs(M, relation, [(n, m, mid + 1, hi)], ordered, keep)
+        both = list(search._pairs(M, relation, [(n, m, lo, mid), (n, m, mid + 1, hi)],
+                                  ordered, keep))
+        assert len(got) == len(set(got)) and sorted(both) == sorted(got)
         assert set(got) == want
     assert want
 
@@ -126,18 +128,29 @@ def test_prefilter_keeps_every_usable_value():
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3), (5, 5), (3, 0)])
 def test_prefiltered_cells_cover_the_pair_scan(n, m, cells, monkeypatch):
     # With a prefilter that keeps everything, the blocks must tile the scan;
-    # m = 0 is the column of the literal 1, the one base y = 1.
+    # m = 0 is the column of the literal 1, the one base y = 1.  The unit's
+    # pieces are checked alone and in one stream with units of other (n, m),
+    # an fcone and a triangle (n == m), so that buffers straddle units.
     monkeypatch.setattr(search, "_PREFILTER_CELLS", cells)
     M = 1 << 16
+
+    def cells_of(span, ordered):
+        n, m, lo, hi = span
+        first, end = (1, 2) if m == 0 else (2, search._max_base(M, m) + 1)
+        return [(span, x, y) for x in range(lo, hi + 1)
+                for y in range(first, x if n == m and not ordered else end)]
+
     hi = search._max_base(M, n)
-    first, end = (1, 2) if m == 0 else (2, search._max_base(M, m) + 1)
-    for lo_, hi_ in ((2, hi), (2, hi // 2), (hi // 2 + 1, hi)):
-        got = [(x, y) for x, y in search._prefiltered_cells(M, n, m, lo_, hi_,
-                                                             _keep_all, n == m, first)
-               if y < x or n != m]
-        want = [(x, y) for x in range(lo_, hi_ + 1)
-                for y in range(first, x if n == m else end)]
-        assert sorted(got) == want
+    pieces = [(n, m, 2, hi), (n, m, 2, hi // 2), (n, m, hi // 2 + 1, hi)]
+    for span in pieces:
+        got = list(search._prefiltered_cells(M, [span], _keep_all))
+        assert sorted(got) == cells_of(span, False)
+    others = [(2, 0, 2, 200), (4, 3, 2, 16), (3, 3, 5, 40), (5, 5, 2, 9), (4, 0, 3, 16)]
+    spans = [others[0], pieces[1], others[1], others[2], pieces[2], others[3], others[4]]
+    for ordered in (False, True):
+        got = list(search._prefiltered_cells(M, spans, _keep_all, ordered))
+        want = [cell for span in spans for cell in cells_of(span, ordered)]
+        assert sorted(got) == sorted(want)
 
 
 # Coefficient triples the fc block keep is checked on; the last is past the
@@ -164,17 +177,24 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
     assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "fcpair"} >= {
         (3, 3), (3, 4), (4, 4)}
     assert {u["e1"] for u in units if u["kind"] == "fcone"} >= {2, 3, 4}
+    every = {}  # each unit alone, fcone and fcpair
     for kind in ("fcpair", "fcone"):
         fast, slow = {}, {}
         for u in (u for u in units if u["kind"] == kind):
-            search._UNIT_RUNNERS[kind](cfg, u, fast)
+            search._UNIT_RUNNERS[kind](cfg, [u], fast)
             e1, e2, xlo, xhi = u["e1"], u["e2"], u["xlo"], u["xhi"]
-            pairs = (search._pairs(M, "coprime", e1, e2, xlo, xhi) if e2
+            pairs = (search._pairs(M, "coprime", [(e1, e2, xlo, xhi)]) if e2
                      else ((x**e1, 1) for x in range(xlo, xhi + 1)))
             for P, Q in pairs:
                 search._fc_try_pair(cfg, P, Q, power_set, slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
         assert len(fast) > (50 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
+        every.update(slow)
+    # all the pair and fcone units at once, as a chunk runs them: one stream
+    together = {}
+    search._run_fc_pair_units(
+        cfg, [u for u in units if u["kind"] in ("fcone", "fcpair")], together)
+    assert canon_json(sorted(together.items())) == canon_json(sorted(every.items()))
 
 
 @pytest.mark.parametrize("coeffs", FC_COEFFS[:-1], ids="%d,%d,%d".__mod__)
@@ -204,10 +224,11 @@ def test_fc_keep_holds_every_cell_with_a_record(coeffs):
     assert cells > 10000 and with_record > 20, (cells, with_record)
 
 
-def _fc_cube_by_walk(cfg, unit, acc):
-    """An fccube unit run as the pair walk of its unit (3, e2), over every x."""
+def _fc_cube_by_walk(cfg, units, acc):
+    """fccube units run as the pair walk of their units (3, e2), over every x."""
     xhi = search._max_base(cfg.max_value, 3)
-    search._run_fc_pair_unit(cfg, dict(unit, kind="fcpair", xlo=2, xhi=xhi), acc)
+    search._run_fc_pair_units(
+        cfg, [dict(u, kind="fcpair", xlo=2, xhi=xhi) for u in units], acc)
 
 
 @pytest.mark.parametrize("extra", [
@@ -263,7 +284,7 @@ def test_fc_wild_unit_matches_the_three_layouts():
         cfg = make_config("fermat-catalan", max_bits=8, coeffs=coeffs)
         unit, = (u for u in search._mode_units(cfg) if u["kind"] == "fcwild")
         fast, slow = {}, {}
-        search._UNIT_RUNNERS["fcwild"](cfg, unit, fast)
+        search._UNIT_RUNNERS["fcwild"](cfg, [unit], fast)
         _fc_wild_reference(cfg, slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items())), (
             coeffs)
@@ -305,7 +326,7 @@ def test_product_tables_hold_exactly_the_decomposable_values():
 
 
 def _scalar_product_unit(cfg, unit, acc):
-    """`_run_product_unit` as the plain `_pairs` + `decompose` loop."""
+    """`_run_product_units` on one unit as the plain `_pairs` + `decompose` loop."""
     n, m = unit["e1"], unit["e2"]
     survey = cfg.mode == "survey"
     if survey:
@@ -316,7 +337,7 @@ def _scalar_product_unit(cfg, unit, acc):
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
-    for P, Q in search._pairs(M, relation, n, m, unit["xlo"], unit["xhi"],
+    for P, Q in search._pairs(M, relation, [(n, m, unit["xlo"], unit["xhi"])],
                               ordered=survey):
         for sign in search._signs(cfg):
             Z = P + Q if sign == "plus" else P - Q
@@ -362,7 +383,7 @@ def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
     fast, slow = {}, {}
     for u in units:
         monkeypatch.setattr(search, "_pairs", counted_pairs)
-        search._run_product_unit(cfg, u, fast)
+        search._run_product_units(cfg, [u], fast)
         monkeypatch.setattr(search, "_pairs", pairs)
         _scalar_product_unit(cfg, u, slow)
     assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
@@ -679,11 +700,11 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
         walks = any(d not in tabled for d, _ in caps)
         kinds[walks] += 1
         cells = [[(Z, d, s) for Z in (P + Q, P - Q) if 1 <= Z <= M for d, s in caps]
-                 for P, Q in search._pairs(M, "coprime", unit["e1"], unit["e2"],
-                                           unit["xlo"], unit["xhi"])]
+                 for P, Q in search._pairs(M, "coprime", [(unit["e1"], unit["e2"],
+                                                          unit["xlo"], unit["xhi"])])]
         want = [c for cell in cells for c in cell]
         calls.clear()
-        search._run_product_unit(cfg, unit, {})
+        search._run_product_units(cfg, [unit], {})
         if walks:
             assert sorted(calls) == sorted(want), unit
         else:
@@ -1117,6 +1138,21 @@ def test_records_independent_of_chunking_and_threads():
     baseline = canon_json(_records(cfg, n_chunks=1))
     assert canon_json(_records(cfg, n_chunks=64)) == baseline
     assert canon_json(_records(cfg, n_chunks=64, threads=2)) == baseline
+
+
+@pytest.mark.parametrize("extra, count", [
+    pytest.param(extra, count, id=str(extra)) for extra, count in [
+        ({}, 5), ({"coeffs": (1, 2, 3)}, 9), ({"min_exp": 3}, 0),
+        ({"f_bound": Fraction(3, 2)}, 213)]])
+def test_fc_records_independent_of_the_chunk_plan(extra, count):
+    # A chunk's fc pair and fcone units share one cell stream, so the chunk
+    # plan decides which units fill each keep block; the records stay the same.
+    cfg = make_config("fermat-catalan", max_bits=24, **extra)
+    runs = {n: canon_json(_records(cfg, n_chunks=n)) for n in (1, 3, 16, 64)}
+    assert len(set(runs.values())) == 1, extra
+    assert len(json.loads(runs[1])) == count
+    assert any(len([u for u in g if u["kind"] in ("fcone", "fcpair")]) > 1
+               for g in search.plan_chunks(cfg, 16))
 
 
 def test_checkpoint_interrupt_and_resume(tmp_path):
