@@ -11,12 +11,16 @@ byte-identical.  Timing, paths and totals live in the manifest, written to
 Exit codes: 0 run completed and matched expectations, 1 completed but found
 something unexpected (a counterexample, a catalog mismatch, a failed
 verification), 2 usage or configuration error, 3 runtime failure.
+
+`run` may be called any number of times in one process; the calls share one
+parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -26,7 +30,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import abc_check, arith, families, products, search
+from . import __version__, abc_check, arith, families, products, search
 from .search import (FORMAT_VERSION, CheckpointMismatch, SearchConfig, _atomic_write,
                      _sha256, canon_json)
 
@@ -128,15 +132,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("fcspread")
-    except Exception:
-        return "unknown"
-
-
 # ---------------------------------------------------------------------------
 # Result log and manifest emission
 
@@ -185,7 +180,7 @@ def _emit(
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": FORMAT_VERSION,
-        "package_version": _package_version(),
+        "package_version": __version__,
         "subcommand": subcommand,
         "config": params,
         "config_digest": header["config_digest"],
@@ -463,8 +458,9 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
 
 def _cmd_abc_scan(args: argparse.Namespace) -> int:
     limit = _int_option(_merge_options(args, ("limit",)), "limit", 10**5)
+    budget = search.MEMORY_BUDGET if args.memory_budget is None else args.memory_budget
     try:
-        violations = abc_check.brute_force_scan(limit, args.memory_budget)
+        violations = abc_check.brute_force_scan(limit, budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     records = [abc_check.abc_record("abc-scan", t.a, t.b, {"limit": limit})
@@ -686,6 +682,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
+@functools.cache  # parse_args leaves a parser as it was, so every run shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcspread",
@@ -732,8 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_chk.set_defaults(handler=_cmd_abc_check)
     a_scn = abc_sub.add_parser("scan")
     a_scn.add_argument("--limit", type=int, metavar="N")
-    a_scn.add_argument("--memory-budget", dest="memory_budget", type=int,
-                       default=search.MEMORY_BUDGET, metavar="BYTES")
+    a_scn.add_argument("--memory-budget", dest="memory_budget", type=int, metavar="BYTES")
     _add_common(a_scn)
     a_scn.set_defaults(handler=_cmd_abc_scan)
     a_flt = abc_sub.add_parser("filter")

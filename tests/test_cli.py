@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import fcspread
 from fcspread import cli, search
 from fcspread.cli import EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from fcspread.search import FORMAT_VERSION
@@ -512,7 +514,7 @@ def test_abc_check_stdin(tmp_path, monkeypatch):
     assert [(r["a"], r["b"], r["c"]) for r in records] == [(3, 125, 128)]
 
 
-def test_abc_scan_cli(tmp_path):
+def test_abc_scan_cli(tmp_path, monkeypatch):
     code, header, records, _, out = _run(
         tmp_path, ["abc", "scan", "--limit", "100000"]
     )
@@ -522,6 +524,13 @@ def test_abc_scan_cli(tmp_path):
     assert cli.run(["abc", "scan", "--limit", "2",
                     "--output", str(tmp_path / "x")]) == EXIT_USAGE
     assert cli.run(["abc", "scan", "--limit", "100000", "--memory-budget", "1000",
+                    "--output", str(tmp_path / "x")]) == EXIT_RUNTIME
+    assert cli.run(["abc", "scan", "--limit", "100000", "--memory-budget", "0",
+                    "--output", str(tmp_path / "x")]) == EXIT_RUNTIME
+    # without the flag the budget is read when the scan runs, not when the
+    # shared parser was built
+    monkeypatch.setattr(search, "MEMORY_BUDGET", 1000)
+    assert cli.run(["abc", "scan", "--limit", "100000",
                     "--output", str(tmp_path / "x")]) == EXIT_RUNTIME
 
 
@@ -854,6 +863,69 @@ def test_no_subcommand_and_help(capsys):
     assert cli.run(["--help"]) == EXIT_OK
     assert cli.run(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# Pairs of commands where the second drops or changes flags of the first.
+SHARED_PARSER_SEQUENCE = [
+    ("search fc --max-bits 14 --threads 1 --chunks 3", EXIT_OK),
+    ("search fc --max-bits 14 --threads 1", EXIT_OK),
+    ("abc check --input {triples} --classic 1/10", EXIT_OK),
+    ("abc check --input {triples}", EXIT_OK),
+    ("gen standard --v 2", EXIT_FINDINGS),
+    ("gen standard", EXIT_OK),
+    ("decompose 24 --degree 2..3 --max-spread 2", EXIT_OK),
+    ("decompose 24 --degree 3 --max-spread 2", EXIT_OK),
+    ("abc scan --limit 1000 --memory-budget 100", EXIT_RUNTIME),
+    ("abc scan --limit 1000", EXIT_OK),
+]
+
+
+def test_runs_in_one_process_share_one_parser(tmp_path, monkeypatch):
+    triples = tmp_path / "triples.txt"
+    triples.write_text("1 8 9\n3 125\n")
+
+    def outputs(workdir, cmd):
+        """(exit code, log, manifest without timestamps) of cmd run in workdir."""
+        workdir.mkdir(parents=True)
+        monkeypatch.chdir(workdir)
+        code = cli.run(cmd.format(triples=triples).split() + ["--output", "out.jsonl"])
+        if not (workdir / "out.jsonl").exists():
+            return code, None, None
+        manifest = json.loads((workdir / "out.jsonl.manifest.json").read_text())
+        del manifest["started"], manifest["finished"]
+        return code, (workdir / "out.jsonl").read_text(), manifest
+
+    fresh = []
+    for i, (cmd, _) in enumerate(SHARED_PARSER_SEQUENCE):
+        cli.build_parser.cache_clear()
+        fresh.append(outputs(tmp_path / "fresh" / str(i), cmd))
+    cli.build_parser.cache_clear()
+    for i, (cmd, code) in enumerate(SHARED_PARSER_SEQUENCE):
+        shared = outputs(tmp_path / "shared" / str(i), cmd)
+        assert shared == fresh[i], cmd
+        assert shared[0] == code and (shared[1] is None) == (code == EXIT_RUNTIME), cmd
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_manifest_package_version_is_the_source_version(tmp_path):
+    _, _, _, manifest, _ = _run(tmp_path, ["factor", "12"])
+    assert manifest["package_version"] == fcspread.__version__
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        project = re.search(r"^\[project\]$(.*?)^\[", fh.read(), re.M | re.S).group(1)
+    assert re.search(r'^version = "(.*)"$', project, re.M).group(1) == fcspread.__version__
+
+
+def test_cli_run_reads_no_distribution_metadata():
+    # in a fresh interpreter, as pytest itself imports importlib.metadata
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys\nfrom fcspread import cli\n"
+              "assert cli.run(['factor', '12']) == 0\n"
+              "assert 'importlib.metadata' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["fcspread", "fcspread.cli"])
