@@ -31,6 +31,7 @@ import mpmath
 import numpy as np
 
 from . import arith, search
+from .products import sorted_unique
 
 RationalLike = Union[str, int, float, Fraction]
 
@@ -312,7 +313,7 @@ def _partner_splits(
         s = partners[: np.searchsorted(partner_lgr, top, side="right")]
         s = s[s < c]
         s = s[keep(c, lgr[s], lgr[c - s])]
-        yield c, np.unique(np.minimum(s, c - s)).tolist()
+        yield c, sorted_unique(np.minimum(s, c - s)).tolist()
 
 
 def _scan_tables(limit: int, memory_budget: int) -> Tuple[np.ndarray, ...]:

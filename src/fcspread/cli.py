@@ -306,8 +306,13 @@ def _verify_factorization(rec: Dict[str, Any], params: Dict[str, Any]) -> List[s
 # Subcommand handlers
 
 
+def _search_mode(name: str) -> str:
+    """The mode `search <name>` runs: fc is fermat-catalan."""
+    return "fermat-catalan" if name == "fc" else name
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
-    mode = "fermat-catalan" if args.mode == "fc" else args.mode
+    mode = _search_mode(args.mode)
     keys = [f.name for f in dataclasses.fields(SearchConfig) if f.name != "mode"]
     overrides = _merge_options(args, keys, {"mode": mode})
     for key in ("degree", "n_range", "m_range"):
@@ -577,6 +582,8 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
             search_cfg = SearchConfig.from_dict(config)
         except Exception as exc:  # the header comes from disk, treat as hostile
             return 0, [f"header: invalid search config: {type(exc).__name__}: {exc}"]
+        if _search_mode(sub.partition(" ")[2]) != search_cfg.mode:
+            return 0, [f"header: subcommand {sub!r} does not run mode {search_cfg.mode!r}"]
         if search_cfg.digest() != header.get("config_digest"):
             problems.append("config digest does not match the config")
     elif _sha256(config) != header.get("config_digest"):

@@ -103,6 +103,18 @@ def decompose(value: int, degree: int, max_spread: int) -> List[ProductDecomposi
     return out
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array: one sort and a mask of each value unlike the one before.
+
+    np.unique gives the same array, but numpy 2.4 takes 10-40 times as long
+    on int64 arrays of 4,000 to 3.1 M values.
+    """
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)  # the head, if there is one, stays
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def product_values(max_value: int, degree: int, max_spread: int) -> np.ndarray:
     """Sorted int64 array of every v <= max_value with `decompose(v, degree, max_spread)`.
 
@@ -126,7 +138,7 @@ def product_values(max_value: int, degree: int, max_spread: int) -> np.ndarray:
             keep = (f <= base + max_spread) & (value <= cut // f)
             steps.append((value[keep] * f[keep], f[keep], base[keep]))
         value, last, base = (np.concatenate(parts) for parts in zip(*steps))
-    return np.unique(value)
+    return sorted_unique(value)
 
 
 def fc_weight(terms: Iterable[Tuple[int, int]]) -> Fraction:

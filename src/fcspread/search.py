@@ -35,6 +35,8 @@ they test P +/- Q against:
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as an fccube unit over a range of y: its cells with a cube third
   term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
+  A chunk's fc units run in one loop, `_run_fc_units`: the pair and fcone
+  stream, the fccube cells and fcwild's (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  Each mode's row of `_MODES` gives
@@ -67,9 +69,11 @@ they test P +/- Q against:
 Each record is a pure function of its identity, built by one function per
 mode that the scan calls on every hit and `verify_record` on a stored
 record's identity, reporting each field that differs; each returns None
-where the search writes no record: `_fc_candidate` from
-the values, `_product_record` from (sign, p, q, z, d) and `_pillai_record`
-from the two witnesses.  Chunking partitions the (exponent pair, base
+where the search writes no record: `_fc_candidate` from the values,
+`_product_record` from (sign, p, q, z, d) and `_pillai_record` from the
+two witnesses.  A plan holds the units of one mode, and `run_chunk` hands
+a chunk to that mode's one runner: `_run_fc_units`, `_run_pillai_units`
+or `_run_product_units`.  Chunking partitions the (exponent pair, base
 sub-range) space and pillai's range of Z: every unit but fcwild carries a
 range that `plan_chunks` splits, survey cells included.  Records with one
 key are equal whichever chunk wrote them (survey cells join their
@@ -90,7 +94,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, groupby, product as iterproduct
+from itertools import chain, product as iterproduct
 from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -263,6 +267,10 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SearchConfig":
+        """The config of a `semantic_dict`, whose format must be the one read here."""
+        fmt = d.get("format")
+        if type(fmt) is not int or fmt != FORMAT_VERSION:  # True == 1, 2.0 == 2
+            raise ValueError(f"config format {fmt!r} is not {FORMAT_VERSION}")
         return make_config(
             d["mode"],
             **{k: v for k, v in d.items() if k not in ("format", "mode")},
@@ -748,30 +756,32 @@ def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
 _span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 
 
-def _run_fc_pair_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
-    """Pair and fcone units: `_fc_try_pair` on the coprime cells `_fc_keep` keeps.
+def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
+    """fc units: `_fc_try_pair` on every cell of the chunk.
 
-    An fcone unit has e2 == 0, so its second term is the literal 1.  All
-    the units walk one `_pairs` stream, so the keep runs once per block of
-    cells, not once per unit.
-    """
-    M, power_set = cfg.max_value, _power_value_set(cfg.max_value)
-    for P, Q in _pairs(M, "coprime", list(map(_span, units)), keep=_fc_keep(cfg)):
-        _fc_try_pair(cfg, P, Q, power_set, acc)
-
-
-def _run_fc_cube_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
-    """fccube units: per y in [xlo, xhi], `_fc_try_pair` on the walk's cells (x, y)
-    of unit (3, e2) with a cube third term, x a side of a split of y**e2.
+    The fcpair and fcone units (e2 == 0, the literal 1) walk one coprime
+    `_pairs` stream, so `_fc_keep` runs once per block of cells, not once
+    per unit.  An fccube unit gives, per y in [xlo, xhi], the cells (x, y)
+    of unit (3, e2) with a cube third term, x a side of a split of y**e2;
+    fcwild gives the pair (1, 1).
     """
     M = cfg.max_value
     power_set, xhi = _power_value_set(M), _max_base(M, 3)
-    for e2, y in ((u["e2"], y) for u in units for y in range(u["xlo"], u["xhi"] + 1)):
-        N = y**e2
-        splits = arith.cube_splits(N, [(p, k * e2) for p, k in arith.factorize(y)])
-        for x in {x for split in splits for x in split}:
-            if 2 <= x <= xhi and math.gcd(x, y) == 1:
-                _fc_try_pair(cfg, x**3, N, power_set, acc)
+
+    def cube_cells() -> Iterator[Tuple[int, int]]:
+        for e2, y in ((u["e2"], y) for u in units if u["kind"] == "fccube"
+                      for y in range(u["xlo"], u["xhi"] + 1)):
+            N = y**e2
+            splits = arith.cube_splits(N, [(p, k * e2) for p, k in arith.factorize(y)])
+            for x in {x for split in splits for x in split}:
+                if 2 <= x <= xhi and math.gcd(x, y) == 1:
+                    yield x**3, N
+
+    walked = [_span(u) for u in units if u["kind"] in ("fcpair", "fcone")]
+    cells = chain(_pairs(M, "coprime", walked, keep=_fc_keep(cfg)), cube_cells(),
+                  ((1, 1) for u in units if u["kind"] == "fcwild"))
+    for P, Q in cells:
+        _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,19 +1079,34 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Unit, limit: int) -> int:
     return total
 
 
+# Bytes per value of the fc prime-power set, over-estimated: a build of
+# `_power_value_set` peaks near 103 per value at 2**100 and 2**110 on CPython
+# 3.11 (the int, its `_powers` slot and the set's table as it grows).
+_POWER_SET_BYTES = 128
+
+
 def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
                   threads: int) -> None:
-    """Refuse a plan whose product value tables or pillai indexes would not fit.
+    """Refuse a plan whose fc power set, product tables or pillai indexes would not fit.
 
-    Each worker builds the tables once, in at most 96 bytes per state of
-    their build bounds (a build peaks near 89, a built table keeps <= 40).
-    A unit's index lives while it runs, and up to `threads` chunks run at
-    once, so each unit gets that share of the budget.
+    Each worker builds the product tables once, in at most 96 bytes per
+    state of their build bounds (a build peaks near 89, a built table keeps
+    <= 40), and an fc worker `_power_value_set`, bounded without building
+    it by the count of x**p over the primes p >= 5 (a power of two prime
+    exponents, such as 2**35, counts twice).  A unit's index lives while it
+    runs, and up to `threads` chunks run at once, so each unit gets that
+    share of the budget.
     """
     share = MEMORY_BUDGET // max(1, min(threads, len(plan)))
-    est = 96 * sum(bound for _, bound in _product_plan(cfg).tables.values())
+    if cfg.mode == "fermat-catalan":
+        M = cfg.max_value
+        what, est = "fc prime-power set needs", _POWER_SET_BYTES * sum(
+            arith.iroot(M, p)[0] - 1 for p in range(5, M.bit_length()) if arith.is_prime(p))
+    else:
+        what, est = "product value tables need", 96 * sum(
+            bound for _, bound in _product_plan(cfg).tables.values())
     if est > share:
-        raise MemoryError(f"the product value tables need about {est} bytes per worker, "
+        raise MemoryError(f"the {what} about {est} bytes per worker, "
                           f"over its share {share} of the {MEMORY_BUDGET}-byte budget; "
                           "fewer --threads or a smaller --max-bits need less")
     for unit in (u for g in plan for u in g if u["kind"] == "pillai"):
@@ -1092,18 +1117,6 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
                 f"needs at least {est} bytes, over its share {share} of the "
                 f"{MEMORY_BUDGET}-byte budget; more --chunks make each range smaller"
             )
-
-
-# Each runner takes a chunk's consecutive units of its kinds (`run_chunk`).
-_UNIT_RUNNERS = {
-    "fcpair": _run_fc_pair_units,
-    "fcone": _run_fc_pair_units,  # the pairs (x**e, 1)
-    "fccube": _run_fc_cube_units,
-    "fcwild": lambda cfg, units, acc: _fc_try_pair(  # the pair (1, 1), one unit
-        cfg, 1, 1, _power_value_set(cfg.max_value), acc),
-    "product": _run_product_units,
-    "pillai": _run_pillai_units,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1202,9 +1215,9 @@ def run_chunk(cfg_dict: Dict[str, Any], units: List[Unit]) -> List[Record]:
     """Run one chunk; a pure function of (config, units), process-safe."""
     cfg = SearchConfig.from_dict(cfg_dict)
     acc: Acc = {}
-    # a plan group is sorted by kind, so fcone and fcpair units run as one group
-    for run, group in groupby(units, key=lambda u: _UNIT_RUNNERS[u["kind"]]):
-        run(cfg, list(group), acc)
+    run = {"fermat-catalan": _run_fc_units, "pillai": _run_pillai_units}.get(
+        cfg.mode, _run_product_units)
+    run(cfg, units, acc)
     return sorted(acc.values(), key=_record_sort_key)
 
 

@@ -759,6 +759,10 @@ def test_verify_log_rebuilds_every_log_kind(tmp_path, capsys, name):
     (lambda h: h["config"].update(max_bits="x"), "header: invalid search config"),
     (lambda h: h["config"].pop("mode"), "header: invalid search config"),
     (lambda h: h.update(subcommand=5), "header: bad subcommand"),
+    # the config's format must be the one the verifier reads
+    (lambda h: h["config"].update(format={"a": 1}), "header: invalid search config"),
+    (lambda h: h["config"].update(format=2**70), "header: invalid search config"),
+    (lambda h: h["config"].pop("format"), "header: invalid search config"),
 ])
 def test_verify_log_reports_bad_header(tmp_path, capsys, corrupt, problem):
     _, _, _, _, out = _run(
@@ -775,6 +779,25 @@ def test_verify_log_reports_bad_header(tmp_path, capsys, corrupt, problem):
     assert f"{bad}: {problem}" in captured.out
     assert "Traceback" not in captured.err
     assert cli.verify_log_lines(["[1]"]) == (0, ["header: not a JSON object"])
+
+
+def test_verify_log_refuses_a_subcommand_of_another_mode(tmp_path, capsys):
+    logs = {}
+    for mode in ("fc", "gbtz"):
+        _, _, _, _, out = _run(tmp_path, ["search", mode, "--max-bits", "12",
+                                          "--threads", "1"], name=f"{mode}.jsonl")
+        logs[mode] = out.read_text().splitlines()
+    for mode, sub, ok in [("fc", "search fc", True), ("fc", "search fermat-catalan", True),
+                          ("fc", "search gbtz", False), ("fc", "search pillai", False),
+                          ("gbtz", "search gbtz", True), ("gbtz", "search fc", False),
+                          ("gbtz", "search fermat-catalan", False)]:
+        header = dict(json.loads(logs[mode][0]), subcommand=sub)
+        log = tmp_path / "sub.jsonl"
+        log.write_text("\n".join([json.dumps(header)] + logs[mode][1:]) + "\n")
+        capsys.readouterr()
+        assert _verify(log) == (EXIT_OK if ok else EXIT_FINDINGS), (mode, sub)
+        report = capsys.readouterr().out
+        assert ok or f"{log}: header: subcommand {sub!r} does not run mode" in report
 
 
 def test_verify_log_emits_manifest_only(tmp_path, capsys):

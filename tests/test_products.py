@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fcspread import products
@@ -182,3 +183,16 @@ def test_enumerate_products_value_order_within_base_class():
         by_base.setdefault(p.base, []).append(p.value)
     for values in by_base.values():
         assert values == sorted(values)
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(7)
+    arrays = [np.array([], dtype=np.int64), np.array([5], dtype=np.int64),
+              np.array([3, 3, 3], dtype=np.int64),
+              np.array([2**63 - 1, -2**63, 0, -2**63, 2**63 - 1], dtype=np.int64)]
+    for size, span in ((10, 3), (4000, 1000), (100_000, 50_000), (1000, 2**62)):
+        arrays.append(rng.integers(-span, span, size, dtype=np.int64))
+    for values in arrays:
+        got, want = products.sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert products.sorted_unique(arrays[0]).shape == (0,)

@@ -181,7 +181,7 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
     for kind in ("fcpair", "fcone"):
         fast, slow = {}, {}
         for u in (u for u in units if u["kind"] == kind):
-            search._UNIT_RUNNERS[kind](cfg, [u], fast)
+            search._run_fc_units(cfg, [u], fast)
             e1, e2, xlo, xhi = u["e1"], u["e2"], u["xlo"], u["xhi"]
             pairs = (search._pairs(M, "coprime", [(e1, e2, xlo, xhi)]) if e2
                      else ((x**e1, 1) for x in range(xlo, xhi + 1)))
@@ -192,7 +192,7 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
         every.update(slow)
     # all the pair and fcone units at once, as a chunk runs them: one stream
     together = {}
-    search._run_fc_pair_units(
+    search._run_fc_units(
         cfg, [u for u in units if u["kind"] in ("fcone", "fcpair")], together)
     assert canon_json(sorted(together.items())) == canon_json(sorted(every.items()))
 
@@ -224,13 +224,6 @@ def test_fc_keep_holds_every_cell_with_a_record(coeffs):
     assert cells > 10000 and with_record > 20, (cells, with_record)
 
 
-def _fc_cube_by_walk(cfg, units, acc):
-    """fccube units run as the pair walk of their units (3, e2), over every x."""
-    xhi = search._max_base(cfg.max_value, 3)
-    search._run_fc_pair_units(
-        cfg, [dict(u, kind="fcpair", xlo=2, xhi=xhi) for u in units], acc)
-
-
 @pytest.mark.parametrize("extra", [
     {"max_bits": 30}, {"max_bits": 36}, {"max_bits": 30, "min_exp": 3},
     {"max_bits": 30, "f_bound": Fraction(9, 10)},
@@ -239,8 +232,26 @@ def test_fc_cube_units_match_the_pair_walk(extra, monkeypatch):
     cfg = make_config("fermat-catalan", **extra)
     assert any(u["kind"] == "fccube" for u in search._mode_units(cfg))
     cube = _records(cfg)
-    monkeypatch.setitem(search._UNIT_RUNNERS, "fccube", _fc_cube_by_walk)
+    # the fccube units as the pair walk of their units (3, e2), over every x
+    xhi, mode_units = search._max_base(cfg.max_value, 3), search._mode_units
+    monkeypatch.setattr(search, "_mode_units", lambda cfg: [
+        dict(u, kind="fcpair", xlo=2, xhi=xhi) if u["kind"] == "fccube" else u
+        for u in mode_units(cfg)])
+    assert not any(u["kind"] == "fccube" for u in search._mode_units(cfg))
     assert canon_json(cube) == canon_json(_records(cfg))
+
+
+def test_one_chunk_of_every_fc_kind_matches_its_units_alone():
+    # run_chunk hands every fc unit kind to one runner, in any order
+    cfg = make_config("fermat-catalan", max_bits=30)
+    units, cfg_dict = search._mode_units(cfg), cfg.semantic_dict()
+    assert {u["kind"] for u in units} == {"fccube", "fcone", "fcpair", "fcwild"}
+    alone = [search.run_chunk(cfg_dict, [u]) for u in units]
+    assert {u["kind"] for u, recs in zip(units, alone) if recs} >= {"fcone", "fcpair"}
+    want = canon_json(search.merge_records(alone))
+    assert canon_json(search.run_chunk(cfg_dict, units)) == want
+    assert canon_json(search.run_chunk(cfg_dict, units[::-1])) == want
+    assert len(search.merge_records(alone)) == 5
 
 
 @pytest.mark.parametrize("extra", [
@@ -284,7 +295,7 @@ def test_fc_wild_unit_matches_the_three_layouts():
         cfg = make_config("fermat-catalan", max_bits=8, coeffs=coeffs)
         unit, = (u for u in search._mode_units(cfg) if u["kind"] == "fcwild")
         fast, slow = {}, {}
-        search._UNIT_RUNNERS["fcwild"](cfg, [unit], fast)
+        search._run_fc_units(cfg, [unit], fast)
         _fc_wild_reference(cfg, slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items())), (
             coeffs)
@@ -482,6 +493,19 @@ def test_make_config_defaults_and_validation():
     for degree in ((4, 6), (3, 5), (2, 3)):
         with pytest.raises(ValueError, match="degree"):
             make_config("nonmaxgcd3", degree=degree)
+
+
+def test_from_dict_refuses_another_format():
+    d = make_config("fermat-catalan", max_bits=14).semantic_dict()
+    assert d["format"] == search.FORMAT_VERSION
+    for fmt in ({"a": 1}, 2**70, 1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="config format"):
+            SearchConfig.from_dict(dict(d, format=fmt))
+        with pytest.raises(ValueError, match="config format"):  # a foreign chunk
+            search.run_chunk(dict(d, format=fmt), [])
+    del d["format"]
+    with pytest.raises(ValueError, match="config format None is not 2"):
+        SearchConfig.from_dict(d)
 
 
 def test_config_round_trip_and_digest():
@@ -937,6 +961,27 @@ def test_product_tables_refused_up_front(monkeypatch):
                   make_config("fermat-catalan", max_bits=24),
                   make_config("pillai", max_bits=16, difference=1)):
         assert search._product_plan(other).tables == {}
+
+
+def test_fc_power_set_refused_up_front(monkeypatch):
+    def no_set(*args, **kwargs):
+        raise AssertionError("the power set must not be built")
+
+    monkeypatch.setattr(search, "_power_value_set", no_set)
+    cfg = make_config("fermat-catalan", max_bits=128)
+    M = cfg.max_value
+    count = sum(arith.iroot(M, p)[0] - 1 for p in range(5, 129) if arith.is_prime(p))
+    assert count == 51_183_089
+    need = search._POWER_SET_BYTES * count
+    with pytest.raises(MemoryError, match="fc prime-power set needs about "
+                       f"{need} bytes per worker.*fewer --threads"):
+        run_chunked(cfg, n_chunks=4)
+    # 2**124 fits one worker's budget, not two workers' shares
+    cfg = make_config("fermat-catalan", max_bits=124)
+    plan = search.plan_chunks(cfg, 4)
+    search._check_memory(cfg, plan, 1)
+    with pytest.raises(MemoryError, match="fc prime-power set"):
+        search._check_memory(cfg, plan, 2)
 
 
 def test_check_memory_at_a_degree_past_the_recursion_limit():
