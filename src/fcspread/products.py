@@ -116,21 +116,22 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def product_values(max_value: int, degree: int, max_spread: int) -> np.ndarray:
-    """Sorted int64 array of every v <= max_value with `decompose(v, degree, max_spread)`.
+    """Sorted array of every v <= max_value with `decompose(v, degree, max_spread)`.
 
     `enumerate_products`' walk over every base b <= iroot(max_value, d) at
     once, d the degree and s the spread cap: a state is a product, its last
     factor and b; the next factor f runs over [last, b + s], and the product
     stays only if value * f * b**r <= max_value, r the factors still to come
     (each >= f >= b), so no completion in range is dropped.  It is tested as
-    value <= (max_value // b**r) // f, exact for positive integers, and
-    b**r <= b**d <= max_value <= 2**62 and value * f <= max_value, so no int64
-    operation wraps.  The walk visits at most iroot(max_value, d) *
-    C(d - 1 + s, s) states, the bases times the multisets of the other factors.
+    value <= (max_value // b**r) // f, exact for positive integers, on int64
+    up to 2**62 (b**r <= b**d <= max_value, value * f <= max_value: nothing
+    wraps) and on Python ints past it.  A state and r more bs are d factors
+    in [b, b + s] of product <= max_value: no level outgrows the last.
     """
-    if not 1 <= max_value <= 1 << 62 or degree < 1 or max_spread < 0:
-        raise ValueError("need 1 <= max_value <= 2**62, degree >= 1, max_spread >= 0")
-    base = np.arange(1, arith.iroot(max_value, degree)[0] + 1, dtype=np.int64)
+    if max_value < 1 or degree < 1 or max_spread < 0:
+        raise ValueError("need max_value >= 1, degree >= 1, max_spread >= 0")
+    dtype = np.int64 if max_value <= 1 << 62 else object
+    base = np.arange(1, arith.iroot(max_value, degree)[0] + 1, dtype=dtype)
     value, last = base, base
     for r in range(degree - 2, -1, -1):
         cut, steps = max_value // base**r, []

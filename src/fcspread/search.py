@@ -60,11 +60,10 @@ they test P +/- Q against:
   fermat-catalan wildcard only), except in the maxgcd relation, whose rows
   are the multiples x = w*y of each y >= 1: they parametrize exactly the
   maxgcd pairs, so `_pairs` tests no relation on them.
-* pillai joins the bounded-spread products with themselves: a unit is a
-  value range of Z, and `_run_pillai_units` indexes once every product
-  with value in [Z range low - B, Z range high] and pairs each Z with the
-  witnesses of Z - B.  The index is bounded before any chunk runs
-  (`_check_memory`).
+* pillai joins the bounded-spread products with themselves: every record
+  has a witness of a heavy degree, which `_product_plan` tables, past 2**62
+  too.  A unit is a value range of Z, and `_run_pillai_units` takes each
+  tabled value of [Z range low - B, Z range high] as Z and as Z - B.
 
 Each record is a pure function of its identity, built by one function per
 mode that the scan calls on every hit and `verify_record` on a stored
@@ -104,16 +103,15 @@ import numpy as np
 from . import arith, families
 from .products import (
     ProductDecomposition,
-    SpreadConstraints,
     analyze,
     decompose,
-    enumerate_products,
+    enumerate_products,  # unused here; the traced bench wraps search.enumerate_products
     product_values,
 )
 
 FORMAT_VERSION = 2
 
-# The bytes a search plan, its pillai indexes and the abc sieve tables may take.
+# The bytes a search plan, its tables and the abc sieve tables may take.
 MEMORY_BUDGET = 4 << 30
 
 # JSON-ready dicts: a plan unit, a record, and a chunk's records by `_record_key`.
@@ -393,9 +391,9 @@ def _powers_i64(M: int, e: int) -> np.ndarray:
 
 
 def _sifted_member(values: np.ndarray) -> Member:
-    """Exact membership in the sorted int64 `values`, sifted by 16-32 slots per value."""
+    """Exact membership in the sorted `values` (its `.values`), 16-32 sifting slots each."""
     slots = np.zeros(1 << (len(values).bit_length() + 4), dtype=bool)
-    slots[values & (len(slots) - 1)] = True
+    slots[np.asarray(values & (len(slots) - 1), dtype=np.int64)] = True  # dtype object too
 
     def member(t: np.ndarray) -> np.ndarray:
         hit = slots[t & (len(slots) - 1)]  # True at every value; t < 0 indexes too
@@ -403,6 +401,7 @@ def _sifted_member(values: np.ndarray) -> Member:
         hit[hit] = values[np.minimum(np.searchsorted(values, sub), len(values) - 1)] == sub
         return hit
 
+    member.values = values  # type: ignore[attr-defined]
     return member
 
 
@@ -424,10 +423,36 @@ def _usable_i64(t: np.ndarray, M: int, member: Member) -> np.ndarray:
     return ok & ((k * k == t) | (c * c * c == t) | member(t))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=128)  # pillai tables each degree up to max_bits <= 128 by default
 def _product_table(M: int, d: int, s: int) -> Member:
     """Exact membership in `product_values(M, d, s)` (`_sifted_member`)."""
     return _sifted_member(product_values(M, d, s))
+
+
+def _table_states(M: int, d: int, s: int, exact: bool = False) -> int:
+    """A bound on each level of `product_values(M, d, s)`: the multisets of d factors
+    in [b, b + s] of least factor b and product <= M, over the bases b.  Loose:
+    C(d - 1 + s, s) for each of the iroot(M, d) bases.  `exact`: all of them
+    for a base with (b + s)**d <= M, and for the at most s others a recursion
+    over the next factor, memoized on (factor, slots left, product left).
+    """
+    top, full = arith.iroot(M, d)[0], math.comb(d - 1 + s, s)
+    if not exact:
+        return top * full
+
+    @lru_cache(maxsize=None)
+    def tails(f: int, high: int, slots: int, q: int) -> int:
+        """Nondecreasing `slots`-tuples in [f, high] with product <= q."""
+        if f == 1:  # k 1s in one step: at most q.bit_length() factors >= 2 follow
+            return sum(tails(2, high, slots - k, q)
+                       for k in range(max(0, slots - q.bit_length()), slots + 1))
+        return int(q >= 1) if slots == 0 else sum(  # g**slots <= q
+            tails(g, high, slots - 1, q // g)
+            for g in range(f, min(high, arith.iroot(q, slots)[0]) + 1))
+
+    inner = max(0, top - s)  # (b + s)**d <= M exactly for b <= top - s
+    return inner * full + sum(tails(b, b + s, d - 1, M // b)
+                              for b in range(inner + 1, top + 1))
 
 
 Span = Tuple[int, int, int, int]  # a unit's (n, m, lo, hi): x in [lo, hi] of x**n, y**m
@@ -789,7 +814,10 @@ def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
 
 
 class _ProductPlan(NamedTuple):
-    """A config's planned product units; a cell is (e1, e2), in survey (e1, e2, d)."""
+    """A config's planned product units and its cells' caps.
+
+    A cell is (e1, e2), (e1, e2, d) in survey and () in pillai.
+    """
 
     units: List[Unit]
     caps: Dict[Tuple[int, ...], List[Tuple[int, int]]]  # cell -> [(degree, cap)]
@@ -799,17 +827,32 @@ class _ProductPlan(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _product_plan(cfg: SearchConfig) -> _ProductPlan:
-    """One pass over the product cells of a config (none for fc and pillai).
+    """One pass over the product cells of a config (none for fc).
 
     A unit spans the bases from the relation's first to the max base, none
     when no degree is left, and costs the cells that range spans, halved on
     the e1 == e2 triangle of an unordered scan.  A degree d is tabled when
-    its build bound, iroot(M, d) bases times C(d - 1 + s, s) multisets of
-    the other factors, is at most the cells the planned units test at d;
-    past that, walking them costs less.
+    its build bound (`_table_states`) is at most the cells the planned units
+    test at d; past that, walking them costs less.
+
+    pillai plans no unit here.  Its one cell, (), gives each degree d the
+    largest spread c <= max_spread with (1 + c)/d + 1/hi under the bound,
+    as the partner witness weighs at least 1/hi, or drops d.  Two witnesses
+    of degrees d with 2/d over the bound weigh at least 2/max(dx, dz), over
+    it too, so the other degrees, the heavy ones, are tabled.
     """
     row, M = _MODES[cfg.mode], cfg.max_value
     survey, first = cfg.mode == "survey", row.first_base
+    plan = _ProductPlan([], {}, {}, {})
+    if cfg.mode == "pillai":
+        (lo, hi), s = _pillai_degrees(cfg), cfg.max_spread or 0
+        # the partner's 1/hi is the 1/n + 1/m of two exponents 2 hi
+        caps = [(d, min(_spread_cap(2 * hi, 2 * hi, d, cfg.f_bound, cfg.f_strict), s))
+                for d in range(lo, hi + 1)]
+        plan.caps[()] = [(d, cap) for d, cap in caps if cap >= 0]
+        plan.tables.update((d, (cap, _table_states(M, d, cap))) for d, cap in plan.caps[()]
+                           if _weight_ok(cfg, Fraction(2, d)))
+        return plan
     cells: Iterable[Tuple[Tuple[int, ...], Iterable[int]]]  # (cell, its degrees)
     if survey:
         cells = (((n, m, d), [d] if d > 2 else []) for n, m, d in iterproduct(
@@ -822,7 +865,6 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
                  for n in range(lo, hi + 1) for m in range(n, hi + 1))
     else:
         cells = ()
-    plan = _ProductPlan([], {}, {}, {})
     cost_at: Dict[int, int] = {}  # degree -> the cells the planned units test at it
     for cell, degrees in cells:
         n, m = cell[:2]
@@ -849,7 +891,7 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
     if row.relation != "maxgcd" and 2 * M <= _INT64_BOUND:
         for d, at_d in plan.by_degree.items():
             s = max(at_d.values())
-            bound = arith.iroot(M, d)[0] * math.comb(d - 1 + s, s)
+            bound = _table_states(M, d, s)
             if bound <= cost_at[d]:
                 plan.tables[d] = (s, bound)
     return plan
@@ -977,8 +1019,7 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
                    zdec: ProductDecomposition) -> Optional[Record]:
     """The record the scan writes for witnesses of X and Z; None if it writes none."""
-    cons = _pillai_constraints(cfg)
-    (lo, hi), s_cap = cons.degree_range(), cons.max_spread
+    (lo, hi), s_cap = _pillai_degrees(cfg), cfg.max_spread or 0
     w = xdec.weight + zdec.weight
     if (zdec.value - xdec.value != cfg.difference or zdec.value > cfg.max_value
             or not _weight_ok(cfg, w)):
@@ -992,91 +1033,42 @@ def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
             "z_witness": list(zdec.factors), "weight": str(w)}
 
 
-def _pillai_constraints(cfg: SearchConfig) -> SpreadConstraints:
-    return SpreadConstraints(degree=cfg.degree or (2, cfg.max_bits),
-                             max_spread=cfg.max_spread or 0,
-                             max_spread_sq_over_base=cfg.m_bound)
+def _pillai_degrees(cfg: SearchConfig) -> Tuple[int, int]:
+    return cfg.degree or (2, cfg.max_bits)
 
 
 def _run_pillai_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
-    """pillai units: Z in [xlo, xhi], joined by value with X = Z - B.
+    """pillai units: Z in [xlo, xhi], joined with X = Z - B through the tables.
 
-    Per unit, every product of the config's degrees, spread cap and s^2/b
-    bound with value in [max(1, xlo - B), xhi] is indexed once, as value ->
-    factor tuples; `enumerate_products` returns every decomposition of each
-    such value, so each Z and each X = Z - B of the range has all its witnesses.
+    Every record has a heavy witness (`_product_plan`), so X or Z is a
+    tabled value v in [max(1, xlo - B), xhi].  A side's witnesses are
+    `decompose`'s at the light degrees and at the tables holding it, at each
+    degree's cap; v's are sought only if the other side has one.  Each pair
+    goes to `_pillai_record`; a pair with both sides tabled joins from X.
     """
-    B = cfg.difference
+    B, M, plan = cfg.difference, cfg.max_value, _product_plan(cfg)
+    light = [dc for dc in plan.caps[()] if dc[0] not in plan.tables]
+    tables = [((d, c), _product_table(M, d, c).values) for d, (c, _) in plan.tables.items()]
     for unit in units:
-        zlo, index = unit["xlo"], {}
-        for dec in enumerate_products(_pillai_constraints(cfg), unit["xhi"],
-                                      max(1, zlo - B)):
-            index.setdefault(dec.value, []).append(dec.factors)
-        for Z, zfs in index.items():
-            if Z < zlo or Z - B not in index:
-                continue
-            for xf, zf in iterproduct(index[Z - B], zfs):
-                _merge_into(acc, _pillai_record(cfg, analyze(xf), analyze(zf)))
+        zlo, zhi = unit["xlo"], unit["xhi"]
+        held: Dict[int, Tuple[Tuple[int, int], ...]] = {}  # value -> its tables' (d, cap)
+        for dc, values in tables:
+            i, j = np.searchsorted(values, [max(1, zlo - B), zhi + 1])
+            for v in values[i:j].tolist():
+                held[v] = held.get(v, ()) + (dc,)
 
+        def witnesses(v: int) -> List[ProductDecomposition]:
+            return [w for d, c in chain(light, held.get(v, ())) for w in decompose(v, d, c)]
 
-# Bytes per pillai index entry, over-estimated (208-271 measured at degrees
-# 1-3 on CPython 3.11): the dict slot and value key, a one-item list, and a
-# tuple of d factors at 8 + 32 bytes each.
-_PILLAI_ENTRY_BYTES = (200, 40)
-
-
-def _pillai_index_bytes(cfg: SearchConfig, unit: Unit, limit: int) -> int:
-    """A bound on the bytes of the index a pillai unit builds, from class counts.
-
-    Per degree d, `enumerate_products` visits the bases b from the d-th
-    root of the lowest value minus s to the d-th root of xhi, and a (d, b)
-    class is b and d - 1 nondecreasing factors in [b, b + s]: at most
-    C(d - 1 + s, s) tuples, all of them when b**d and (b + s)**d both lie
-    in the value range.  If that bound passes `limit`, the at most 2s + 1
-    other bases of each degree are counted exactly instead, without
-    building a tuple, by a recursion over the next factor memoized on
-    (factor, slots left, product left); the count then ignores only the
-    s^2/b bound, and stops once the total passes `limit`.
-    """
-    cons = _pillai_constraints(cfg)
-    s, (lo, hi) = cons.max_spread, cons.degree_range()
-    vlo, vhi = max(1, unit["xlo"] - cfg.difference), unit["xhi"]
-    per_entry, per_factor = _PILLAI_ENTRY_BYTES
-    degrees = [(d, max(1, arith.iroot(vlo, d)[0] - s), arith.iroot(vhi, d)[0],
-                per_entry + per_factor * d) for d in range(lo, hi + 1)]
-    loose = sum(max(0, top - bottom + 1) * math.comb(d - 1 + s, s) * size
-                for d, bottom, top, size in degrees)
-    if loose <= limit:
-        return loose
-
-    @lru_cache(maxsize=None)
-    def tails(f: int, high: int, slots: int, q: int) -> int:
-        """Nondecreasing `slots`-tuples in [f, high] with product <= q."""
-        if slots == 0:
-            return int(q >= 1)
-        if f == 1:  # k 1s in one step: at most q.bit_length() factors >= 2 follow
-            return sum(tails(2, high, slots - k, q)
-                       for k in range(max(0, slots - q.bit_length()), slots + 1))
-        n = 0
-        for g in range(f, high + 1):
-            if g**slots > q:
-                break
-            n += tails(g, high, slots - 1, q // g)
-        return n
-
-    total = 0
-    for d, bottom, top, size in degrees:
-        inner_lo = arith.iroot(vlo - 1, d)[0] + 1 if vlo > 1 else 1
-        inner_hi = top - s  # b**d >= vlo and (b + s)**d <= vhi in between
-        entries = max(0, inner_hi - inner_lo + 1) * math.comb(d - 1 + s, s)
-        for b in chain(range(bottom, min(inner_lo, top + 1)),
-                       range(max(inner_hi + 1, inner_lo), top + 1)):
-            entries += (tails(b, b + s, d - 1, vhi // b)
-                        - tails(b, b + s, d - 1, (vlo - 1) // b))
-        total += entries * size
-        if total > limit:
-            break
-    return total
+        for v in held:
+            for other, X, Z in ((v - B, v - B, v), (v + B, v, v + B)):
+                if (zlo <= Z <= zhi and X >= 1 and (X == v or X not in held)
+                        and (light or other in held)):
+                    ows = witnesses(other)
+                    vws = witnesses(v) if ows else []
+                    xws, zws = (vws, ows) if X == v else (ows, vws)
+                    for xdec, zdec in iterproduct(xws, zws):
+                        _merge_into(acc, _pillai_record(cfg, xdec, zdec))
 
 
 # Bytes per value of the fc prime-power set, over-estimated: a build of
@@ -1084,39 +1076,45 @@ def _pillai_index_bytes(cfg: SearchConfig, unit: Unit, limit: int) -> int:
 # 3.11 (the int, its `_powers` slot and the set's table as it grows).
 _POWER_SET_BYTES = 128
 
+# Bytes per `_powers` entry, over-estimated: its tuple slot, the int (<= 48
+# as allocated up to 2**128, CPython 3.11) and its `_powers_i64` copy.
+_POWER_ENTRY_BYTES = 64
+
+# Bytes per product table state (`_table_states`), over-estimated: a build
+# peaks near 89 per state, even at spread 0, and a table keeps <= 40 per
+# value (8, and 16-32 sifted slots).  pillai adds a chunk's dict of its
+# tabled values, and Python ints past 2**62: whole runs peaked at 118-172
+# per state on int64 (2**20-2**40) and 161-218 past 2**62 (2**66, 2**70).
+_TABLE_STATE_BYTES, _JOIN_STATE_BYTES = 96, 256
+
 
 def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
                   threads: int) -> None:
-    """Refuse a plan whose fc power set, product tables or pillai indexes would not fit.
+    """Refuse a plan whose fc power set, product tables or power tables would not fit.
 
-    Each worker builds the product tables once, in at most 96 bytes per
-    state of their build bounds (a build peaks near 89, a built table keeps
-    <= 40), and an fc worker `_power_value_set`, bounded without building
-    it by the count of x**p over the primes p >= 5 (a power of two prime
-    exponents, such as 2**35, counts twice).  A unit's index lives while it
-    runs, and up to `threads` chunks run at once, so each unit gets that
-    share of the budget.
+    A worker keeps the tables it builds: fc's `_power_value_set`, bounded by
+    the count of x**p over the primes p >= 5 (2**35 and the like count
+    twice); the product tables of `_product_plan`, by their `_table_states`,
+    exact for a table whose loose bound passes the share; and the `_powers`
+    table, iroot(M, e) + 1 entries, of each exponent of a planned unit.  Up
+    to `threads` chunks run at once, so each worker gets that share.
     """
-    share = MEMORY_BUDGET // max(1, min(threads, len(plan)))
+    share, M = MEMORY_BUDGET // max(1, min(threads, len(plan))), cfg.max_value
     if cfg.mode == "fermat-catalan":
-        M = cfg.max_value
         what, est = "fc prime-power set needs", _POWER_SET_BYTES * sum(
             arith.iroot(M, p)[0] - 1 for p in range(5, M.bit_length()) if arith.is_prime(p))
     else:
-        what, est = "product value tables need", 96 * sum(
-            bound for _, bound in _product_plan(cfg).tables.values())
-    if est > share:
-        raise MemoryError(f"the {what} about {est} bytes per worker, "
-                          f"over its share {share} of the {MEMORY_BUDGET}-byte budget; "
-                          "fewer --threads or a smaller --max-bits need less")
-    for unit in (u for g in plan for u in g if u["kind"] == "pillai"):
-        est = _pillai_index_bytes(cfg, unit, share)
-        if est > share:
-            raise MemoryError(
-                f"the pillai product index for z in [{unit['xlo']}, {unit['xhi']}] "
-                f"needs at least {est} bytes, over its share {share} of the "
-                f"{MEMORY_BUDGET}-byte budget; more --chunks make each range smaller"
-            )
+        per = _JOIN_STATE_BYTES if cfg.mode == "pillai" else _TABLE_STATE_BYTES
+        what, est = "product value tables need", per * sum(
+            bound if per * bound <= share else _table_states(M, d, cap, exact=True)
+            for d, (cap, bound) in _product_plan(cfg).tables.items())
+    exps = {e for g in plan for u in g if u["kind"] in ("fcpair", "fcone", "product")
+            and u["xlo"] <= u["xhi"] for e in (u["e1"], u["e2"])}
+    powers = _POWER_ENTRY_BYTES * sum(arith.iroot(M, e)[0] + 1 if e else 2 for e in exps)
+    if est + powers > share:
+        raise MemoryError(f"the {what} about {est} bytes per worker and the power tables "
+                          f"about {powers} more, over its share {share} of {MEMORY_BUDGET} "
+                          "bytes; fewer --threads or a smaller --max-bits need less")
 
 
 # ---------------------------------------------------------------------------

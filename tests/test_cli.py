@@ -535,13 +535,24 @@ def test_abc_scan_cli(tmp_path, monkeypatch):
 
 
 def test_search_pillai_index_over_budget_exits_runtime(tmp_path, capsys):
-    # degree 1 indexes every integer: 2^40 of them is refused before any chunk
+    # at f_bound 2 degree 1 is tabled: 2^40 integers are refused before any chunk
     out = tmp_path / "x.jsonl"
     assert cli.run(["search", "pillai", "--difference", "1", "--degree", "1..3",
-                    "--max-bits", "40", "--threads", "1", "--output", str(out)]
-                   ) == EXIT_RUNTIME
+                    "--f-bound", "2", "--max-bits", "40", "--threads", "1",
+                    "--output", str(out)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--chunks" in err and not out.exists()
+    assert err.startswith("error: the product value tables need about ")
+    assert "fewer --threads" in err and not out.exists()
+
+
+def test_search_power_tables_over_budget_exits_runtime(tmp_path, capsys):
+    # fc at 2^90 would index a 2^30-entry cube table in each worker
+    out = tmp_path / "x.jsonl"
+    assert cli.run(["search", "fc", "--max-bits", "90", "--threads", "1",
+                    "--output", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fc prime-power set needs about ")
+    assert "the power tables about 69118788096 more" in err and not out.exists()
 
 
 def test_search_plan_over_budget_exits_runtime(tmp_path, capsys):

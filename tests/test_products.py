@@ -196,3 +196,13 @@ def test_sorted_unique_matches_np_unique():
         got, want = products.sorted_unique(values), np.unique(values)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert products.sorted_unique(arrays[0]).shape == (0,)
+
+
+def test_product_values_past_int64():
+    # past 2**62 the same walk runs on Python ints
+    for M, d, s in ((2**62, 8, 1), (2**62 + 1, 8, 1), (2**66, 8, 2), (2**70 + 3, 9, 1)):
+        values = products.product_values(M, d, s)
+        assert values.dtype == (np.int64 if M <= 2**62 else object)
+        want = sorted({p.value for p in products.enumerate_products(
+            SpreadConstraints(degree=d, max_spread=s), M)})
+        assert values.tolist() == want and want[-1] > 2**61

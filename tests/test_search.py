@@ -910,6 +910,10 @@ def _pillai_per_degree_reference(cfg):
     {"max_bits": 20, "m_bound": "1/2"},
     {"max_bits": 14, "degree": (1, 6)},
     {"max_bits": 16, "max_spread": 1, "f_bound": 1, "f_strict": True},
+    # every degree tabled (2/1 passes), degree 2 tabled, and tables past 2**62
+    {"max_bits": 14, "max_spread": 1, "f_bound": 2, "degree": (1, 5)},
+    {"max_bits": 16, "f_bound": 1, "f_strict": False},
+    {"max_bits": 66, "max_spread": 1, "degree": (6, 66)},
 ])
 def test_pillai_join_matches_per_degree_scan(extra):
     cfg = make_config("pillai", **dict({"difference": 1, "max_spread": 2}, **extra))
@@ -929,12 +933,16 @@ def test_pillai_plan_splits_the_value_range():
 
 
 def test_pillai_index_refused_up_front(monkeypatch):
-    def no_index(*args, **kwargs):
-        raise AssertionError("the index must not be built")
+    def no_table(*args, **kwargs):
+        raise AssertionError("no table may be built")
 
-    monkeypatch.setattr(search, "enumerate_products", no_index)
-    cfg = make_config("pillai", difference=1, degree=(1, 3), max_bits=40)
-    with pytest.raises(MemoryError, match="--chunks"):
+    # at f_bound 2 degree 1 is tabled, with cap 0: every integer up to 2**40
+    monkeypatch.setattr(search, "product_values", no_table)
+    cfg = make_config("pillai", difference=1, degree=(1, 3), max_bits=40, f_bound=2)
+    tables = search._product_plan(cfg).tables
+    assert tables == {1: (0, 2**40), 2: (0, 2**20), 3: (0, 10321)}
+    need = search._JOIN_STATE_BYTES * (2**40 + 2**20 + 10321)
+    with pytest.raises(MemoryError, match=f"product value tables need about {need} bytes"):
         run_chunked(cfg, n_chunks=16)
 
 
@@ -956,11 +964,13 @@ def test_product_tables_refused_up_front(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(search, "MEMORY_BUDGET", 2 * need)
     assert len(_records(cfg, n_chunks=4, threads=1)) == 29
-    # maxgcd pairs and modes without a product target build no table
+    # maxgcd pairs and fc build no table; pillai tables its degrees 3..16
     for other in (make_config("maxgcd-spread1", max_bits=24),
-                  make_config("fermat-catalan", max_bits=24),
-                  make_config("pillai", max_bits=16, difference=1)):
+                  make_config("fermat-catalan", max_bits=24)):
         assert search._product_plan(other).tables == {}
+    pillai = search._product_plan(make_config("pillai", max_bits=16, difference=1))
+    assert pillai.caps[()] == [(d, 0) for d in range(2, 17)]
+    assert set(pillai.tables) == set(range(3, 17))
 
 
 def test_fc_power_set_refused_up_front(monkeypatch):
@@ -976,21 +986,52 @@ def test_fc_power_set_refused_up_front(monkeypatch):
     with pytest.raises(MemoryError, match="fc prime-power set needs about "
                        f"{need} bytes per worker.*fewer --threads"):
         run_chunked(cfg, n_chunks=4)
-    # 2**124 fits one worker's budget, not two workers' shares
+    # 2**124 no longer fits one worker: its cube table alone has over 2**41 entries
     cfg = make_config("fermat-catalan", max_bits=124)
     plan = search.plan_chunks(cfg, 4)
-    search._check_memory(cfg, plan, 1)
-    with pytest.raises(MemoryError, match="fc prime-power set"):
-        search._check_memory(cfg, plan, 2)
+    entries = 2_772_774_335_409
+    assert arith.iroot(cfg.max_value, 3)[0] > 2**41
+    with pytest.raises(MemoryError, match="fc prime-power set needs about [0-9]+ bytes "
+                       "per worker and the power tables about "
+                       f"{search._POWER_ENTRY_BYTES * entries} more"):
+        search._check_memory(cfg, plan, 1)
 
 
-def test_check_memory_at_a_degree_past_the_recursion_limit():
-    # the class bound passes the budget, so the classes are counted exactly
+@pytest.mark.parametrize("mode, extra, entries", [
+    # fcone 3 and the pair units (3, e2) index a 2**30-entry cube table
+    ("fermat-catalan", {"max_bits": 90}, 1_079_981_064),
+    # min_exp_cap 2 plans the square units too: a 2**31-entry square table
+    ("fermat-catalan", {"max_bits": 62, "f_bound": "3/2", "min_exp_cap": 2},
+     2_149_202_451),
+    ("survey", {"max_bits": 62, "n_range": (2, 3), "m_range": (2, 3), "f_bound": 2},
+     2_149_148_160),
+])
+def test_power_tables_refused_up_front(monkeypatch, mode, extra, entries):
+    def no_table(*args, **kwargs):
+        raise AssertionError("no power table may be built")
+
+    monkeypatch.setattr(search, "_powers", no_table)
+    cfg = make_config(mode, **extra)
+    need = search._POWER_ENTRY_BYTES * entries
+    with pytest.raises(MemoryError, match=f"the power tables about {need} more.*"
+                       "fewer --threads"):
+        run_chunked(cfg, n_chunks=16)
+
+
+def test_check_memory_at_a_degree_past_the_recursion_limit(monkeypatch):
+    # with a budget the loose bound passes, the table's states are counted
+    # exactly, by a recursion that takes the 1s of base 1 in one step
     cfg = make_config("pillai", difference=1, degree=(1000, 1000), max_bits=20,
                       max_spread=2)
     plan = search.plan_chunks(cfg, 16)
-    assert search._pillai_index_bytes(cfg, plan[0][0], 1 << 80) > 4 << 30
+    assert search._product_plan(cfg).tables == {1000: (2, 500_500)}
+    exact = search._table_states(cfg.max_value, 1000, 2, exact=True)
+    assert exact == sum(1 for a in range(21) for c in range(14) if 2**a * 3**c <= 2**20)
+    monkeypatch.setattr(search, "MEMORY_BUDGET", search._JOIN_STATE_BYTES * exact)
     search._check_memory(cfg, plan, 1)
+    monkeypatch.setattr(search, "MEMORY_BUDGET", search._JOIN_STATE_BYTES * exact - 1)
+    with pytest.raises(MemoryError, match="product value tables"):
+        search._check_memory(cfg, plan, 1)
 
 
 @pytest.mark.parametrize("extra", [
@@ -1002,19 +1043,33 @@ def test_check_memory_at_a_degree_past_the_recursion_limit():
     {"max_bits": 18, "max_spread": 12, "degree": (16, 18)},
     {"max_bits": 20, "degree": (1000, 1000)},  # past the recursion limit
 ])
-def test_pillai_index_bytes_count_the_index(extra):
-    # the class bound covers every entry a unit indexes; asked for more
-    # than it allows, the class counts are exact but for the s^2/b bound
+def test_table_states_count_the_walk(extra):
+    # the exact count is the multisets of each base, those enumerate_products
+    # yields, and no more than the loose bound; a table holds their values
     cfg = make_config("pillai", **dict({"difference": 1, "max_spread": 2}, **extra))
-    per_entry, per_factor = search._PILLAI_ENTRY_BYTES
-    for unit in (u for g in search.plan_chunks(cfg, 8) for u in g):
-        real = sum(per_entry + per_factor * p.degree for p in enumerate_products(
-            search._pillai_constraints(cfg), unit["xhi"],
-            max(1, unit["xlo"] - cfg.difference)))
-        loose = search._pillai_index_bytes(cfg, unit, 1 << 80)
-        exact = search._pillai_index_bytes(cfg, unit, loose - 1)
-        assert real <= exact <= loose
-        assert exact == real or cfg.m_bound is not None
+    M = cfg.max_value
+    for d, (cap, loose) in search._product_plan(cfg).tables.items():
+        exact = search._table_states(M, d, cap, exact=True)
+        real = sum(1 for _ in enumerate_products(SpreadConstraints(d, cap), M))
+        assert len(product_values(M, d, cap)) <= exact == real <= loose
+        assert loose == search._table_states(M, d, cap)
+
+
+@pytest.mark.parametrize("extra, loose, count, sha", [
+    ({"max_bits": 18, "max_spread": 12, "degree": (16, 18)}, 199_403_100, 1290,
+     "273201ff8bc5525e694ca40d5a74b33d9a0a534e4edb69d18f94d2ebc47c3474"),
+    ({"max_bits": 20, "max_spread": 2, "degree": (1000, 1000)}, 500_500, 4,
+     "e214f51d527943be41683b15183dd853be5bb48540ae03b52aa1464462aa205b"),
+])
+def test_pillai_high_degree_runs_keep_their_records(extra, loose, count, sha):
+    # the records of the per-chunk index the tables replaced; at spread 12
+    # the loose bound passes the budget, and the exact count lets the run go on
+    cfg = make_config("pillai", difference=1, **extra)
+    assert sum(bound for _, bound in search._product_plan(cfg).tables.values()) == loose
+    assert (search._JOIN_STATE_BYTES * loose > search.MEMORY_BUDGET) == (count == 1290)
+    for n_chunks in (1, 16):
+        records = _records(cfg, n_chunks=n_chunks)
+        assert len(records) == count and search._sha256(records) == sha
 
 
 @pytest.mark.parametrize("obj", [
