@@ -33,7 +33,10 @@ SMALL_PRIMES = _small_primes(_TRIAL_LIMIT)
 _PRIMORIAL = math.prod(SMALL_PRIMES)
 
 # Miller-Rabin with the first twelve prime bases is a proven primality test
-# below this bound (~3.3e24 > 2**81), which covers the required 2**64 range.
+# below psi_12 (~3.2e23 > 2**78), which covers the required 2**64 range, and
+# with the thirteenth, 41, below psi_13 (~3.3e24 > 2**81).  psi_12 itself,
+# 399165290221 * 798330580441, passes the twelve.
+_MR_PSI12 = 318_665_857_834_031_151_167_461
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Above the proven bound: 64 extra rounds, error probability < 4**-64.
@@ -58,8 +61,9 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic for all n below ~3.3e24 (covers 2**64); above that,
-    Miller-Rabin with 64 deterministically seeded rounds, error < 2**-128.
+    Deterministic for all n below ~3.3e24 (covers 2**64), with base 41 only
+    from psi_12 up; above that, Miller-Rabin with 64 deterministically
+    seeded rounds, error < 2**-128.
     """
     if n < 2:
         return False
@@ -69,7 +73,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    if not all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES):
+    bases = _MR_BASES if n < _MR_PSI12 else _MR_BASES + (41,)
+    if not all(_miller_rabin_round(n, a, d, s) for a in bases):
         return False
     if n < _MR_PROVEN_BOUND:
         return True
@@ -209,6 +214,22 @@ def iroot(n: int, k: int) -> Tuple[int, bool]:
     return x, x**k == n
 
 
+def cube_sieve(n: int) -> bool:
+    """False only where n is no a**3 + b**3 and no a**3 - b**3 (exact, by residues).
+
+    A cube is 0 or +/-1 modulo 7 and modulo 9, so a sum or difference of two
+    is 0, +/-1 or +/-2 modulo each: never 3 or 4 mod 7, nor 3, 4, 5 or 6 mod 9.
+    """
+    return n % 7 not in (3, 4) and n % 9 not in (3, 4, 5, 6)
+
+
+def power_cube_splits(y: int, e: int) -> List[Tuple[int, int]]:
+    """`cube_splits` of y**e, y >= 1; [] without factoring y where `cube_sieve` fails."""
+    if not cube_sieve(pow(y, e, 63)):  # y**e modulo 63 = 7 * 9
+        return []
+    return cube_splits(y**e, [(p, k * e) for p, k in factorize(y)])
+
+
 def cube_splits(n: int, factors: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Every (a, b), a, b >= 1, with a**3 + b**3 or a**3 - b**3 equal to n >= 1.
 
@@ -218,8 +239,15 @@ def cube_splits(n: int, factors: List[Tuple[int, int]]) -> List[Tuple[int, int]]
     """
     hi = iroot(4 * n, 3)[0]
     divisors = [1]
-    for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1) if d * p**k <= hi]
+    for p, e in factors:  # d * p**k for k <= e, while at most hi
+        more = []
+        for d in divisors:
+            for _ in range(e):
+                d *= p
+                if d > hi:
+                    break
+                more.append(d)
+        divisors += more
     out = []
     for d in divisors:
         sign = 1 if d**3 >= n else -1

@@ -26,17 +26,19 @@ they test P +/- Q against:
   planned units reach every triple that `_fc_candidate` accepts, under any
   bound.  The solver and its block keep read one table of the six slot
   layouts, `_fc_layouts`, whose third term is (a P + b Q) / c.  While
-  max(A + B, C) * M <= 2**63 the pair and fcone units of a chunk walk one
-  stream of int64 cells, and the keep runs once per 2**14 of them: a cell
-  stays when some |a P + b Q| / c is 1, a square or cube by its rounded
-  float root, or a prime-exponent >= 5 power in a sifted set (`_usable_i64`,
-  exact); only those are checked for coprimality and go to `_fc_try_pair`.
-  Larger bounds run the scalar loop.
+  max(A + B, C) * M <= 2**63 the pair and fcone units of a chunk walk two
+  streams of int64 cells, and each keep runs once per 2**14 of them: a
+  cell stays when some |a P + b Q| / c is 1, a square or cube by its
+  rounded float root or, in units with e3 >= 5 (`_fc_e3`), a power of a
+  prime exponent >= 5 in a sifted set (`_usable_i64`, exact).  Only those
+  are checked for coprimality and go to `_fc_try_pair`; larger bounds run
+  the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as an fccube unit over a range of y: its cells with a cube third
-  term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`).
-  A chunk's fc units run in one loop, `_run_fc_units`: the pair and fcone
-  stream, the fccube cells and fcwild's (1, 1) feed one `_fc_try_pair`.
+  term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`),
+  after a residue sieve mod 7 and 9 (`arith.cube_sieve`).  A chunk's fc
+  units run in one loop, `_run_fc_units`: both streams, the fccube cells
+  and fcwild's (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  Each mode's row of `_MODES` gives
@@ -405,22 +407,23 @@ def _sifted_member(values: np.ndarray) -> Member:
     return member
 
 
-def _usable_i64(t: np.ndarray, M: int, member: Member) -> np.ndarray:
+def _usable_i64(t: np.ndarray, M: int, member: Optional[Member]) -> np.ndarray:
     """Vector `_usable_power` for int64 t and M <= 2**62, `member` sifting its set.
 
-    Exact.  t outside [1, M] is masked to 1, so the float roots see t <= 2**62
-    and are at most 2**31.  float64(t), the correctly rounded sqrt and the
-    few-ulp libm cbrt keep each within a relative 2**-50, so within 2**-19 <
-    1/2 of the true root: a square or cube of k rounds to k.  Rounded roots
-    are at most 2**31 and 1664511, so k*k <= 2**62 and k**3 < 2**63 cannot
-    wrap, and the exact products decide.
+    Exact, for no set if `member` is None.  t outside [1, M] is masked to 1,
+    so the float roots see t <= 2**62 and are at most 2**31.  float64(t), the
+    correctly rounded sqrt and the few-ulp libm cbrt keep each within a
+    relative 2**-50, so within 2**-19 < 1/2 of the true root: a square or cube
+    of k rounds to k.  Rounded roots are at most 2**31 and 1664511, so k*k <=
+    2**62 and k**3 < 2**63 cannot wrap, and the exact products decide.
     """
     ok = (t >= 1) & (t <= M)
     t = np.where(ok, t, 1)
     f = t.astype(np.float64)
     k = np.rint(np.sqrt(f)).astype(np.int64)
     c = np.rint(np.cbrt(f)).astype(np.int64)
-    return ok & ((k * k == t) | (c * c * c == t) | member(t))
+    hit = (k * k == t) | (c * c * c == t)
+    return ok & (hit | member(t) if member else hit)
 
 
 @lru_cache(maxsize=128)  # pillai tables each degree up to max_bits <= 128 by default
@@ -606,24 +609,29 @@ def _record_key(rec: Record) -> Tuple:
 
 
 def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
-    """Add a record to `acc`; a survey cell collects the solutions of its copies.
+    """Add a record to `acc`; a survey cell joins its copies' solutions in a new record.
 
     None, a builder's 'no record', adds nothing.
     """
     if rec is None:
         return
-    cur = acc.setdefault(_record_key(rec), rec)
+    key = _record_key(rec)
+    cur = acc.setdefault(key, rec)
     if cur is not rec and rec["mode"] == "survey":
         sols = {_solution_sort_key(s): s for s in cur["solutions"] + rec["solutions"]}
-        cur["solutions"] = [sols[k] for k in sorted(sols)]
-        cur["count"] = len(sols)
+        acc[key] = dict(cur, solutions=[sols[k] for k in sorted(sols)], count=len(sols))
 
 
 # ---------------------------------------------------------------------------
 # fermat-catalan mode
 
 
-def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
+def _fc_e3(cfg: SearchConfig, e1: int) -> int:
+    """The largest third exponent a unit of lighter exponent e1 needs (`_fc_pair_needed`)."""
+    return min(e1, cfg.max_exp, cfg.min_exp_cap)
+
+
+def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int, e3: int = 0) -> bool:
     """Whether the plan keeps the pair unit (e1 <= e2), or fcone e1 if e2 == 0.
 
     The rule keeps a unit for every triple `_fc_candidate` accepts.  Take
@@ -640,15 +648,16 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
     third; records depend only on the values.  It passes this test: its e1
     is e_b, or e_a when e_b = 0, so min_exp <= e_c <= e3 = min(e1, max_exp,
     min_exp_cap), the lightest allowed third exponent, and 1/e1 + 1/e2 +
-    1/e3 (0 for e2 = 0) is at most the weight of the assignment.
+    1/e3 (0 for e2 = 0) is at most the weight of the assignment.  So the
+    third term of a triple at its unit is a power of exponent e_c <= e3.
 
     Unit (3, e2) runs as fccube (`_fc_cube_unit`) when the coefficients are
-    (1, 1, 1), e3 = 3 and no square third term is admissible, so a triple
-    this proof gives it has e_c = 3: its third term is a cube.  A walk of
-    its cells would also meet triples with another unit in this proof:
-    33**8 + 1549034**2 = 15613**3, through the square, has (3, 8).
+    (1, 1, 1), e3 = 3 and no square third term is admissible (e3 = 2 fails),
+    so a triple this proof gives it has e_c = 3: its third term is a cube.
+    A walk of its cells would also meet triples with another unit in this
+    proof: 33**8 + 1549034**2 = 15613**3, through the square, has (3, 8).
     """
-    e3 = min(e1, cfg.max_exp, cfg.min_exp_cap)
+    e3 = e3 or _fc_e3(cfg, e1)
     # the weight as one Fraction: the plan asks this for every unit
     num, den = (e2 * (e1 + e3) + e1 * e3, e1 * e2 * e3) if e2 else (e1 + e3, e1 * e3)
     return e3 >= cfg.min_exp and _weight_ok(cfg, Fraction(num, den))
@@ -656,9 +665,8 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int) -> bool:
 
 def _fc_cube_unit(cfg: SearchConfig, e1: int, e2: int) -> bool:
     """Whether the planned pair unit (e1, e2) runs as fccube (`_fc_pair_needed`)."""
-    return (cfg.coeffs == (1, 1, 1) and e2 >= 3
-            and e1 == min(e1, cfg.max_exp, cfg.min_exp_cap) == 3
-            and not _fc_pair_needed(dataclasses.replace(cfg, min_exp_cap=2), e1, e2))
+    return (cfg.coeffs == (1, 1, 1) and e2 >= 3 and e1 == _fc_e3(cfg, e1) == 3
+            and not _fc_pair_needed(cfg, e1, e2, 2))
 
 
 def _fc_reps(cfg: SearchConfig, v: int) -> Optional[List[Tuple[int, int]]]:
@@ -751,10 +759,15 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
 
 
 @lru_cache(maxsize=16)
-def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
-    """Keep exactly the cells where a third value of `_fc_layouts` passes `_usable_power`.
+def _fc_keep(cfg: SearchConfig, full: bool) -> Optional[Keep]:
+    """Keep exactly the cells where a third value of `_fc_layouts` passes
+    `_usable_power`, with the prime-power set if `full`, else with none.
 
-    A form and its negative test one |a P + b Q| <= max(A + B, C) * M, so
+    Without the set it is sound for the units with e3 <= 4 (`_fc_e3`): a
+    dropped cell's triple has an owner unit (`_fc_pair_needed`), whose cell
+    of the two lightest terms leaves a third term of exponent e_c <= e3, a
+    square or a cube if e3 <= 4 (a 4th power is a square): either keep holds
+    it.  A form and its negative test one |a P + b Q| <= max(A + B, C) * M, so
     (1, 1, 1) tests P + Q and |P - Q| only, by `_usable_i64`.  None past the
     int64 bound.  Built once per config, shared by its units.
     """
@@ -762,7 +775,8 @@ def _fc_keep(cfg: SearchConfig) -> Optional[Keep]:
     M = cfg.max_value
     if max(A + B, C) * M > _INT64_BOUND:
         return None
-    member = _sifted_member(np.array(sorted(_power_value_set(M)), dtype=np.int64))
+    member = (_sifted_member(np.array(sorted(_power_value_set(M)), dtype=np.int64))
+              if full else None)
     forms = dict.fromkeys((a, b, c) if a > 0 else (-a, -b, c)
                           for a, b, c, _ in _fc_layouts(cfg.coeffs))
 
@@ -784,29 +798,31 @@ _span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """fc units: `_fc_try_pair` on every cell of the chunk.
 
-    The fcpair and fcone units (e2 == 0, the literal 1) walk one coprime
-    `_pairs` stream, so `_fc_keep` runs once per block of cells, not once
-    per unit.  An fccube unit gives, per y in [xlo, xhi], the cells (x, y)
-    of unit (3, e2) with a cube third term, x a side of a split of y**e2;
-    fcwild gives the pair (1, 1).
+    The fcpair and fcone units (e2 == 0, the literal 1) walk two coprime
+    `_pairs` streams, so `_fc_keep` runs once per block of cells, not once
+    per unit: the units with e3 <= 4 (`_fc_e3`) keep and solve without the
+    prime-power set, the others and fcwild's (1, 1) with it.  An fccube
+    unit gives, per y in [xlo, xhi], the cells (x, y) of unit (3, e2) with a
+    cube third term, x a side of a split of y**e2 (`arith.power_cube_splits`,
+    which sieves y first).
     """
-    M = cfg.max_value
-    power_set, xhi = _power_value_set(M), _max_base(M, 3)
+    M, xhi = cfg.max_value, _max_base(cfg.max_value, 3)
 
     def cube_cells() -> Iterator[Tuple[int, int]]:
         for e2, y in ((u["e2"], y) for u in units if u["kind"] == "fccube"
                       for y in range(u["xlo"], u["xhi"] + 1)):
             N = y**e2
-            splits = arith.cube_splits(N, [(p, k * e2) for p, k in arith.factorize(y)])
-            for x in {x for split in splits for x in split}:
+            for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
                 if 2 <= x <= xhi and math.gcd(x, y) == 1:
                     yield x**3, N
 
-    walked = [_span(u) for u in units if u["kind"] in ("fcpair", "fcone")]
-    cells = chain(_pairs(M, "coprime", walked, keep=_fc_keep(cfg)), cube_cells(),
-                  ((1, 1) for u in units if u["kind"] == "fcwild"))
-    for P, Q in cells:
-        _fc_try_pair(cfg, P, Q, power_set, acc)
+    wild = ((1, 1) for u in units if u["kind"] == "fcwild")
+    for full, cells in ((False, cube_cells()), (True, wild)):
+        power_set = _power_value_set(M) if full else frozenset()
+        walked = [_span(u) for u in units if u["kind"] in ("fcpair", "fcone")
+                  and (_fc_e3(cfg, u["e1"]) > 4) == full]
+        for P, Q in chain(_pairs(M, "coprime", walked, keep=_fc_keep(cfg, full)), cells):
+            _fc_try_pair(cfg, P, Q, power_set, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1298,7 +1314,7 @@ def merge_records(chunk_results: Sequence[Sequence[Record]]) -> List[Record]:
     acc: Acc = {}
     for records in chunk_results:
         for rec in records:
-            _merge_into(acc, json.loads(canon_json(rec)))
+            _merge_into(acc, rec)
     return sorted(acc.values(), key=_record_sort_key)
 
 
@@ -1343,8 +1359,8 @@ def run_chunked(cfg: SearchConfig, n_chunks: int = 1,
 
     def note(idx: int, records: List[Record]) -> None:
         done[str(idx)] = records
-        state["done_sha256"][str(idx)] = _sha256(records)
         if checkpoint_path:
+            state["done_sha256"][str(idx)] = _sha256(records)
             save_checkpoint(checkpoint_path, state)
 
     if threads > 1 and len(to_run) > 1:

@@ -224,36 +224,34 @@ def _verify_all(records, cfg):
 
 
 def _brute_fc(limit, f_bound=Fraction(1), strict=True, min_exp=2, max_exp=113,
-              min_exp_cap=113):
-    """Classify every a + b = c <= limit directly: all terms 1 or perfect
-    powers x**e with min_exp <= e <= max_exp, pairwise coprime, and some
-    choice of one exponent per power term whose weight sum(1/e) is under
-    f_bound and whose smallest exponent is at most min_exp_cap."""
+              min_exp_cap=113, coeffs=(1, 1, 1)):
+    """Classify every A a + B b = C c with a, b, c <= limit directly: all
+    terms 1 or perfect powers x**e with min_exp <= e <= max_exp, pairwise
+    coprime, not all 1, and some choice of one exponent per power term whose
+    weight sum(1/e) is under f_bound and whose smallest exponent is at most
+    min_exp_cap.  Every such triple has two terms among those values, and
+    the third follows from the equation.  With A == B a triple is given with
+    a <= b, as records are."""
+    A, B, C = coeffs
     exps = {
         v: [e for e in es if e <= max_exp]
         for v, es in _power_exps(limit, max(2, min_exp)).items()
         if es[0] <= max_exp
     }
-    inv = np.full(limit + 1, np.inf)
-    inv[1] = 0.0
-    for v, es in exps.items():
-        inv[v] = 1.0 / es[-1]
+    exps[1] = [0]  # the wildcard
     found = set()
-    for c in range(3, limit + 1):
-        half = c // 2
-        w = inv[1 : half + 1] + inv[c - 1 : c - half - 1 : -1] + inv[c]
-        for a in (np.nonzero(w <= float(f_bound) + 1e-9)[0] + 1).tolist():
-            b = c - a
-            if math.gcd(a, b) != 1:
-                continue
-            for combo in itertools.product(
-                *[exps[v] if v > 1 else [0] for v in (a, b, c)]
-            ):
-                weight = sum(Fraction(1, e) for e in combo if e)
-                under = weight < f_bound if strict else weight <= f_bound
-                if under and min(e for e in combo if e) <= min_exp_cap:
-                    found.add((a, b, c))
-                    break
+    for a, c in itertools.product(exps, repeat=2):
+        b, r = divmod(C * c - A * a, B)
+        if r or b not in exps or a == b == c == 1:
+            continue
+        if math.gcd(a, b) != 1 or math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
+            continue
+        for combo in itertools.product(exps[a], exps[b], exps[c]):
+            weight = sum(Fraction(1, e) for e in combo if e)
+            under = weight < f_bound if strict else weight <= f_bound
+            if under and min(e for e in combo if e) <= min_exp_cap:
+                found.add((min(a, b), max(a, b), c) if A == B else (a, b, c))
+                break
     return found
 
 
@@ -465,6 +463,19 @@ _FC_PLAN_CONFIGS = {
     "min_exp_cap2-f21/20": dict(min_exp_cap=2, f_bound=Fraction(21, 20),
                                 f_strict=False),
     "min_exp_cap2-f5/4": dict(min_exp_cap=2, f_bound=Fraction(5, 4)),
+    # coefficient triples: the keep of the units with e3 <= 4 rests on the
+    # ownership proof for every triple
+    "coeffs1,2,3": dict(coeffs=(1, 2, 3)),
+    "coeffs1,2,3-f3/2": dict(coeffs=(1, 2, 3), f_bound=Fraction(3, 2)),
+    "coeffs3,1,1": dict(coeffs=(3, 1, 1)),
+    "coeffs3,1,1-cap4-f5/4": dict(coeffs=(3, 1, 1), min_exp_cap=4,
+                                  f_bound=Fraction(5, 4)),
+    "coeffs1,1,2": dict(coeffs=(1, 1, 2)),
+    "coeffs1,1,2-cap2-f3/2": dict(coeffs=(1, 1, 2), min_exp_cap=2,
+                                  f_bound=Fraction(3, 2)),
+    # 89 * 2**5 + 14 * 3**5 = 2 * 5**5, three 5th powers and no square or
+    # cube: only the prime-power set finds a third term, at owner (5, 5)
+    "coeffs89,14,2": dict(coeffs=(89, 14, 2)),
 }
 
 
@@ -474,7 +485,7 @@ def test_07b_fc_pair_plan_matches_brute_force(name):
     cfg = search.make_config("fermat-catalan", max_bits=bits,
                              **_FC_PLAN_CONFIGS[name])
     brute = _brute_fc(2**bits, cfg.f_bound, cfg.f_strict, cfg.min_exp,
-                      cfg.max_exp, cfg.min_exp_cap)
+                      cfg.max_exp, cfg.min_exp_cap, cfg.coeffs)
     res = search.run_chunked(cfg, n_chunks=4)
     _verify_all(res.records, cfg)
     engine = {tuple(r["values"]) for r in res.records}

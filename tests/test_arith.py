@@ -180,6 +180,50 @@ def test_cube_splits_against_brute_force():
     assert hits > 10, hits  # e.g. 2**3 + 2**3 = 2**4, 14**3 - 7**3 = 7**4
 
 
+def test_cube_sieve_drops_no_cube_split():
+    # every a**3 +/- b**3 <= 10**6, a, b >= 1, passes the sieve
+    limit = 10**6
+    splits = {a**3 + b**3 for a in range(1, 101) for b in range(1, a + 1)} | {
+        a**3 - b**3 for a in range(2, 600) for b in range(1, a)}
+    splits = {n for n in splits if n <= limit}
+    dropped = {n for n in range(1, limit + 1) if not arith.cube_sieve(n)}
+    assert not splits & dropped and len(splits) > 1000
+    # it reads n mod 63: 2 of 7 residues mod 7 and 4 of 9 mod 9 are no split
+    assert sum(not arith.cube_sieve(r) for r in range(63)) == 63 - 5 * 5
+    assert len(dropped) == sum(limit // 63 + (r <= limit % 63)
+                               for r in range(1, 63) if not arith.cube_sieve(r))
+    # on the fccube values y**e2: power_cube_splits sieves before it factors
+    # y, and equals the exact cube_splits, which is [] wherever the sieve fails
+    skipped = 0
+    for y in range(1, 201):
+        for e in range(4, 10):
+            want = arith.cube_splits(y**e, arith.factorize(y**e))
+            assert arith.power_cube_splits(y, e) == want, (y, e)
+            skipped += not arith.cube_sieve(y**e)
+            assert arith.cube_sieve(y**e) or want == []
+    assert skipped > 300, skipped
+    # unit (3, 4) skips 4/9 of its y
+    assert sum(not arith.cube_sieve(y**4) for y in range(63)) == 28
+
+
+PSI12 = 318_665_857_834_031_151_167_461  # a strong pseudoprime to bases 2..37
+
+
+def test_psi12_is_composite(monkeypatch):
+    assert not arith.is_prime(PSI12)
+    assert arith.factorize(PSI12) == [(399165290221, 1), (798330580441, 1)]
+    assert arith.radical(PSI12) == PSI12
+    assert not arith.is_prime(3_317_044_064_679_887_385_961_981)  # psi_13
+    # base 41 runs from psi_12 up only: a 64-bit prime gets the twelve bases
+    bases = []
+    round_ = arith._miller_rabin_round
+    monkeypatch.setattr(arith, "_miller_rabin_round",
+                        lambda n, a, d, s: bases.append(a) or round_(n, a, d, s))
+    assert arith.is_prime(M61) and bases == list(arith._MR_BASES)
+    bases.clear()
+    assert not arith.is_prime(PSI12) and bases == list(arith._MR_BASES) + [41]
+
+
 def test_is_prime():
     assert arith.is_prime(113)
     assert not arith.is_prime(1)

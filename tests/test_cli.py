@@ -165,6 +165,30 @@ def test_search_checkpoint_resume_reproduces_log(tmp_path):
     assert resumed.read_bytes() == fresh.read_bytes()
 
 
+# sha256 of the log and of the checkpoint each search writes: neither the
+# merge nor the checkpoint digests may change a byte of them.
+@pytest.mark.parametrize("argv, log_sha, ckpt_sha", [
+    (["fc", "--max-bits", "30"],
+     "d35ccc4e59c79dd1b9d032b5401ba3c7ef43bb67cc0d605e2647f77e1136f4ed",
+     "9b2aa4198b4e7a64862852fa24fc7adfb7322d0378ff95bfbdcfd96be28ba5d6"),
+    (["gbtz", "--max-bits", "24", "--f-bound", "2"],
+     "b9e36ac8276ac3d496e46a8468edaed92cf2af5fa1e5e41bb61c147aea30f989",
+     "40c4e5450df6048e67f4da5174310c57d2e9dceb0570e710cc1cbddac367fed2"),
+    (["pillai", "--max-bits", "18", "--difference", "1", "--max-spread", "2"],
+     "804c22771148076c8b4605136d032d26f022a16a06fd7bdd218375c3eb3698f7",
+     "9c7fa71fb45761e20e226cbcf8bc17535fe71245d3192947e1fbd865e6195fd3"),
+    (["survey", "--max-bits", "24", "--n-range", "3..3", "--m-range", "3..3"],
+     "977bdea15707bf06d1541079dc5f0d09f362c44fd033746df8a231dff5ced2ef",
+     "0c438c2dc9df8bcc0af77a577c8d5b16d6d61c077b44dbb04b410f269ee089d7"),
+], ids=["fc", "gbtz", "pillai", "survey"])
+def test_search_log_and_checkpoint_bytes_are_pinned(tmp_path, argv, log_sha, ckpt_sha):
+    ckpt = tmp_path / "run.ckpt"
+    out = _run(tmp_path, ["search"] + argv + ["--threads", "1", "--chunks", "8",
+                                              "--checkpoint", str(ckpt)])[4]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == log_sha
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == ckpt_sha
+
+
 def test_search_checkpoint_digest_mismatch(tmp_path):
     ckpt = tmp_path / "run.ckpt"
     cfg = search.make_config("fermat-catalan", max_bits=13)

@@ -171,9 +171,12 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
                       coeffs=coeffs)
     M = cfg.max_value
     A, B, C = coeffs
-    assert (search._fc_keep(cfg) is None) == (max(A + B, C) * M > 2**63)
+    assert (search._fc_keep(cfg, True) is None) == (max(A + B, C) * M > 2**63)
     power_set = search._power_value_set(M)
     units = search._mode_units(cfg)
+    # units with e3 <= 4 and e3 >= 5 both, each solved with its own set
+    assert {search._fc_e3(cfg, u["e1"]) > 4 for u in units if u["kind"] == "fcpair"} == {
+        False, True}
     assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "fcpair"} >= {
         (3, 3), (3, 4), (4, 4)}
     assert {u["e1"] for u in units if u["kind"] == "fcone"} >= {2, 3, 4}
@@ -185,8 +188,9 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
             e1, e2, xlo, xhi = u["e1"], u["e2"], u["xlo"], u["xhi"]
             pairs = (search._pairs(M, "coprime", [(e1, e2, xlo, xhi)]) if e2
                      else ((x**e1, 1) for x in range(xlo, xhi + 1)))
+            full = search._fc_e3(cfg, e1) > 4
             for P, Q in pairs:
-                search._fc_try_pair(cfg, P, Q, power_set, slow)
+                search._fc_try_pair(cfg, P, Q, power_set if full else frozenset(), slow)
         assert canon_json(sorted(fast.items())) == canon_json(sorted(slow.items()))
         assert len(fast) > (50 if kind == "fcpair" else 0), kind  # fcone: 8 + 1 = 9
         every.update(slow)
@@ -200,19 +204,25 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
 @pytest.mark.parametrize("coeffs", FC_COEFFS[:-1], ids="%d,%d,%d".__mod__)
 def test_fc_keep_holds_every_cell_with_a_record(coeffs):
     # Every coprime cell of every planned unit at a small bound: where
-    # `_fc_try_pair` writes a record, the block keep keeps the cell.
+    # `_fc_try_pair` writes a record, the full block keep keeps the cell;
+    # on a unit with e3 <= 4, the roots-only keep keeps it when the record's
+    # third term, the value left by the cell's two, has an exponent <= e3.
     cfg = make_config("fermat-catalan", max_bits=14, f_bound=Fraction(2),
                       coeffs=coeffs)
     M = cfg.max_value
-    keep, power_set = search._fc_keep(cfg), search._power_value_set(M)
-    cells = with_record = 0
+    keep, power_set = search._fc_keep(cfg, True), search._power_value_set(M)
+    roots = search._fc_keep(cfg, False)
+    cells = with_record = by_roots = dropped = 0
     for u in search._mode_units(cfg):
         if u["kind"] == "fcwild":
             continue
         pn, pm = search._powers(M, u["e1"]), search._powers(M, u["e2"])
         ys = range(1 if u["e2"] == 0 else 2, len(pm))
-        kept = keep(np.array(pn, dtype=np.int64)[:, None],
-                    np.array(pm, dtype=np.int64)[None, :])
+        P, Q = np.array(pn, dtype=np.int64)[:, None], np.array(pm, dtype=np.int64)[None, :]
+        kept, e3 = keep(P, Q), search._fc_e3(cfg, u["e1"])
+        kept_by_roots = roots(P, Q) if e3 <= 4 else kept
+        assert not (kept_by_roots & ~kept).any()
+        dropped += (kept & ~kept_by_roots).sum()
         for x in range(u["xlo"], u["xhi"] + 1):
             for y in (y for y in ys if math.gcd(x, y) == 1):
                 acc = {}
@@ -221,7 +231,36 @@ def test_fc_keep_holds_every_cell_with_a_record(coeffs):
                 cells += 1
                 with_record += bool(acc)
                 assert kept[x, y] or not acc, (u, x, y, acc)
+                for rec in acc.values():
+                    third = list(zip(rec["values"], rec["reps"]))
+                    for v in (pn[x], pm[y]):
+                        third.remove(next(t for t in third if t[0] == v))
+                    if any(e <= e3 for _, e in third[0][1]):
+                        by_roots += 1
+                        assert kept_by_roots[x, y], (u, x, y, rec)
     assert cells > 10000 and with_record > 20, (cells, with_record)
+    assert by_roots > 20 and dropped > 0, (by_roots, dropped)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("fermat-catalan", {"max_bits": 30}),
+    ("gbtz", {"max_bits": 24, "f_bound": Fraction(2)}),
+    ("pillai", {"max_bits": 18, "difference": 1, "max_spread": 2}),
+    ("survey", {"max_bits": 24, "n_range": (3, 3), "m_range": (3, 3)})],
+    ids=["fc", "gbtz", "pillai", "survey"])
+def test_merge_records_changes_no_chunk_record(mode, extra):
+    # merged records are JSON-native, and the chunk lists stay as they were:
+    # a survey cell found in two chunks joins into a new record
+    cfg = make_config(mode, **extra)
+    chunks = [search.run_chunk(cfg.semantic_dict(), g) for g in search.plan_chunks(cfg, 8)]
+    before = json.loads(canon_json(chunks))
+    merged = search.merge_records(chunks)
+    assert json.loads(canon_json(chunks)) == before == chunks
+    assert json.loads(canon_json(merged)) == merged and merged
+    if mode == "survey":
+        cell = next(r for r in merged if r["cell"] == [3, 3, 4])
+        assert cell["count"] == 4 and sum(r["cell"] == [3, 3, 4] and r["count"] > 0
+                                          for c in chunks for r in c) == 2
 
 
 @pytest.mark.parametrize("extra", [
