@@ -2,10 +2,13 @@
 
 Factorization, radicals, integer roots, perfect-power detection and
 primality testing on plain Python ints.  Everything here is pure and
-deterministic: the rho factoring stage seeds its RNG from the input, so
-repeated calls agree bit for bit.  The intended workload stays far below
-2**128, where trial division plus Brent's variant of Pollard rho is
-entirely comfortable.
+deterministic: a cofactor's splitting RNG is seeded from the cofactor, so
+repeated calls agree bit for bit, and the factorization is unique anyway.
+The intended workload stays far below 2**128: trial division to 10**4,
+then Brent's variant of Pollard rho for about 2**12 steps, which finds
+most factors below about 2**21, then ECM on Montgomery curves (Lenstra 1987,
+Montgomery 1987), whose cost grows subexponentially in the bits of the
+smallest prime factor p, where rho's grows as sqrt(p).
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import takewhile
-from typing import List, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 def _small_primes(limit: int) -> List[int]:
@@ -85,43 +89,178 @@ def is_prime(n: int) -> bool:
     )
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """Nontrivial factor of composite odd n via Brent's cycle finding."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
+# Brent rho gives up once its cycle length passes this, after about 2**12
+# squarings: it finds most prime factors p with sqrt(pi p / 2) < 2**11,
+# that is below about 2**21, and ECM takes the larger ones.
+_RHO_CYCLES = 1 << 10
+
+
+def _rho(n: int, rng: random.Random) -> Optional[int]:
+    """A factor 1 < g < n of composite odd n by Brent's cycle finding, or None
+    once the cycle length passes `_RHO_CYCLES` or the cycle collapses onto n."""
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g = r = q = 1
+    x = ys = y
+    while g == 1 and r <= _RHO_CYCLES:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n  # the sign leaves gcd(q, n) unchanged
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
+                q = q * (x - y) % n  # the sign leaves gcd(q, n) unchanged
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g if 1 < g < n else None
+
+
+# ECM on Montgomery curves (Montgomery 1987): stage 1 to B1, from _ECM_B1 up
+# by 3/2 every _ECM_CURVES curves that find nothing, and stage 2 on the
+# primes in (B1, 50 B1] by the standard continuation with _ECM_D.
+_ECM_B1, _ECM_CURVES, _ECM_D = 120, 8, 210
+# the j, 0 < j < D/2, prime to D: every prime q > 7 is m D +/- j for one of them
+_ECM_J = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+Point = Tuple[int, int]  # (X : Z) on a Montgomery curve, x = X / Z
+
+
+def _xdbl(p: Point, a24: int, n: int) -> Point:
+    """2p on B y**2 = x**3 + A x**2 + x, a24 = (A + 2) / 4, modulo n."""
+    s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(p: Point, q: Point, diff: Point, n: int) -> Point:
+    """p + q from p, q and p - q, modulo n."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ladder(x: int, k: int, a24: int, n: int) -> Point:
+    """k (x : 1) for k >= 1, by Montgomery's ladder.
+
+    Each bit adds the two rungs, whose difference is (x : 1), and doubles
+    one: `_xadd` and `_xdbl` inlined, as stage 1 spends its time here.
+    """
+    x0, z0 = x, 1
+    x1, z1 = _xdbl((x, 1), a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":  # double the upper rung: swap, double the lower, swap back
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        u = (x0 - z0) * (x1 + z1) % n
+        v = (x0 + z0) * (x1 - z1) % n
+        x1, z1 = (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s, d = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+        t = s - d
+        x0, z0 = s * d % n, t * (d + a24 * t) % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0
+
+
+@lru_cache(maxsize=None)  # one entry per B1 reached, a handful in practice
+def _ecm_plan(b1: int) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    """(k, steps) for B1 = b1: stage 1 multiplies by k, the product of the
+    prime powers <= b1; stage 2 visits each prime q = m D +/- j in (b1, 50 b1]
+    once, as steps (m, indices of its j in `_ECM_J`), m ascending.
+    """
+    primes = _small_primes(50 * b1)
+    k = 1
+    for p in takewhile(lambda p: p <= b1, primes):
+        pe = p
+        while pe * p <= b1:
+            pe *= p
+        k *= pe
+    index = {j: i for i, j in enumerate(_ECM_J)}
+    steps: Dict[int, Set[int]] = {}
+    for q in primes:
+        if q > b1:
+            m = (q + _ECM_D // 2) // _ECM_D
+            steps.setdefault(m, set()).add(index[abs(q - m * _ECM_D)])
+    return k, tuple((m, tuple(sorted(js))) for m, js in sorted(steps.items()))
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """gcd(n, .) after stages 1 and 2 on the curve of Suyama's parametrisation by sigma.
+
+    u = sigma**2 - 5, v = 4 sigma, start point x = u**3 / v**3 and
+    a24 = (v - u)**3 (3 u + v) / (16 u**3 v); the group order is divisible
+    by 12.  A prime p | n divides the result, which may be 1 or n, when the
+    start point's order modulo p divides k (`_ecm_plan`), or k times a
+    prime in (B1, 50 B1].
+    """
+    k, steps = _ecm_plan(b1)
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    x, z = u * u * u % n, v * v * v % n
+    den = 16 * x * v % n
+    g = math.gcd(den * z, n)
+    if g != 1:
+        return g
+    inv = pow(den * z, -1, n)  # one inversion: a24 and x / z
+    a24 = (v - u) ** 3 * (3 * u + v) * z * inv % n
+    q = _ladder(x * den * inv % n, k, a24, n)
+    g = math.gcd(q[1], n)
+    if g != 1:
+        return g
+    # Stage 2: j q for j odd < D/2, then D q, and m D q for m from 1.  A
+    # prime m D +/- j of the order mod p makes m D q = -/+ j q, so p divides
+    # X_m Z_j - X_j Z_m = (X_m - X_j)(Z_m + Z_j) - X_m Z_m + X_j Z_j.
+    two = _xdbl(q, a24, n)
+    odd = [q, _xadd(two, q, q, n)]  # j q for j = 1, 3, ..., D/2
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_xadd(odd[-1], two, odd[-2], n))
+    js = [(X, Z, X * Z % n) for X, Z in (odd[j // 2] for j in _ECM_J)]
+    dq = _xdbl(odd[-1], a24, n)
+    m, r0, r1 = 1, dq, _xdbl(dq, a24, n)
+    acc = 1
+    for sm, idx in steps:
+        while m < sm:
+            r0, r1 = r1, _xadd(r1, dq, r0, n)
+            m += 1
+        X, Z = r0
+        XZ = X * Z % n
+        for i in idx:
+            Xj, Zj, XZj = js[i]
+            acc = acc * ((X - Xj) * (Z + Zj) - XZ + XZj) % n
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int, rng: random.Random) -> int:
+    """A factor 1 < g < n of composite n by ECM, curve after curve from `rng`.
+
+    B1 rises after every `_ECM_CURVES` curves that give 1.  A curve giving n
+    found every prime's order smooth, so it does not count: were it to, a
+    product of small primes would reach a B1 where every curve gives n.
+    """
+    b1, misses = _ECM_B1, 0
+    while True:
+        g = _ecm_curve(n, rng.randrange(6, n - 1), b1)
+        if 1 < g < n:
             return g
-        # Cycle collapsed onto n itself; retry with fresh parameters.
+        misses += g == 1
+        if misses == _ECM_CURVES:
+            b1, misses = b1 * 3 // 2, 0
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
     """Prime factorization of n >= 1 as an ordered [(prime, exponent), ...].
 
     factorize(1) == [].  Division by the primes up to 10**4 that divide n,
-    read off gcd(n, their product), then deterministic-seed Brent rho with
-    perfect-power splitting on cofactors.
+    read off gcd(n, their product), then perfect-power splitting, and Brent
+    rho with a step budget followed by ECM, on cofactors; both draw from one
+    RNG seeded by the cofactor.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
@@ -159,7 +298,8 @@ def factorize(n: int) -> List[Tuple[int, int]]:
                 stack.append((r, mult * e))
                 break
         else:
-            d = _brent_rho(m, random.Random(m * 0x9E3779B97F4A7C15 + 1))
+            rng = random.Random(m * 0x9E3779B97F4A7C15 + 1)
+            d = _rho(m, rng) or _ecm(m, rng)
             stack += [(d, mult), (m // d, mult)]
     return sorted(found.items())
 

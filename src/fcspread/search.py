@@ -35,10 +35,11 @@ they test P +/- Q against:
   the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as an fccube unit over a range of y: its cells with a cube third
-  term are the sides x of x**3 +/- w**3 = y**e2 (`arith.cube_splits`),
-  after a residue sieve mod 7 and 9 (`arith.cube_sieve`).  A chunk's fc
-  units run in one loop, `_run_fc_units`: both streams, the fccube cells
-  and fcwild's (1, 1) feed one `_fc_try_pair`.
+  term are the sides x of x**3 +/- w**3 = y**e2 (`_fc_cube_cells`, by
+  `arith.cube_splits`), after a residue sieve mod 7 and 9
+  (`arith.cube_sieve`).  A chunk's fc units run in one loop,
+  `_run_fc_units`: both streams, the coprime fccube cells and fcwild's
+  (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  Each mode's row of `_MODES` gives
@@ -432,30 +433,43 @@ def _product_table(M: int, d: int, s: int) -> Member:
     return _sifted_member(product_values(M, d, s))
 
 
-def _table_states(M: int, d: int, s: int, exact: bool = False) -> int:
+def _capped_sum(terms: Iterable[int], cap: int) -> int:
+    """min(sum(terms), cap) for terms >= 0, reading no term past the cap."""
+    total = 0
+    for t in terms:
+        total += t
+        if total >= cap:
+            return cap
+    return total
+
+
+def _table_states(M: int, d: int, s: int, limit: Optional[int] = None) -> int:
     """A bound on each level of `product_values(M, d, s)`: the multisets of d factors
     in [b, b + s] of least factor b and product <= M, over the bases b.  Loose:
-    C(d - 1 + s, s) for each of the iroot(M, d) bases.  `exact`: all of them
-    for a base with (b + s)**d <= M, and for the at most s others a recursion
-    over the next factor, memoized on (factor, slots left, product left).
+    C(d - 1 + s, s) for each of the iroot(M, d) bases.  With a `limit`, their
+    count, or limit + 1 once it passes the limit: all of them for a base
+    with (b + s)**d <= M, and for the at most s others a recursion over the
+    next factor, memoized on (factor, slots left, product left), each sum
+    saturating at limit + 1 (a saturated part saturates the whole).
     """
     top, full = arith.iroot(M, d)[0], math.comb(d - 1 + s, s)
-    if not exact:
+    if limit is None:
         return top * full
+    cap = limit + 1
 
     @lru_cache(maxsize=None)
     def tails(f: int, high: int, slots: int, q: int) -> int:
-        """Nondecreasing `slots`-tuples in [f, high] with product <= q."""
+        """Nondecreasing `slots`-tuples in [f, high] with product <= q, up to cap."""
         if f == 1:  # k 1s in one step: at most q.bit_length() factors >= 2 follow
-            return sum(tails(2, high, slots - k, q)
-                       for k in range(max(0, slots - q.bit_length()), slots + 1))
-        return int(q >= 1) if slots == 0 else sum(  # g**slots <= q
+            return _capped_sum((tails(2, high, slots - k, q)
+                                for k in range(max(0, slots - q.bit_length()), slots + 1)), cap)
+        return int(q >= 1) if slots == 0 else _capped_sum((  # g**slots <= q
             tails(g, high, slots - 1, q // g)
-            for g in range(f, min(high, arith.iroot(q, slots)[0]) + 1))
+            for g in range(f, min(high, arith.iroot(q, slots)[0]) + 1)), cap)
 
     inner = max(0, top - s)  # (b + s)**d <= M exactly for b <= top - s
-    return inner * full + sum(tails(b, b + s, d - 1, M // b)
-                              for b in range(inner + 1, top + 1))
+    return _capped_sum(chain((inner * full,), (tails(b, b + s, d - 1, M // b)
+                                               for b in range(inner + 1, top + 1))), cap)
 
 
 Span = Tuple[int, int, int, int]  # a unit's (n, m, lo, hi): x in [lo, hi] of x**n, y**m
@@ -795,29 +809,34 @@ def _fc_keep(cfg: SearchConfig, full: bool) -> Optional[Keep]:
 _span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 
 
+def _fc_cube_cells(cfg: SearchConfig, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
+    """The cells (x, y, e2) of the fccube units among `units`, coprime or not.
+
+    Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) with a
+    cube third term: x in [2, max base] a side of a split of y**e2
+    (`arith.power_cube_splits`, which sieves y first), each x once.
+    """
+    xhi = _max_base(cfg.max_value, 3)
+    for e2, y in ((u["e2"], y) for u in units if u["kind"] == "fccube"
+                  for y in range(u["xlo"], u["xhi"] + 1)):
+        for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
+            if 2 <= x <= xhi:
+                yield x, y, e2
+
+
 def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """fc units: `_fc_try_pair` on every cell of the chunk.
 
     The fcpair and fcone units (e2 == 0, the literal 1) walk two coprime
     `_pairs` streams, so `_fc_keep` runs once per block of cells, not once
     per unit: the units with e3 <= 4 (`_fc_e3`) keep and solve without the
-    prime-power set, the others and fcwild's (1, 1) with it.  An fccube
-    unit gives, per y in [xlo, xhi], the cells (x, y) of unit (3, e2) with a
-    cube third term, x a side of a split of y**e2 (`arith.power_cube_splits`,
-    which sieves y first).
+    prime-power set, the others and fcwild's (1, 1) with it.  The fccube
+    units give their coprime `_fc_cube_cells`.
     """
-    M, xhi = cfg.max_value, _max_base(cfg.max_value, 3)
-
-    def cube_cells() -> Iterator[Tuple[int, int]]:
-        for e2, y in ((u["e2"], y) for u in units if u["kind"] == "fccube"
-                      for y in range(u["xlo"], u["xhi"] + 1)):
-            N = y**e2
-            for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
-                if 2 <= x <= xhi and math.gcd(x, y) == 1:
-                    yield x**3, N
-
+    M = cfg.max_value
+    cube = ((x**3, y**e2) for x, y, e2 in _fc_cube_cells(cfg, units) if math.gcd(x, y) == 1)
     wild = ((1, 1) for u in units if u["kind"] == "fcwild")
-    for full, cells in ((False, cube_cells()), (True, wild)):
+    for full, cells in ((False, cube), (True, wild)):
         power_set = _power_value_set(M) if full else frozenset()
         walked = [_span(u) for u in units if u["kind"] in ("fcpair", "fcone")
                   and (_fc_e3(cfg, u["e1"]) > 4) == full]
@@ -1111,24 +1130,28 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
     A worker keeps the tables it builds: fc's `_power_value_set`, bounded by
     the count of x**p over the primes p >= 5 (2**35 and the like count
     twice); the product tables of `_product_plan`, by their `_table_states`,
-    exact for a table whose loose bound passes the share; and the `_powers`
-    table, iroot(M, e) + 1 entries, of each exponent of a planned unit.  Up
-    to `threads` chunks run at once, so each worker gets that share.
+    counted exactly up to the share for a table whose loose bound passes
+    it; and the `_powers` table, iroot(M, e) + 1 entries, of each exponent
+    of a planned unit.  Up to `threads` chunks run at once, so each worker
+    gets that share.
     """
     share, M = MEMORY_BUDGET // max(1, min(threads, len(plan))), cfg.max_value
     if cfg.mode == "fermat-catalan":
         what, est = "fc prime-power set needs", _POWER_SET_BYTES * sum(
             arith.iroot(M, p)[0] - 1 for p in range(5, M.bit_length()) if arith.is_prime(p))
+        need = f"about {est}"
     else:
         per = _JOIN_STATE_BYTES if cfg.mode == "pillai" else _TABLE_STATE_BYTES
-        what, est = "product value tables need", per * sum(
-            bound if per * bound <= share else _table_states(M, d, cap, exact=True)
-            for d, (cap, bound) in _product_plan(cfg).tables.items())
+        limit = share // per  # a count past it is over the share: limit + 1 says so
+        counts = [bound if per * bound <= share else _table_states(M, d, cap, limit)
+                  for d, (cap, bound) in _product_plan(cfg).tables.items()]
+        what, est = "product value tables need", per * sum(counts)
+        need = f"more than {per * limit}" if max(counts, default=0) > limit else f"about {est}"
     exps = {e for g in plan for u in g if u["kind"] in ("fcpair", "fcone", "product")
             and u["xlo"] <= u["xhi"] for e in (u["e1"], u["e2"])}
     powers = _POWER_ENTRY_BYTES * sum(arith.iroot(M, e)[0] + 1 if e else 2 for e in exps)
     if est + powers > share:
-        raise MemoryError(f"the {what} about {est} bytes per worker and the power tables "
+        raise MemoryError(f"the {what} {need} bytes per worker and the power tables "
                           f"about {powers} more, over its share {share} of {MEMORY_BUDGET} "
                           "bytes; fewer --threads or a smaller --max-bits need less")
 

@@ -51,10 +51,99 @@ def test_factorize_semiprimes_and_powers_past_the_trial_bound():
         assert all(arith.is_prime(p) for p in primes), n
 
 
+def _next_prime(n):
+    while not arith.is_prime(n):
+        n += 1
+    return n
+
+
+def _check_factorization(n, fac):
+    assert math.prod(p**e for p, e in fac) == n, n
+    primes = [p for p, _ in fac]
+    assert primes == sorted(set(primes)) and all(arith.is_prime(p) for p in primes), n
+
+
+def _rho_gives_up(n):
+    """True where Brent rho, seeded as in `factorize`, passes its budget on n."""
+    return arith._rho(n, random.Random(n * 0x9E3779B97F4A7C15 + 1)) is None
+
+
+def test_factorize_past_the_rho_budget():
+    # cofactors p q, p**2 q and p**3 q with p, q of 27-33 and 40-48 bits:
+    # rho gives up on p q (and on nearly all the others), and ECM splits them
+    for bits in (27, 30, 33, 40, 44, 48):
+        p = _next_prime((1 << (bits - 1)) + 987_654_321 % (1 << (bits - 3)))
+        q = _next_prime(p + (1 << (bits - 2)) + 12_345)
+        assert p.bit_length() == q.bit_length() == bits
+        assert _rho_gives_up(p * q), (p, q)
+        for n, want in ((p * q, [(p, 1), (q, 1)]), (p * p * q, [(p, 2), (q, 1)]),
+                        (p**3 * q, [(p, 3), (q, 1)])):
+            assert arith.factorize(n) == want, n
+        assert arith.factorize(7 * p * q**2) == [(7, 1), (p, 1), (q, 2)]
+
+
+def test_factorize_near_the_abc_and_test_bounds():
+    # an abc c can reach 2**65; the recompose test draws below 2**96
+    for top in (2**64, 2**65, 2**96):
+        for n in range(top - 6, top + 7):
+            _check_factorization(n, arith.factorize(n))
+    assert arith.factorize(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+    assert arith.factorize(2**65 - 1) == [(31, 1), (8191, 1), (145295143558111, 1)]
+
+
+def test_ecm_next_curve_after_a_curve_giving_n():
+    # n = p q, p and q of 24 bits: rho, seeded as in factorize, gives up, and
+    # the first curve from the same RNG finds both orders smooth, so its gcd
+    # is n itself; the second curve splits n
+    p, q = 8388617, 8389019
+    n = p * q
+    rng = random.Random(n * 0x9E3779B97F4A7C15 + 1)
+    assert arith._rho(n, rng) is None
+    assert arith._ecm_curve(n, rng.randrange(6, n - 1), arith._ECM_B1) == n
+    assert arith._ecm_curve(n, rng.randrange(6, n - 1), arith._ECM_B1) in (p, q)
+    assert arith.factorize(n) == [(p, 1), (q, 1)]
+
+
+def test_ecm_raises_b1_only_after_curves_that_find_nothing(monkeypatch):
+    # for primes just past the trial bound nearly every curve finds both
+    # orders smooth, and more so as B1 rises: only curves giving 1 raise B1
+    p, q = 10007, 10009
+    curves, longest = [], 0
+    ecm_curve = arith._ecm_curve
+    monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma, b1: curves.append(
+        (b1, ecm_curve(n, sigma, b1))) or curves[-1][1])
+    for seed in range(40):
+        curves.clear()
+        assert arith._ecm(p * q, random.Random(seed)) in (p, q)
+        want, misses = arith._ECM_B1, 0
+        for b1, g in curves:
+            assert b1 == want
+            misses += g == 1
+            if misses == arith._ECM_CURVES:
+                want, misses = want * 3 // 2, 0
+        longest = max(longest, len(curves))
+    # some runs took more than 8 curves, most of them giving n
+    assert longest > arith._ECM_CURVES
+
+
+def test_ecm_plan_covers_the_stage2_primes():
+    for b1 in (arith._ECM_B1, 405):
+        k, steps = arith._ecm_plan(b1)
+        primes = {p for p in range(2, 50 * b1 + 1) if arith.is_prime(p)}
+        assert k == math.prod(max(p**e for e in range(1, 10) if p**e <= b1)
+                              for p in primes if p <= b1)
+        pairs = [(m * arith._ECM_D - arith._ECM_J[i], m * arith._ECM_D + arith._ECM_J[i])
+                 for m, idx in steps for i in idx]
+        # each step tests a prime of (b1, 50 b1], and each such prime is tested
+        assert all(set(pair) & primes for pair in pairs)
+        assert {p for p in primes if p > b1} <= {q for pair in pairs for q in pair}
+        assert [m for m, _ in steps] == sorted({m for m, _ in steps})
+
+
 def test_factorize_deterministic():
     # randomized splitting inside must not leak into the output
-    n = 2**64 + 13
-    assert arith.factorize(n) == arith.factorize(n)
+    for n in (2**64 + 13, 8388617 * 8389019, 2**96 - 3, 550743468211 * 825621387523):
+        assert arith.factorize(n) == arith.factorize(n)
 
 
 def test_radical_values():

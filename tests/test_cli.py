@@ -565,7 +565,7 @@ def test_search_pillai_index_over_budget_exits_runtime(tmp_path, capsys):
                     "--f-bound", "2", "--max-bits", "40", "--threads", "1",
                     "--output", str(out)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert err.startswith("error: the product value tables need about ")
+    assert err.startswith("error: the product value tables need more than ")
     assert "fewer --threads" in err and not out.exists()
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -278,6 +279,28 @@ def test_fc_cube_units_match_the_pair_walk(extra, monkeypatch):
         for u in mode_units(cfg)])
     assert not any(u["kind"] == "fccube" for u in search._mode_units(cfg))
     assert canon_json(cube) == canon_json(_records(cfg))
+
+
+def test_fc_cube_cells_match_a_walk_of_their_units(monkeypatch):
+    # every cell (x, y) of unit (3, e2) whose third term is a cube: x**3 + w**3
+    # or |x**3 - w**3| is y**e2 for some w >= 1, coprime or not
+    cfg = make_config("fermat-catalan", max_bits=30)
+    M, xhi = cfg.max_value, search._max_base(cfg.max_value, 3)
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "fccube"]
+    assert {u["e2"] for u in units} >= {4, 5}
+    cubes = {w**3 for w in range(1, arith.iroot(2 * M, 3)[0] + 1)}
+    want = {(x, y, u["e2"]) for u in units for y in range(u["xlo"], u["xhi"] + 1)
+            for x in range(2, xhi + 1)
+            if {y**u["e2"] - x**3, x**3 - y**u["e2"], x**3 + y**u["e2"]} & cubes}
+    got = list(search._fc_cube_cells(cfg, units))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert (14, 7, 4) in want  # 14**3 - 7**4 = 7**3, not coprime
+    assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 10
+    # the runner solves the coprime cells alone
+    tried = []
+    monkeypatch.setattr(search, "_fc_try_pair", lambda cfg, P, Q, *rest: tried.append((P, Q)))
+    search._run_fc_units(cfg, units, {})
+    assert sorted(tried) == sorted((x**3, y**e2) for x, y, e2 in want if math.gcd(x, y) == 1)
 
 
 def test_one_chunk_of_every_fc_kind_matches_its_units_alone():
@@ -980,8 +1003,11 @@ def test_pillai_index_refused_up_front(monkeypatch):
     cfg = make_config("pillai", difference=1, degree=(1, 3), max_bits=40, f_bound=2)
     tables = search._product_plan(cfg).tables
     assert tables == {1: (0, 2**40), 2: (0, 2**20), 3: (0, 10321)}
-    need = search._JOIN_STATE_BYTES * (2**40 + 2**20 + 10321)
-    with pytest.raises(MemoryError, match=f"product value tables need about {need} bytes"):
+    # counted up to the share, the table of degree 1 alone passes it
+    limit = search.MEMORY_BUDGET // search._JOIN_STATE_BYTES
+    assert search._table_states(cfg.max_value, 1, 0, limit) == limit + 1 < 2**40
+    with pytest.raises(MemoryError, match="product value tables need more than "
+                       f"{search._JOIN_STATE_BYTES * limit} bytes"):
         run_chunked(cfg, n_chunks=16)
 
 
@@ -1064,7 +1090,7 @@ def test_check_memory_at_a_degree_past_the_recursion_limit(monkeypatch):
                       max_spread=2)
     plan = search.plan_chunks(cfg, 16)
     assert search._product_plan(cfg).tables == {1000: (2, 500_500)}
-    exact = search._table_states(cfg.max_value, 1000, 2, exact=True)
+    exact = search._table_states(cfg.max_value, 1000, 2, limit=10**6)
     assert exact == sum(1 for a in range(21) for c in range(14) if 2**a * 3**c <= 2**20)
     monkeypatch.setattr(search, "MEMORY_BUDGET", search._JOIN_STATE_BYTES * exact)
     search._check_memory(cfg, plan, 1)
@@ -1088,10 +1114,35 @@ def test_table_states_count_the_walk(extra):
     cfg = make_config("pillai", **dict({"difference": 1, "max_spread": 2}, **extra))
     M = cfg.max_value
     for d, (cap, loose) in search._product_plan(cfg).tables.items():
-        exact = search._table_states(M, d, cap, exact=True)
+        exact = search._table_states(M, d, cap, limit=loose)
         real = sum(1 for _ in enumerate_products(SpreadConstraints(d, cap), M))
         assert len(product_values(M, d, cap)) <= exact == real <= loose
         assert loose == search._table_states(M, d, cap)
+        # a limit below the count saturates the count at limit + 1
+        assert search._table_states(M, d, cap, limit=real) == real
+        for limit in (0, real // 3, real - 1):
+            assert search._table_states(M, d, cap, limit=limit) == limit + 1
+
+
+def test_check_memory_refuses_a_huge_table_count_fast(monkeypatch):
+    # the exact count of this table stops at the share's limit: counted in
+    # full it took tens of seconds (548,757,409 states)
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("no chunk may run")
+
+    cfg = make_config("pillai", difference=1, max_bits=60, degree=(10, 10),
+                      max_spread=20, f_bound=3)
+    limit = search.MEMORY_BUDGET // search._JOIN_STATE_BYTES
+    M, (cap, loose) = cfg.max_value, search._product_plan(cfg).tables[10]
+    assert cap == 20 and loose * search._JOIN_STATE_BYTES > search.MEMORY_BUDGET
+    monkeypatch.setattr(search, "run_chunk", no_chunk)
+    monkeypatch.setattr(search, "_run_chunk_task", no_chunk)
+    start = time.perf_counter()
+    assert search._table_states(M, 10, 20, limit) == limit + 1
+    with pytest.raises(MemoryError, match="product value tables need more than "
+                       f"{search._JOIN_STATE_BYTES * limit} bytes per worker"):
+        run_chunked(cfg, n_chunks=16)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("extra, loose, count, sha", [
