@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
@@ -36,13 +37,15 @@ SMALL_PRIMES = _small_primes(_TRIAL_LIMIT)
 # gcd(n, _PRIMORIAL) is the product of the distinct trial primes dividing n.
 _PRIMORIAL = math.prod(SMALL_PRIMES)
 
-# Miller-Rabin with the first twelve prime bases is a proven primality test
-# below psi_12 (~3.2e23 > 2**78), which covers the required 2**64 range, and
-# with the thirteenth, 41, below psi_13 (~3.3e24 > 2**81).  psi_12 itself,
-# 399165290221 * 798330580441, passes the twelve.
-_MR_PSI12 = 318_665_857_834_031_151_167_461
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k (OEIS A014233) is the least odd composite that passes Miller-Rabin
+# to each of the first k prime bases, so those k bases prove n < psi_k prime.
+# psi_12 (~3.2e23 > 2**78) is 399165290221 * 798330580441; psi_13 is ~3.3e24.
+_MR_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+           3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+           3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+           3_317_044_064_679_887_385_961_981)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Above the proven bound: 64 extra rounds, error probability < 4**-64.
 _MR_EXTRA_ROUNDS = 64
 
@@ -65,22 +68,22 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic for all n below ~3.3e24 (covers 2**64), with base 41 only
-    from psi_12 up; above that, Miller-Rabin with 64 deterministically
-    seeded rounds, error < 2**-128.
+    Deterministic for all n below psi_13 (~3.3e24, covers 2**64), by the
+    first k prime bases below psi_k; above that, the thirteen bases and
+    Miller-Rabin with 64 deterministically seeded rounds, error < 2**-128.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES if n < _MR_PSI12 else _MR_BASES + (41,)
+    bases = _MR_BASES[: bisect_right(_MR_PSI, n) + 1]  # the k of the least psi_k > n
     if not all(_miller_rabin_round(n, a, d, s) for a in bases):
         return False
-    if n < _MR_PROVEN_BOUND:
+    if n < _MR_PSI[-1]:
         return True
     rng = random.Random(n)
     return all(
@@ -280,18 +283,15 @@ def factorize(n: int) -> List[Tuple[int, int]]:
             m //= p
             e += 1
         found[p] = e
-    if 1 < m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        # Cofactor below the trial square is necessarily prime.
-        found[m] = 1
-        m = 1
     stack = [(m, 1)] if m > 1 else []
     while stack:
         m, mult = stack.pop()
-        if is_prime(m):
+        # every prime factor of m exceeds the trial limit: below its square, m is prime
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             found[m] = found.get(m, 0) + mult
             continue
-        # Every prime factor of m exceeds the trial limit, so m = r**e needs
-        # _TRIAL_LIMIT**e < m, and a power splits at a prime exponent too.
+        # so m = r**e needs _TRIAL_LIMIT**e < m, and a power splits at a
+        # prime exponent too.
         for e in takewhile(lambda e: _TRIAL_LIMIT**e < m, SMALL_PRIMES):
             r, exact = iroot(m, e)
             if exact:
@@ -302,6 +302,29 @@ def factorize(n: int) -> List[Tuple[int, int]]:
             d = _rho(m, rng) or _ecm(m, rng)
             stack += [(d, mult), (m // d, mult)]
     return sorted(found.items())
+
+
+@lru_cache(maxsize=64)  # one entry per bound a search reads, a handful in practice
+def _primes_product(bound: int) -> int:
+    return math.prod(takewhile(lambda p: p <= bound, SMALL_PRIMES))
+
+
+def smooth(n: int, bound: int) -> bool:
+    """True when no prime factor of n >= 1 exceeds bound <= 10**4, by gcds alone.
+
+    The simplest form of Bernstein's smooth-part test ("How to find smooth
+    parts of integers", 2004): g = gcd(n, the product of the primes <= bound)
+    holds each such prime of n once; after n //= g, gcd(n, g**2) again holds
+    each one n still has, so the loop ends with n = 1 exactly when it was
+    bound-smooth.
+    """
+    if n < 1 or bound > _TRIAL_LIMIT:
+        raise ValueError(f"smooth expects n >= 1 and bound <= 10**4, got ({n}, {bound})")
+    g = math.gcd(n, _primes_product(bound))
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g * g)
+    return n == 1
 
 
 def radical(n: int) -> int:

@@ -59,10 +59,14 @@ they test P +/- Q against:
   x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one, so the
   relation test and `decompose` see only true hits.  The maxgcd relation,
   larger bounds and units with an untabled degree run the scalar `_pairs`
-  loop.  Power bases start at 2 (the literal 1 belongs to the
-  fermat-catalan wildcard only), except in the maxgcd relation, whose rows
-  are the multiples x = w*y of each y >= 1: they parametrize exactly the
-  maxgcd pairs, so `_pairs` tests no relation on them.
+  loop; there, a unit with two or more degrees d whose witnesses' primes
+  are at most B_d = iroot(M, d) + cap <= 2**11 calls `decompose` at them
+  only for a Z with no prime above their largest B_d (`arith.smooth`, a
+  gcd with the product of those primes).  Power bases start at 2 (the
+  literal 1 belongs to the fermat-catalan wildcard only), except in the
+  maxgcd relation, whose rows are the multiples x = w*y of each y >= 1:
+  they parametrize exactly the maxgcd pairs, so `_pairs` tests no
+  relation on them.
 * pillai joins the bounded-spread products with themselves: every record
   has a witness of a heavy degree, which `_product_plan` tables, past 2**62
   too.  A unit is a value range of Z, and `_run_pillai_units` takes each
@@ -1012,8 +1016,11 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     `_product_record`; a survey solution joins its cell's record.  If all
     a unit's degrees are tabled (`_product_plan`), only the cells whose
     P + Q or |P - Q| (the configured signs) is in one of their tables reach
-    `decompose`; otherwise every cell does.  Each unit walks its own
-    `_pairs` stream, as its keep reads its own tables.
+    `decompose`.  Otherwise every cell does, save that a unit with two or
+    more degrees d whose witnesses' primes are at most B_d <= 2**11 skips
+    those degrees for a Z with a prime above their largest B_d, found by one
+    `arith.smooth` test.  Each unit walks its own `_pairs` stream, as its
+    keep reads its own tables.
     """
     M, row, plan = cfg.max_value, _MODES[cfg.mode], _product_plan(cfg)
     signs, survey = _signs(cfg), cfg.mode == "survey"
@@ -1029,6 +1036,17 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
         tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
                   if all(d in plan.tables for d, _ in caps) else [])
 
+        # A degree-d witness of spread <= cap has least factor b <= iroot(Z, d)
+        # <= iroot(M, d), so every factor, and so every prime of Z, is at most
+        # B_d = iroot(M, d) + cap.  A Z with a prime above the largest sieved
+        # B_d has no witness at the sieved degrees.  Up to 2**11 the smooth
+        # test, a gcd with the ~2.9 kbit product of the primes to B, costs
+        # about one `decompose` call; larger bounds measured slower.
+        sieved = [] if tables else [(d, cap) for d, cap in caps
+                                    if arith.iroot(M, d)[0] + cap <= 1 << 11]
+        bound = max(arith.iroot(M, d)[0] + cap for d, cap in sieved) if len(sieved) > 1 else 0
+        rough = [dc for dc in caps if dc not in sieved]
+
         def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
             ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
             return reduce(np.logical_or, (member(t) for t in ts for member in tables))
@@ -1039,7 +1057,7 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
                 Z = P + Q if sign == "plus" else P - Q
                 if not 1 <= Z <= M:
                     continue
-                for d, cap in caps:
+                for d, cap in rough if bound and not arith.smooth(Z, bound) else caps:
                     wits = decompose(Z, d, cap)  # almost always empty: skip any() then
                     if not (wits and any(w.spread >= row.min_spread for w in wits)):
                         continue

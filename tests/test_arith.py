@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -303,14 +304,84 @@ def test_psi12_is_composite(monkeypatch):
     assert arith.factorize(PSI12) == [(399165290221, 1), (798330580441, 1)]
     assert arith.radical(PSI12) == PSI12
     assert not arith.is_prime(3_317_044_064_679_887_385_961_981)  # psi_13
-    # base 41 runs from psi_12 up only: a 64-bit prime gets the twelve bases
+    # base 41 runs from psi_12 up only: M61 < psi_9 gets the first nine bases
     bases = []
     round_ = arith._miller_rabin_round
     monkeypatch.setattr(arith, "_miller_rabin_round",
                         lambda n, a, d, s: bases.append(a) or round_(n, a, d, s))
-    assert arith.is_prime(M61) and bases == list(arith._MR_BASES)
+    assert arith.is_prime(M61) and bases == list(arith._MR_BASES[:9])
     bases.clear()
-    assert not arith.is_prime(PSI12) and bases == list(arith._MR_BASES) + [41]
+    assert not arith.is_prime(PSI12) and bases == list(arith._MR_BASES)
+
+
+def _is_prime_12_bases(n):
+    """The twelve-base test: bases 2..37 below psi_12, and 41 from it up."""
+    if n < 2:
+        return False
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    if any(n % p == 0 for p in bases):
+        return n in bases
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    return all(arith._miller_rabin_round(n, a, d, s) for a in bases + [41] * (n >= PSI12))
+
+
+def test_is_prime_by_psi_k_matches_twelve_bases(monkeypatch):
+    # each psi_k is a composite that passes the first k bases; below it, the
+    # least such number (OEIS A014233), those k bases decide primality
+    psi = arith._MR_PSI
+    assert len(psi) == 13 and psi[11] == PSI12 and list(psi) == sorted(psi)
+    for k, n in enumerate(psi, 1):
+        d = n - 1
+        s = (d & -d).bit_length() - 1
+        assert all(arith._miller_rabin_round(n, a, d >> s, s) for a in arith._MR_BASES[:k])
+        assert len(arith.factorize(n)) > 1 and not arith.is_prime(n), k
+        for m in range(n - 40, min(n + 41, psi[-1])):  # the same rounds past psi_13
+            assert arith.is_prime(m) == _is_prime_12_bases(m), m
+    rng = random.Random(30)
+    for _ in range(4000):
+        n = rng.randrange(2, 1 << rng.randrange(2, 81))
+        assert arith.is_prime(n) == _is_prime_12_bases(n), n
+    primes = 0
+    for _ in range(300):  # primes of 2..80 bits, each found by the twelve-base test
+        n = rng.randrange(2, 1 << rng.randrange(2, 81))
+        while not _is_prime_12_bases(n):
+            n += 1
+        assert arith.is_prime(n), n
+        primes += n > psi[0]
+    assert primes > 250
+    # the number of bases is the k of the least psi_k above n
+    bases = []
+    round_ = arith._miller_rabin_round
+    monkeypatch.setattr(arith, "_miller_rabin_round",
+                        lambda n, a, d, s: bases.append(a) or round_(n, a, d, s))
+    for k, n in [(1, 2039), (2, 2053), (3, 1373677), (9, 2**61 - 1), (12, 2**64 - 59)]:
+        bases.clear()
+        assert arith.is_prime(n) and bases == list(arith._MR_BASES[:k]), n
+
+
+def test_smooth_matches_factorize():
+    rng = random.Random(11)
+    bounds = [2, 3, 5, 10, 97, 2039, 2048, 9973] + [rng.randrange(2, 9974) for _ in range(40)]
+    values = [1, 2**60, 3**40, 2**60 + 1, 9973**4, 9967 * 9973, 10007, 2 * 10007]
+    values += [rng.randrange(1, 1 << 64) for _ in range(300)]
+    small = arith.SMALL_PRIMES[:50]  # smooth values, to pass as often as fail
+    values += [math.prod(rng.choices(small, k=rng.randrange(1, 20))) for _ in range(300)]
+    top = {n: max((p for p, _ in arith.factorize(n)), default=1) for n in values}
+    passed = 0
+    for bound in bounds:
+        # the primes at the bound and just past it, and their powers
+        at = max(p for p in arith.SMALL_PRIMES if p <= bound)
+        past = next(p for p in arith.SMALL_PRIMES + [10007] if p > bound)
+        edge = {p**k: p for p in (at, past) for k in (1, 2, 5)}
+        for n, p in chain(top.items(), edge.items()):
+            assert arith.smooth(n, bound) == (p <= bound), (n, bound)
+            passed += p <= bound
+    assert passed > 5000
+    for n, bound in [(0, 10), (-6, 10), (6, 10**4 + 1)]:
+        with pytest.raises(ValueError):
+            arith.smooth(n, bound)
 
 
 def test_is_prime():

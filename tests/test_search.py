@@ -762,9 +762,12 @@ def test_bench_product_configs_keep_their_table_choice(mode, max_bits, tables):
 
 
 def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
-    # A unit with a degree the cost rule leaves untabled hands decompose the
-    # Z values of the plain walk, once per (Z, d, cap); a unit whose degrees
-    # are all tabled hands it exactly those of the cells with a Z in a table.
+    # A unit with a degree the cost rule leaves untabled walks every cell: it
+    # hands decompose the Z values of the plain walk, once per (Z, d, cap),
+    # less those of its sieved degrees (two or more with B_d = iroot(M, d) +
+    # cap <= 2**11) where Z has a prime above their largest B_d, none of which
+    # decomposes.  A unit whose degrees are all tabled hands it exactly those
+    # of the cells with a Z in a table.
     cfg = make_config("gbtz", max_bits=18, f_bound=Fraction(2))
     M = cfg.max_value
     plan = search._product_plan(cfg)
@@ -781,6 +784,7 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
     monkeypatch.setattr(search, "_merge_into", lambda acc, rec: None)
     kinds = {True: 0, False: 0}
     filtered = {"calls": 0, "want": 0}
+    sieved_out = 0
     for unit in search._mode_units(cfg):
         caps = plan.caps[unit["e1"], unit["e2"]]
         walks = any(d not in tabled for d, _ in caps)
@@ -792,7 +796,14 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
         calls.clear()
         search._run_product_units(cfg, [unit], {})
         if walks:
-            assert sorted(calls) == sorted(want), unit
+            reach = {d: arith.iroot(M, d)[0] + s for d, s in caps}
+            sieved = {d for d in reach if reach[d] <= 2**11}
+            B = max(reach[d] for d in sieved) if len(sieved) > 1 else math.inf
+            out = [d in sieved and max(p for p, _ in arith.factorize(Z) + [(1, 0)]) > B
+                   for Z, d, _ in want]
+            assert all(real(Z, d, s) == [] for (Z, d, s), o in zip(want, out) if o)
+            assert sorted(calls) == sorted(c for c, o in zip(want, out) if not o), unit
+            sieved_out += sum(out)
         else:
             kept = [c for cell in cells if any(real(Z, d, tabled[d][0])
                                                for Z, d, _ in cell) for c in cell]
@@ -801,6 +812,41 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
             filtered["want"] += len(want)
     assert kinds[True] > 10 and kinds[False] > 10
     assert filtered["calls"] < filtered["want"] / 20
+    assert sieved_out > 1000, sieved_out
+
+
+@pytest.mark.parametrize("n_chunks", [1, 16])
+@pytest.mark.parametrize("mode, extra, sieves", [
+    ("gbtz", {"max_bits": 18, "f_bound": Fraction(2)}, True),
+    ("gbtz", {"max_bits": 24, "f_bound": Fraction(2)}, True),
+    ("gbtz", {"max_bits": 31}, True),
+    ("fp", {"max_bits": 34}, False),
+    ("nonmaxgcd3", {"max_bits": 30}, False),  # one degree per unit: no sieve
+    ("maxgcd-spread1", {"max_bits": 30}, False),
+])
+def test_smooth_sieve_keeps_the_record_section(mode, extra, sieves, n_chunks,
+                                               monkeypatch):
+    # the record section with the smooth test is the one of a test that
+    # always passes, i.e. of `decompose` at every degree of every walked cell
+    cfg = make_config(mode, **extra)
+    tested = []
+    real = arith.smooth
+    monkeypatch.setattr(arith, "smooth", lambda n, b: tested.append(b) or real(n, b))
+    sieved = canon_json(_records(cfg, n_chunks=n_chunks))
+    assert bool(tested) == sieves and all(b <= 2**11 for b in tested)
+    monkeypatch.setattr(arith, "smooth", lambda n, b: True)
+    assert sieved == canon_json(_records(cfg, n_chunks=n_chunks))
+
+
+def test_gbtz_2_31_decompose_calls(monkeypatch):
+    # the product-target workload's gbtz step: its units with degrees 7..10
+    # untabled made 26,144 calls before the smooth test skipped most of them
+    calls = []
+    real = search.decompose
+    monkeypatch.setattr(search, "decompose",
+                        lambda Z, d, s: calls.append(Z) or real(Z, d, s))
+    assert _records(make_config("gbtz", max_bits=31), n_chunks=16) == []
+    assert 0 < len(calls) < 5000, len(calls)
 
 
 # ---------------------------------------------------------------------------
