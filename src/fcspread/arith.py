@@ -46,6 +46,10 @@ _MR_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
            3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
            3_317_044_064_679_887_385_961_981)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Jim Sinclair's seven bases (2011) decide every n < 2**64, checked against
+# the Feitsma-Galway list of base-2 strong pseudoprimes below 2**64: seven
+# rounds where the prime bases take nine or twelve, from psi_7 up.
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 # Above the proven bound: 64 extra rounds, error probability < 4**-64.
 _MR_EXTRA_ROUNDS = 64
 
@@ -69,8 +73,10 @@ def is_prime(n: int) -> bool:
     """Primality test.
 
     Deterministic for all n below psi_13 (~3.3e24, covers 2**64), by the
-    first k prime bases below psi_k; above that, the thirteen bases and
-    Miller-Rabin with 64 deterministically seeded rounds, error < 2**-128.
+    first k prime bases below psi_k, or Sinclair's seven bases from psi_7
+    to 2**64 (a base that is 0 modulo n passes, as in every round); above
+    that, the thirteen bases and Miller-Rabin with 64 deterministically
+    seeded rounds, error < 2**-128.
     """
     if n < 2:
         return False
@@ -80,7 +86,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES[: bisect_right(_MR_PSI, n) + 1]  # the k of the least psi_k > n
+    bases = (_MR_BASES_64 if _MR_PSI[6] <= n < 1 << 64  # else the k of the least psi_k > n
+             else _MR_BASES[: bisect_right(_MR_PSI, n) + 1])
     if not all(_miller_rabin_round(n, a, d, s) for a in bases):
         return False
     if n < _MR_PSI[-1]:

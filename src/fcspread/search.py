@@ -34,11 +34,11 @@ they test P +/- Q against:
   are checked for coprimality and go to `_fc_try_pair`; larger bounds run
   the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
-  runs as an fccube unit over a range of y: its cells with a cube third
-  term are the sides x of x**3 +/- w**3 = y**e2 (`_fc_cube_cells`, by
-  `arith.cube_splits`), after a residue sieve mod 7 and 9
-  (`arith.cube_sieve`).  A chunk's fc units run in one loop,
-  `_run_fc_units`: both streams, the coprime fccube cells and fcwild's
+  runs as a cube unit over a range of y, a kind the product modes share:
+  its cells with a cube third term are the sides x of x**3 +/- w**3 =
+  y**e2 (`_cube_cells`, by `arith.cube_splits`), after a residue sieve
+  mod 7 and 9 (`arith.cube_sieve`).  A chunk's fc units run in one loop,
+  `_run_fc_units`: both streams, the coprime cube cells and fcwild's
   (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
@@ -57,7 +57,11 @@ they test P +/- Q against:
   a decomposition of its largest cap (`_product_table`).  A unit whose
   degrees all have one walks the int64 blocks and keeps a cell only if
   x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one, so the
-  relation test and `decompose` see only true hits.  The maxgcd relation,
+  relation test and `decompose` see only true hits.  In a mode whose
+  least spread is 0, a unit (3, e2) whose one (degree, cap) is (3, 0) asks
+  whether x**3 +/- y**e2 is a cube: it is a cube unit, like fc's, whose
+  `_cube_cells` go through the relation test, the signs and `decompose`
+  (`_cube_pairs`).  The maxgcd relation,
   larger bounds and units with an untabled degree run the scalar `_pairs`
   loop; there, a unit with two or more degrees d whose witnesses' primes
   are at most B_d = iroot(M, d) + cap <= 2**11 calls `decompose` at them
@@ -398,12 +402,17 @@ def _powers_i64(M: int, e: int) -> np.ndarray:
 
 
 def _sifted_member(values: np.ndarray) -> Member:
-    """Exact membership in the sorted `values` (its `.values`), 16-32 sifting slots each."""
-    slots = np.zeros(1 << (len(values).bit_length() + 4), dtype=bool)
-    slots[np.asarray(values & (len(slots) - 1), dtype=np.int64)] = True  # dtype object too
+    """Exact membership in the sorted `values` (its `.values`), 16-32 sifting slots each.
+
+    A value's slot is its low bits.  The slot only sifts: `np.searchsorted`
+    decides each t whose slot holds a value, so membership is exact.
+    """
+    mask = (1 << (len(values).bit_length() + 4)) - 1
+    slots = np.zeros(mask + 1, dtype=bool)
+    slots[np.asarray(values & mask, dtype=np.int64)] = True  # dtype object too
 
     def member(t: np.ndarray) -> np.ndarray:
-        hit = slots[t & (len(slots) - 1)]  # True at every value; t < 0 indexes too
+        hit = slots[np.asarray(t & mask, dtype=np.int64)]  # True at every value; t < 0 too
         sub = t[hit]
         hit[hit] = values[np.minimum(np.searchsorted(values, sub), len(values) - 1)] == sub
         return hit
@@ -669,7 +678,7 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int, e3: int = 0) -> bool:
     1/e3 (0 for e2 = 0) is at most the weight of the assignment.  So the
     third term of a triple at its unit is a power of exponent e_c <= e3.
 
-    Unit (3, e2) runs as fccube (`_fc_cube_unit`) when the coefficients are
+    Unit (3, e2) runs as a cube unit (`_fc_cube_unit`) when the coefficients are
     (1, 1, 1), e3 = 3 and no square third term is admissible (e3 = 2 fails),
     so a triple this proof gives it has e_c = 3: its third term is a cube.
     A walk of its cells would also meet triples with another unit in this
@@ -682,7 +691,7 @@ def _fc_pair_needed(cfg: SearchConfig, e1: int, e2: int, e3: int = 0) -> bool:
 
 
 def _fc_cube_unit(cfg: SearchConfig, e1: int, e2: int) -> bool:
-    """Whether the planned pair unit (e1, e2) runs as fccube (`_fc_pair_needed`)."""
+    """Whether the planned pair unit (e1, e2) runs as a cube unit (`_fc_pair_needed`)."""
     return (cfg.coeffs == (1, 1, 1) and e2 >= 3 and e1 == _fc_e3(cfg, e1) == 3
             and not _fc_pair_needed(cfg, e1, e2, 2))
 
@@ -813,15 +822,19 @@ def _fc_keep(cfg: SearchConfig, full: bool) -> Optional[Keep]:
 _span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 
 
-def _fc_cube_cells(cfg: SearchConfig, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
-    """The cells (x, y, e2) of the fccube units among `units`, coprime or not.
+def _cube_cells(M: int, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
+    """The cells (x, y, e2) of the cube units among `units`, coprime or not.
 
-    Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) with a
-    cube third term: x in [2, max base] a side of a split of y**e2
-    (`arith.power_cube_splits`, which sieves y first), each x once.
+    Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) where
+    x**3 + y**e2 or |x**3 - y**e2| may be a cube: x in [2, max base] a side
+    of a split of y**e2 (`arith.power_cube_splits`, which sieves y first),
+    each x once.  Complete: if x**3 + y**e2 = w**3, w >= 1, then y**e2 =
+    w**3 - x**3 is a difference of cubes with x its smaller side; if
+    x**3 - y**e2 = w**3, a difference with x its larger side; and if
+    y**e2 - x**3 = w**3, a sum x**3 + w**3.
     """
-    xhi = _max_base(cfg.max_value, 3)
-    for e2, y in ((u["e2"], y) for u in units if u["kind"] == "fccube"
+    xhi = _max_base(M, 3)
+    for e2, y in ((u["e2"], y) for u in units if u["kind"] == "cube"
                   for y in range(u["xlo"], u["xhi"] + 1)):
         for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
             if 2 <= x <= xhi:
@@ -834,11 +847,11 @@ def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     The fcpair and fcone units (e2 == 0, the literal 1) walk two coprime
     `_pairs` streams, so `_fc_keep` runs once per block of cells, not once
     per unit: the units with e3 <= 4 (`_fc_e3`) keep and solve without the
-    prime-power set, the others and fcwild's (1, 1) with it.  The fccube
-    units give their coprime `_fc_cube_cells`.
+    prime-power set, the others and fcwild's (1, 1) with it.  The cube
+    units give their coprime `_cube_cells`.
     """
     M = cfg.max_value
-    cube = ((x**3, y**e2) for x, y, e2 in _fc_cube_cells(cfg, units) if math.gcd(x, y) == 1)
+    cube = ((x**3, y**e2) for x, y, e2 in _cube_cells(M, units) if math.gcd(x, y) == 1)
     wild = ((1, 1) for u in units if u["kind"] == "fcwild")
     for full, cells in ((False, cube), (True, wild)):
         power_set = _power_value_set(M) if full else frozenset()
@@ -862,6 +875,7 @@ class _ProductPlan(NamedTuple):
     caps: Dict[Tuple[int, ...], List[Tuple[int, int]]]  # cell -> [(degree, cap)]
     by_degree: Dict[int, Dict[Tuple[int, int], int]]  # degree -> {(e1, e2): cap}
     tables: Dict[int, Tuple[int, int]]  # tabled degree -> (largest cap, build bound)
+    roots: Dict[int, int]  # planned degree d -> iroot(M, d)
 
 
 @lru_cache(maxsize=16)
@@ -870,9 +884,13 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
 
     A unit spans the bases from the relation's first to the max base, none
     when no degree is left, and costs the cells that range spans, halved on
-    the e1 == e2 triangle of an unordered scan.  A degree d is tabled when
-    its build bound (`_table_states`) is at most the cells the planned units
-    test at d; past that, walking them costs less.
+    the e1 == e2 triangle of an unordered scan.  In a mode whose least
+    spread is 0, a unit with e1 = 3 whose one (degree, cap) is (3, 0) asks
+    whether x**3 +/- y**e2 is a cube: it runs as a cube unit, over the bases
+    y of its second power, at a cost of one per y, and its cells are those
+    of `_cube_cells`.  A degree d is tabled when its build bound
+    (`_table_states`) is at most the cells the planned units test at d;
+    past that, walking them costs less.
 
     pillai plans no unit here.  Its one cell, (), gives each degree d the
     largest spread c <= max_spread with (1 + c)/d + 1/hi under the bound,
@@ -882,7 +900,7 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
     """
     row, M = _MODES[cfg.mode], cfg.max_value
     survey, first = cfg.mode == "survey", row.first_base
-    plan = _ProductPlan([], {}, {}, {})
+    plan = _ProductPlan([], {}, {}, {}, {})
     if cfg.mode == "pillai":
         (lo, hi), s = _pillai_degrees(cfg), cfg.max_spread or 0
         # the partner's 1/hi is the 1/n + 1/m of two exponents 2 hi
@@ -915,18 +933,24 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
                 cap = min(cap, cfg.max_spread)
             if cap >= row.min_spread:
                 caps.append((d, cap))
-        xhi = _max_base(M, n) if caps else 0
-        cost = max(0, xhi - first + 1) * max(0, _max_base(M, m) - first + 1)
-        if n == m and not survey:
-            cost //= 2
+        yhi = _max_base(M, m)
+        if n == 3 and caps == [(3, 0)] and row.min_spread == 0:  # tests no table at d = 3
+            kind, xhi, cost, tested = "cube", yhi, max(0, yhi - first + 1), 0
+        else:
+            xhi = _max_base(M, n) if caps else 0
+            cost = max(0, xhi - first + 1) * max(0, yhi - first + 1)
+            if n == m and not survey:
+                cost //= 2
+            kind, tested = "product", cost
         if not (cost or survey):
             continue
-        plan.units.append(dict(zip(("e1", "e2", "d"), cell), kind="product",
+        plan.units.append(dict(zip(("e1", "e2", "d"), cell), kind=kind,
                                xlo=first, xhi=xhi, cost=cost))
         plan.caps[cell] = caps
         for d, cap in caps:
             plan.by_degree.setdefault(d, {})[n, m] = cap
-            cost_at[d] = cost_at.get(d, 0) + cost
+            cost_at[d] = cost_at.get(d, 0) + tested
+    plan.roots.update((d, arith.iroot(M, d)[0]) for d in plan.by_degree)
     if row.relation != "maxgcd" and 2 * M <= _INT64_BOUND:
         for d, at_d in plan.by_degree.items():
             s = max(at_d.values())
@@ -1009,6 +1033,21 @@ def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
     return ("plus", "minus") if cfg.sign == "both" else (cfg.sign,)
 
 
+def _cube_pairs(M: int, relation: str, unit: Unit,
+                ordered: bool) -> Iterator[Tuple[int, int]]:
+    """`_pairs` of a cube unit: (P, Q) for its `_cube_cells` (x, y) whose
+    P = x**3 and Q = y**e2 meet the relation, P >= Q unless `ordered`.
+
+    Every cell (x, y) of the unit where P + Q or |P - Q| is a cube is one of
+    `_cube_cells`, so these are all its pairs that a degree-3 witness of
+    spread 0, a cube, can complete.
+    """
+    for x, y, e2 in _cube_cells(M, [unit]):
+        P, Q = x**3, y**e2
+        if _related(relation, P, Q):
+            yield (P, Q) if ordered or P >= Q else (Q, P)
+
+
 def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """Test x**n +/- y**m against bounded-spread products of each unit's degrees.
 
@@ -1020,7 +1059,7 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     more degrees d whose witnesses' primes are at most B_d <= 2**11 skips
     those degrees for a Z with a prime above their largest B_d, found by one
     `arith.smooth` test.  Each unit walks its own `_pairs` stream, as its
-    keep reads its own tables.
+    keep reads its own tables; a cube unit walks its `_cube_pairs`.
     """
     M, row, plan = cfg.max_value, _MODES[cfg.mode], _product_plan(cfg)
     signs, survey = _signs(cfg), cfg.mode == "survey"
@@ -1033,8 +1072,9 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
         caps = plan.caps[cell]
         if not caps:
             continue
+        cube = unit["kind"] == "cube"
         tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
-                  if all(d in plan.tables for d, _ in caps) else [])
+                  if not cube and all(d in plan.tables for d, _ in caps) else [])
 
         # A degree-d witness of spread <= cap has least factor b <= iroot(Z, d)
         # <= iroot(M, d), so every factor, and so every prime of Z, is at most
@@ -1043,16 +1083,18 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
         # test, a gcd with the ~2.9 kbit product of the primes to B, costs
         # about one `decompose` call; larger bounds measured slower.
         sieved = [] if tables else [(d, cap) for d, cap in caps
-                                    if arith.iroot(M, d)[0] + cap <= 1 << 11]
-        bound = max(arith.iroot(M, d)[0] + cap for d, cap in sieved) if len(sieved) > 1 else 0
+                                    if plan.roots[d] + cap <= 1 << 11]
+        bound = max(plan.roots[d] + cap for d, cap in sieved) if len(sieved) > 1 else 0
         rough = [dc for dc in caps if dc not in sieved]
 
         def keep(P: np.ndarray, Q: np.ndarray) -> np.ndarray:  # the configured signs
             ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
             return reduce(np.logical_or, (member(t) for t in ts for member in tables))
 
-        for P, Q in _pairs(M, row.relation, [_span(unit)], ordered=survey,
-                           keep=keep if tables else None):
+        cells = (_cube_pairs(M, row.relation, unit, ordered=survey) if cube else
+                 _pairs(M, row.relation, [_span(unit)], ordered=survey,
+                        keep=keep if tables else None))
+        for P, Q in cells:
             for sign in signs:
                 Z = P + Q if sign == "plus" else P - Q
                 if not 1 <= Z <= M:
@@ -1195,7 +1237,7 @@ def _mode_units(cfg: SearchConfig) -> List[Unit]:
                                   "e1": e1, "e2": e2, "xlo": 2, "xhi": xhi,
                                   "cost": (xhi - 1) * n2})
                     if _fc_cube_unit(cfg, e1, e2):  # a range of y, cost 1 each
-                        units[-1].update(kind="fccube", xhi=n2 + 1, cost=n2)
+                        units[-1].update(kind="cube", xhi=n2 + 1, cost=n2)
     elif cfg.mode == "pillai":
         # one value range of Z; plan_chunks splits it like a base range
         units.append({"kind": "pillai", "e1": 0, "e2": 0, "xlo": 1, "xhi": M,

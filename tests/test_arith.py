@@ -304,12 +304,12 @@ def test_psi12_is_composite(monkeypatch):
     assert arith.factorize(PSI12) == [(399165290221, 1), (798330580441, 1)]
     assert arith.radical(PSI12) == PSI12
     assert not arith.is_prime(3_317_044_064_679_887_385_961_981)  # psi_13
-    # base 41 runs from psi_12 up only: M61 < psi_9 gets the first nine bases
+    # base 41 runs from psi_12 up only: M61 < 2**64 gets Sinclair's seven bases
     bases = []
     round_ = arith._miller_rabin_round
     monkeypatch.setattr(arith, "_miller_rabin_round",
                         lambda n, a, d, s: bases.append(a) or round_(n, a, d, s))
-    assert arith.is_prime(M61) and bases == list(arith._MR_BASES[:9])
+    assert arith.is_prime(M61) and bases == list(arith._MR_BASES_64)
     bases.clear()
     assert not arith.is_prime(PSI12) and bases == list(arith._MR_BASES)
 
@@ -351,14 +351,45 @@ def test_is_prime_by_psi_k_matches_twelve_bases(monkeypatch):
         assert arith.is_prime(n), n
         primes += n > psi[0]
     assert primes > 250
-    # the number of bases is the k of the least psi_k above n
+    # the number of bases is the k of the least psi_k above n, save from
+    # psi_7 to 2**64, where it is Sinclair's seven
+    below_psi7 = next(n for n in range(psi[6] - 2, 0, -2) if _is_prime_12_bases(n))
     bases = []
     round_ = arith._miller_rabin_round
     monkeypatch.setattr(arith, "_miller_rabin_round",
                         lambda n, a, d, s: bases.append(a) or round_(n, a, d, s))
-    for k, n in [(1, 2039), (2, 2053), (3, 1373677), (9, 2**61 - 1), (12, 2**64 - 59)]:
+    for want, n in [(arith._MR_BASES[:1], 2039), (arith._MR_BASES[:2], 2053),
+                    (arith._MR_BASES[:3], 1373677), (arith._MR_BASES[:7], below_psi7),
+                    (arith._MR_BASES_64, 2**61 - 1), (arith._MR_BASES_64, 2**64 - 59),
+                    (arith._MR_BASES[:12], 2**64 + 13)]:
         bases.clear()
-        assert arith.is_prime(n) and bases == list(arith._MR_BASES[:k]), n
+        assert arith.is_prime(n) and bases == list(want), n
+
+
+def _chernick(k):
+    """(6k + 1)(12k + 1)(18k + 1), a Carmichael number when all three are prime."""
+    factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    return math.prod(factors) if all(_is_prime_12_bases(f) for f in factors) else None
+
+
+def test_is_prime_by_sinclair_bases_matches_the_prime_bases():
+    # from psi_7 to 2**64 seven bases decide what nine or twelve prime bases did
+    psi, rng = arith._MR_PSI, random.Random(31)
+    values = [rng.randrange(1 << 40, 1 << rng.randrange(41, 65)) | 1 for _ in range(3000)]
+    near = [p for p in range(2**32 - 400, 2**32) if _is_prime_12_bases(p)]
+    values += [p * q for p in near for q in near if p <= q]  # semiprimes near 2**64
+    values += [rng.choice(near) * rng.randrange(1 << 31, 1 << 32) for _ in range(200)]
+    carmichael = [n for n in map(_chernick, range(6500, 40_000)) if n]
+    assert len(carmichael) > 30 and psi[6] <= min(carmichael) and max(carmichael) < 2**64
+    values += carmichael + [psi[6], psi[8], 2**64 - 59, 2**64 - 1]
+    primes = 0
+    for n in values:
+        assert arith.is_prime(n) == _is_prime_12_bases(n), n
+        primes += arith.is_prime(n)
+    assert primes > 50
+    # psi_9, a strong pseudoprime to bases 2..31, and psi_7 are composite
+    assert not arith.is_prime(3_825_123_056_546_413_051) and not arith.is_prime(psi[6])
+    assert not any(arith.is_prime(n) for n in carmichael)
 
 
 def test_smooth_matches_factorize():

@@ -170,7 +170,7 @@ def test_search_checkpoint_resume_reproduces_log(tmp_path):
 @pytest.mark.parametrize("argv, log_sha, ckpt_sha", [
     (["fc", "--max-bits", "30"],
      "d35ccc4e59c79dd1b9d032b5401ba3c7ef43bb67cc0d605e2647f77e1136f4ed",
-     "9b2aa4198b4e7a64862852fa24fc7adfb7322d0378ff95bfbdcfd96be28ba5d6"),
+     "99b1afbc843ad1375c39ce81408e04e25ed48fb901aa51f4fbe74ea9acbe7d2b"),
     (["gbtz", "--max-bits", "24", "--f-bound", "2"],
      "b9e36ac8276ac3d496e46a8468edaed92cf2af5fa1e5e41bb61c147aea30f989",
      "40c4e5450df6048e67f4da5174310c57d2e9dceb0570e710cc1cbddac367fed2"),

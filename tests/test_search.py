@@ -270,14 +270,14 @@ def test_merge_records_changes_no_chunk_record(mode, extra):
     {"max_bits": 30, "f_strict": False}], ids=str)
 def test_fc_cube_units_match_the_pair_walk(extra, monkeypatch):
     cfg = make_config("fermat-catalan", **extra)
-    assert any(u["kind"] == "fccube" for u in search._mode_units(cfg))
+    assert any(u["kind"] == "cube" for u in search._mode_units(cfg))
     cube = _records(cfg)
-    # the fccube units as the pair walk of their units (3, e2), over every x
+    # the cube units as the pair walk of their units (3, e2), over every x
     xhi, mode_units = search._max_base(cfg.max_value, 3), search._mode_units
     monkeypatch.setattr(search, "_mode_units", lambda cfg: [
-        dict(u, kind="fcpair", xlo=2, xhi=xhi) if u["kind"] == "fccube" else u
+        dict(u, kind="fcpair", xlo=2, xhi=xhi) if u["kind"] == "cube" else u
         for u in mode_units(cfg)])
-    assert not any(u["kind"] == "fccube" for u in search._mode_units(cfg))
+    assert not any(u["kind"] == "cube" for u in search._mode_units(cfg))
     assert canon_json(cube) == canon_json(_records(cfg))
 
 
@@ -286,13 +286,13 @@ def test_fc_cube_cells_match_a_walk_of_their_units(monkeypatch):
     # or |x**3 - w**3| is y**e2 for some w >= 1, coprime or not
     cfg = make_config("fermat-catalan", max_bits=30)
     M, xhi = cfg.max_value, search._max_base(cfg.max_value, 3)
-    units = [u for u in search._mode_units(cfg) if u["kind"] == "fccube"]
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
     assert {u["e2"] for u in units} >= {4, 5}
     cubes = {w**3 for w in range(1, arith.iroot(2 * M, 3)[0] + 1)}
     want = {(x, y, u["e2"]) for u in units for y in range(u["xlo"], u["xhi"] + 1)
             for x in range(2, xhi + 1)
             if {y**u["e2"] - x**3, x**3 - y**u["e2"], x**3 + y**u["e2"]} & cubes}
-    got = list(search._fc_cube_cells(cfg, units))
+    got = list(search._cube_cells(M, units))
     assert len(got) == len(set(got)) and set(got) == want
     assert (14, 7, 4) in want  # 14**3 - 7**4 = 7**3, not coprime
     assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 10
@@ -307,7 +307,7 @@ def test_one_chunk_of_every_fc_kind_matches_its_units_alone():
     # run_chunk hands every fc unit kind to one runner, in any order
     cfg = make_config("fermat-catalan", max_bits=30)
     units, cfg_dict = search._mode_units(cfg), cfg.semantic_dict()
-    assert {u["kind"] for u in units} == {"fccube", "fcone", "fcpair", "fcwild"}
+    assert {u["kind"] for u in units} == {"cube", "fcone", "fcpair", "fcwild"}
     alone = [search.run_chunk(cfg_dict, [u]) for u in units]
     assert {u["kind"] for u, recs in zip(units, alone) if recs} >= {"fcone", "fcpair"}
     want = canon_json(search.merge_records(alone))
@@ -321,7 +321,66 @@ def test_one_chunk_of_every_fc_kind_matches_its_units_alone():
 def test_fc_cube_units_only_where_the_third_term_is_a_cube(extra):
     # a square or a scaled third term is admissible here
     cfg = make_config("fermat-catalan", max_bits=30, **extra)
-    assert not any(u["kind"] == "fccube" for u in search._mode_units(cfg))
+    assert not any(u["kind"] == "cube" for u in search._mode_units(cfg))
+
+
+SURVEY_30 = {"max_bits": 30, "n_range": (3, 6), "m_range": (3, 6)}
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("gbtz", {"max_bits": 24}), ("gbtz", {"max_bits": 31}),
+    ("gbtz", {"max_bits": 28, "f_bound": Fraction(5, 4)}),
+    ("gbtz", {"max_bits": 24, "f_strict": False}),  # (3, 3) at cap 0
+    ("survey", SURVEY_30)], ids=str)
+def test_product_cube_cells_match_a_walk_of_their_units(mode, extra, monkeypatch):
+    # every cell (x, y) of a product cube unit (3, e2) whose P + Q or |P - Q|
+    # is a cube, coprime or not, and the runner hands exactly those that meet
+    # the relation to decompose, at the configured signs, P >= Q but in survey
+    cfg = make_config(mode, **extra)
+    M, xhi, survey = cfg.max_value, search._max_base(cfg.max_value, 3), mode == "survey"
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
+    assert units and all(u["e1"] == 3 and u["cost"] == u["xhi"] - 1 for u in units)
+    cubes = {w**3 for w in range(1, arith.iroot(2 * M, 3)[0] + 1)}
+    want = {(x, y, u["e2"]) for u in units for y in range(u["xlo"], u["xhi"] + 1)
+            for x in range(2, xhi + 1)
+            if {x**3 + y**u["e2"], abs(x**3 - y**u["e2"])} & cubes}
+    got = list(search._cube_cells(M, units))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 2
+    calls = []
+    monkeypatch.setattr(search, "decompose", lambda Z, d, s: calls.append((Z, d, s)) or [])
+    search._run_product_units(cfg, units, {})
+    related = {"coprime": lambda P, Q: math.gcd(P, Q) == 1,
+               "nonmaxgcd": lambda P, Q: P % Q != 0 and Q % P != 0}[
+                   search._MODES[mode].relation]
+    pairs = [(x**3, y**e2) for x, y, e2 in want if related(x**3, y**e2)]
+    pairs = [(P, Q) if survey or P >= Q else (Q, P) for P, Q in pairs]
+    assert sorted(calls) == sorted((Z, 3, 0) for P, Q in pairs for Z in (P + Q, P - Q)
+                                   if 1 <= Z <= M)
+    assert len(pairs) < len(want) or mode == "gbtz"
+
+
+def test_survey_cube_cells_keep_their_solutions():
+    cfg = make_config("survey", **SURVEY_30)
+    units = {(u["e1"], u["e2"], u["d"]): u["kind"] for u in search._mode_units(cfg)}
+    assert {c for c, kind in units.items() if kind == "cube"} == {(3, m, 3) for m in (4, 5, 6)}
+    counts = {tuple(r["cell"]): r["count"] for r in _records(cfg, n_chunks=4)}
+    assert (counts[3, 4, 3], counts[3, 5, 3], counts[3, 6, 3]) == (25, 7, 0)
+
+
+@pytest.mark.parametrize("mode, extra, cubes", [
+    ("gbtz", {"max_bits": 30}, {(3, m) for m in range(4, 31)}),
+    ("gbtz", {"max_bits": 30, "f_bound": Fraction(5, 4)}, {(3, 3), (3, 4)}),  # (3, 5): cap 1
+    ("gbtz", {"max_bits": 30, "degree": (4, 10)}, set()),
+    ("nonmaxgcd3", {"max_bits": 30}, set()),  # its least spread is 1
+    ("fp", {"max_bits": 34}, set()),
+    ("maxgcd-spread1", {"max_bits": 36}, set())], ids=str)
+def test_product_cube_units_where_the_one_cap_is_degree_3_spread_0(mode, extra, cubes):
+    cfg = make_config(mode, **extra)
+    plan = search._product_plan(cfg)
+    units = search._mode_units(cfg)
+    assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "cube"} == cubes
+    assert all(plan.caps[u["e1"], u["e2"]] == [(3, 0)] for u in units if u["kind"] == "cube")
 
 
 def test_fc_at_2_44_finds_the_catalog():
@@ -398,8 +457,30 @@ def test_product_tables_hold_exactly_the_decomposable_values():
             assert np.isin(t, product_values(M, d, s)).tolist() == hits, (d, s)
 
 
+def test_sifted_member_is_exact():
+    # the slots only sift: membership equals a Python set's, on int64
+    # tables and on an object table past 2**62
+    for values in (product_values(1 << 40, 3, 1), product_values(1 << 62, 6, 2),
+                   np.array([0, 5, 2**62], dtype=np.int64)):
+        member, table = search._sifted_member(values), set(values.tolist())
+        t = np.concatenate([values, values - 1, values + 1, -values, [0, -1, 2**62],
+                            np.arange(-4, 5, dtype=np.int64) << 40]).astype(np.int64)
+        assert member(t).tolist() == [v in table for v in t.tolist()]
+    values = product_values(1 << 66, 5, 0)  # b**5, b <= 9410
+    assert values.dtype == object
+    member, table = search._sifted_member(values), set(values.tolist())
+    # v + 2**64 shares v's low bits and is not in the table
+    t = np.concatenate([values, values + 1, values + (1 << 64), -values,
+                        np.array([0, -1, 2**62, 2**70], dtype=object)])
+    assert member(t).tolist() == [v in table for v in t.tolist()]
+    assert member(t).sum() == len(values)
+
+
 def _scalar_product_unit(cfg, unit, acc):
-    """`_run_product_units` on one unit as the plain `_pairs` + `decompose` loop."""
+    """`_run_product_units` on one unit as the plain `_pairs` + `decompose` loop.
+
+    A cube unit walks every x against its range of y.
+    """
     n, m = unit["e1"], unit["e2"]
     survey = cfg.mode == "survey"
     if survey:
@@ -410,8 +491,14 @@ def _scalar_product_unit(cfg, unit, acc):
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
-    for P, Q in search._pairs(M, relation, [(n, m, unit["xlo"], unit["xhi"])],
-                              ordered=survey):
+    if unit["kind"] == "cube":  # its range is of y: walk (y**m, x**3) for every x
+        pairs = ((Q, P) for P, Q in search._pairs(
+            M, relation, [(m, n, unit["xlo"], unit["xhi"])], ordered=True))
+        pairs = ((P, Q) if survey or P >= Q else (Q, P) for P, Q in pairs)
+    else:
+        pairs = search._pairs(M, relation, [(n, m, unit["xlo"], unit["xhi"])],
+                              ordered=survey)
+    for P, Q in pairs:
         for sign in search._signs(cfg):
             Z = P + Q if sign == "plus" else P - Q
             if not 1 <= Z <= M:
@@ -588,10 +675,10 @@ def test_config_round_trip_and_digest():
     for mode, overrides, digest, plan_digest in (
             ("fermat-catalan", {},
              "5679b48ae10790b4ecfc9901c4dd2850c467cf8907a572ae0d57c70317f9718d",
-             "f62dcb583ccc1151cb6dae45570844a18069d8dfdfdcf242d61f95a67437f284"),
+             "291f6b33af59c5b37693284595aebc4424db4674edb91a130987cf2f2d25a164"),
             ("gbtz", {},
              "c882b4618d758a1a24d6be2312ae397f87f0f711fba54ef5ce88e33521a539f5",
-             "69c7616488055e56b955d6776953bb7a57079542409bcf2cdf23724f0d6820a4"),
+             "cb2ed7f9b52d9e795e190880e5f4231ff839416f5b1c3cfce9823ee64f915914"),
             ("nonmaxgcd3", {},
              "7320bf1722ac52fa517c1f7f37850540d6d428fadb8d639c4dc3af9d46ed33b0",
              "734bcc31de05e5738d92a89b859b4c947a08bb39191902354fc21a6f453388a9"),
@@ -606,7 +693,7 @@ def test_config_round_trip_and_digest():
              "a61d5a6028875e36f07c78caea6a5368a992bcc4e607c0bbe307bdcd5013c307"),
             ("survey", {"n_range": (3, 6), "m_range": (3, 6)},
              "48e915e426134a77386e1eb54a49bd2ecad7a2012ebef6ac550db9743353ef30",
-             "ecbdf0d8bad6ac6b42c5981cc45100fb54ec66f3c4bf65a689d432c8e7438db0"),
+             "3d370100b628c42eab78380b1a553e888f02d5dfa22dc6188180a1fdb61e361d"),
     ):
         cfg = make_config(mode, **overrides)
         assert cfg.digest() == digest, mode
