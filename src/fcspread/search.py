@@ -35,10 +35,9 @@ they test P +/- Q against:
   the scalar loop.
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as a cube unit over a range of y, a kind the product modes share:
-  its cells with a cube third term are the sides x of x**3 +/- w**3 =
-  y**e2 (`_cube_cells`, by `arith.cube_splits`), after a residue sieve
-  mod 7 and 9 (`arith.cube_sieve`).  A chunk's fc units run in one loop,
-  `_run_fc_units`: both streams, the coprime cube cells and fcwild's
+  its `_pairs` rows are the sides x of x**3 +/- w**3 = y**e2 (`_cube_cells`,
+  by `arith.cube_splits`, after a residue sieve mod 7 and 9).  A chunk's
+  fc units run in one loop, `_run_fc_units`: both streams and fcwild's
   (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
@@ -57,20 +56,19 @@ they test P +/- Q against:
   a decomposition of its largest cap (`_product_table`).  A unit whose
   degrees all have one walks the int64 blocks and keeps a cell only if
   x**n + y**m (sign plus) or |x**n - y**m| (minus) is in one, so the
-  relation test and `decompose` see only true hits.  In a mode whose
-  least spread is 0, a unit (3, e2) whose one (degree, cap) is (3, 0) asks
-  whether x**3 +/- y**e2 is a cube: it is a cube unit, like fc's, whose
-  `_cube_cells` go through the relation test, the signs and `decompose`
-  (`_cube_pairs`).  The maxgcd relation,
-  larger bounds and units with an untabled degree run the scalar `_pairs`
-  loop; there, a unit with two or more degrees d whose witnesses' primes
-  are at most B_d = iroot(M, d) + cap <= 2**11 calls `decompose` at them
-  only for a Z with no prime above their largest B_d (`arith.smooth`, a
-  gcd with the product of those primes).  Power bases start at 2 (the
-  literal 1 belongs to the fermat-catalan wildcard only), except in the
-  maxgcd relation, whose rows are the multiples x = w*y of each y >= 1:
-  they parametrize exactly the maxgcd pairs, so `_pairs` tests no
-  relation on them.
+  relation test and `decompose` see only true hits.  Under these two
+  relations, in a mode whose least spread is 0, a unit (3, e2) whose one
+  (degree, cap) is (3, 0) asks whether x**3 +/- y**e2 is a cube: it is a
+  cube unit, like fc's, and its `_pairs` rows are its `_cube_cells`.  The
+  maxgcd relation, larger bounds and units with an untabled degree run the
+  scalar `_pairs` loop; there, a unit with two or more degrees d whose
+  witnesses' primes are at most B_d = iroot(M, d) + cap <= 2**11 calls
+  `decompose` at them only for a Z with no prime above their largest B_d
+  (`arith.smooth`, a gcd with the product of those primes).  Power bases
+  start at 2 (the literal 1 belongs to the fermat-catalan wildcard only),
+  except in the maxgcd relation, whose rows are the multiples x = w*y of
+  each y >= 1: they parametrize exactly the maxgcd pairs, so `_pairs`
+  tests no relation on them.
 * pillai joins the bounded-spread products with themselves: every record
   has a witness of a heavy degree, which `_product_plan` tables, past 2**62
   too.  A unit is a value range of Z, and `_run_pillai_units` takes each
@@ -402,7 +400,7 @@ def _powers_i64(M: int, e: int) -> np.ndarray:
 
 
 def _sifted_member(values: np.ndarray) -> Member:
-    """Exact membership in the sorted `values` (its `.values`), 16-32 sifting slots each.
+    """Exact membership in the sorted `values`, with 16-32 sifting slots each.
 
     A value's slot is its low bits.  The slot only sifts: `np.searchsorted`
     decides each t whose slot holds a value, so membership is exact.
@@ -417,7 +415,6 @@ def _sifted_member(values: np.ndarray) -> Member:
         hit[hit] = values[np.minimum(np.searchsorted(values, sub), len(values) - 1)] == sub
         return hit
 
-    member.values = values  # type: ignore[attr-defined]
     return member
 
 
@@ -441,9 +438,16 @@ def _usable_i64(t: np.ndarray, M: int, member: Optional[Member]) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)  # pillai tables each degree up to max_bits <= 128 by default
+def _product_values(M: int, d: int, s: int) -> np.ndarray:
+    """`product_values(M, d, s)`, built once per worker: pillai joins these
+    values, the other product modes sift them (`_product_table`)."""
+    return product_values(M, d, s)
+
+
+@lru_cache(maxsize=128)
 def _product_table(M: int, d: int, s: int) -> Member:
-    """Exact membership in `product_values(M, d, s)` (`_sifted_member`)."""
-    return _sifted_member(product_values(M, d, s))
+    """Exact membership in `_product_values(M, d, s)` (`_sifted_member`)."""
+    return _sifted_member(_product_values(M, d, s))
 
 
 def _capped_sum(terms: Iterable[int], cap: int) -> int:
@@ -546,34 +550,64 @@ def _prefiltered_cells(M: int, spans: Iterable[Span], keep: Keep,
     yield from flush(end)
 
 
-def _pairs(M: int, relation: str, spans: Sequence[Span], ordered: bool = False,
-           keep: Optional[Keep] = None) -> Iterator[Tuple[int, int]]:
-    """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M of each span.
+_span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 
-    relation "coprime" (gcd(x, y) == 1) and "nonmaxgcd" (neither power
-    divides the other) walk the cells of `_blocks`.  "maxgcd" runs y over
-    [lo, hi] and x = w*y for w >= 1, which for n == m is exactly the pairs
-    whose smaller power divides the larger.  Each pair comes once with P >=
-    Q, unless `ordered`: then every (x**n, y**m) comes as it is.  Both
-    bounds must lie in the base range of the table they index.
 
-    With a block predicate `keep` the coprime and nonmaxgcd relations visit
-    only the cells of `_prefiltered_cells`, one stream for all the spans;
-    the maxgcd relation takes none.  Without one, the scalar walk is the
-    path past the int64 bound.
+def _cube_cells(M: int, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
+    """The cells (x, y, e2) of the cube units `units`, coprime or not.
+
+    Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) where
+    x**3 + y**e2 or |x**3 - y**e2| may be a cube: x in [2, max base] a side
+    of a split of y**e2 (`arith.power_cube_splits`, which sieves y first),
+    each x once.  Complete: if x**3 + y**e2 = w**3, w >= 1, then y**e2 =
+    w**3 - x**3 is a difference of cubes with x its smaller side; if
+    x**3 - y**e2 = w**3, a difference with x its larger side; and if
+    y**e2 - x**3 = w**3, a sum x**3 + w**3.
     """
-    rows: Iterable[Tuple[Span, int, Iterable[int]]]
+    xhi = _max_base(M, 3)
+    for e2, y in ((u["e2"], y) for u in units for y in range(u["xlo"], u["xhi"] + 1)):
+        for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
+            if 2 <= x <= xhi:
+                yield x, y, e2
+
+
+def _pairs(M: int, relation: str, units: Sequence[Unit], ordered: bool = False,
+           keep: Optional[Keep] = None) -> Iterator[Tuple[int, int]]:
+    """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M of each unit (n, m).
+
+    A unit's rows of cells (x, y) come from one source: a cube unit's
+    `_cube_cells`; under "maxgcd", the multiples x = w*y of each y in [xlo,
+    xhi], w >= 1, which for n == m are exactly the pairs whose smaller power
+    divides the larger (the plan makes no cube unit there); else the
+    `_blocks` cells, x in [xlo, xhi].  All but the multiples are tested for
+    the relation: "coprime" (gcd(x, y) == 1) or "nonmaxgcd" (neither power
+    divides the other).  Each pair comes once with P >= Q, unless `ordered`:
+    then every (x**n, y**m) comes as it is.  Both bounds must lie in the
+    base range of the table they index.
+
+    With a block predicate `keep`, the `_blocks` cells of all the units form
+    one stream, `_prefiltered_cells`, and only kept cells are visited; the
+    cube cells, already a complete filter of those where P + Q or |P - Q|
+    may be a cube, skip it.  Without one, the scalar walk is the path past
+    the int64 bound.
+    """
+    spans = [_span(u) for u in units if u["kind"] != "cube"]
+    cubes = [u for u in units if u["kind"] == "cube"]
+    rows: Iterable[Tuple[int, int, int, Iterable[int]]]  # (n, m, x, its ys)
     if relation == "maxgcd":
-        rows = ((s, x, (y,)) for s in spans for y in range(s[2], s[3] + 1)
-                for x in range(y, len(_powers(M, s[0])), y))
+        rows = ((n, m, x, (y,)) for n, m, lo, hi in spans for y in range(lo, hi + 1)
+                for x in range(y, len(_powers(M, n)), y))
     elif keep is not None:
-        rows = ((s, x, (y,)) for s, x, y in _prefiltered_cells(M, spans, keep, ordered))
+        rows = ((n, m, x, (y,))
+                for (n, m, _, _), x, y in _prefiltered_cells(M, spans, keep, ordered))
     else:
-        rows = ((s, x, range(y0, min(x, y1) if same else y1))
-                for s, x0, x1, y0, y1, same in _blocks(M, spans, ordered)
+        rows = ((n, m, x, range(y0, min(x, y1) if same else y1))
+                for (n, m, _, _), x0, x1, y0, y1, same in _blocks(M, spans, ordered)
                 for x in range(x0, x1))
+    if cubes:  # a call without cube units pays no `_cube_cells` setup
+        rows = chain(rows, ((3, m, x, (y,)) for x, y, m in _cube_cells(M, cubes)))
     coprime, nonmax = relation == "coprime", relation == "nonmaxgcd"
-    for (n, m, _, _), x, ys in rows:
+    for n, m, x, ys in rows:
         P, pm = _powers(M, n)[x], _powers(M, m)
         for y in ys:
             Q = pm[y]
@@ -819,43 +853,20 @@ def _fc_keep(cfg: SearchConfig, full: bool) -> Optional[Keep]:
     return keep
 
 
-_span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
-
-
-def _cube_cells(M: int, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
-    """The cells (x, y, e2) of the cube units among `units`, coprime or not.
-
-    Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) where
-    x**3 + y**e2 or |x**3 - y**e2| may be a cube: x in [2, max base] a side
-    of a split of y**e2 (`arith.power_cube_splits`, which sieves y first),
-    each x once.  Complete: if x**3 + y**e2 = w**3, w >= 1, then y**e2 =
-    w**3 - x**3 is a difference of cubes with x its smaller side; if
-    x**3 - y**e2 = w**3, a difference with x its larger side; and if
-    y**e2 - x**3 = w**3, a sum x**3 + w**3.
-    """
-    xhi = _max_base(M, 3)
-    for e2, y in ((u["e2"], y) for u in units if u["kind"] == "cube"
-                  for y in range(u["xlo"], u["xhi"] + 1)):
-        for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
-            if 2 <= x <= xhi:
-                yield x, y, e2
-
-
 def _run_fc_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """fc units: `_fc_try_pair` on every cell of the chunk.
 
-    The fcpair and fcone units (e2 == 0, the literal 1) walk two coprime
-    `_pairs` streams, so `_fc_keep` runs once per block of cells, not once
-    per unit: the units with e3 <= 4 (`_fc_e3`) keep and solve without the
-    prime-power set, the others and fcwild's (1, 1) with it.  The cube
-    units give their coprime `_cube_cells`.
+    The fcpair, fcone (e2 == 0, the literal 1) and cube units walk two
+    coprime `_pairs` streams, so `_fc_keep` runs once per block of cells,
+    not once per unit: the units with e3 <= 4 (`_fc_e3`), the cube units
+    among them, keep and solve without the prime-power set, the others and
+    fcwild's (1, 1) with it.
     """
     M = cfg.max_value
-    cube = ((x**3, y**e2) for x, y, e2 in _cube_cells(M, units) if math.gcd(x, y) == 1)
     wild = ((1, 1) for u in units if u["kind"] == "fcwild")
-    for full, cells in ((False, cube), (True, wild)):
+    for full, cells in ((False, ()), (True, wild)):
         power_set = _power_value_set(M) if full else frozenset()
-        walked = [_span(u) for u in units if u["kind"] in ("fcpair", "fcone")
+        walked = [u for u in units if u["kind"] != "fcwild"
                   and (_fc_e3(cfg, u["e1"]) > 4) == full]
         for P, Q in chain(_pairs(M, "coprime", walked, keep=_fc_keep(cfg, full)), cells):
             _fc_try_pair(cfg, P, Q, power_set, acc)
@@ -884,11 +895,11 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
 
     A unit spans the bases from the relation's first to the max base, none
     when no degree is left, and costs the cells that range spans, halved on
-    the e1 == e2 triangle of an unordered scan.  In a mode whose least
-    spread is 0, a unit with e1 = 3 whose one (degree, cap) is (3, 0) asks
-    whether x**3 +/- y**e2 is a cube: it runs as a cube unit, over the bases
-    y of its second power, at a cost of one per y, and its cells are those
-    of `_cube_cells`.  A degree d is tabled when its build bound
+    the e1 == e2 triangle of an unordered scan.  Under the coprime or
+    non-maxgcd relation, in a mode whose least spread is 0, a unit with
+    e1 = 3 whose one (degree, cap) is (3, 0) asks whether x**3 +/- y**e2 is
+    a cube: it runs as a cube unit, over the bases y of its second power,
+    at a cost of one per y, and its cells are those of `_cube_cells`.  A degree d is tabled when its build bound
     (`_table_states`) is at most the cells the planned units test at d;
     past that, walking them costs less.
 
@@ -934,7 +945,8 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
             if cap >= row.min_spread:
                 caps.append((d, cap))
         yhi = _max_base(M, m)
-        if n == 3 and caps == [(3, 0)] and row.min_spread == 0:  # tests no table at d = 3
+        if (n == 3 and caps == [(3, 0)] and row.min_spread == 0
+                and row.relation != "maxgcd"):  # tests no table at d = 3
             kind, xhi, cost, tested = "cube", yhi, max(0, yhi - first + 1), 0
         else:
             xhi = _max_base(M, n) if caps else 0
@@ -1033,48 +1045,30 @@ def _signs(cfg: SearchConfig) -> Tuple[str, ...]:
     return ("plus", "minus") if cfg.sign == "both" else (cfg.sign,)
 
 
-def _cube_pairs(M: int, relation: str, unit: Unit,
-                ordered: bool) -> Iterator[Tuple[int, int]]:
-    """`_pairs` of a cube unit: (P, Q) for its `_cube_cells` (x, y) whose
-    P = x**3 and Q = y**e2 meet the relation, P >= Q unless `ordered`.
-
-    Every cell (x, y) of the unit where P + Q or |P - Q| is a cube is one of
-    `_cube_cells`, so these are all its pairs that a degree-3 witness of
-    spread 0, a cube, can complete.
-    """
-    for x, y, e2 in _cube_cells(M, [unit]):
-        P, Q = x**3, y**e2
-        if _related(relation, P, Q):
-            yield (P, Q) if ordered or P >= Q else (Q, P)
-
-
 def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """Test x**n +/- y**m against bounded-spread products of each unit's degrees.
 
     A (Z, d) with a witness of at least the mode's least spread goes to
-    `_product_record`; a survey solution joins its cell's record.  If all
-    a unit's degrees are tabled (`_product_plan`), only the cells whose
-    P + Q or |P - Q| (the configured signs) is in one of their tables reach
-    `decompose`.  Otherwise every cell does, save that a unit with two or
-    more degrees d whose witnesses' primes are at most B_d <= 2**11 skips
-    those degrees for a Z with a prime above their largest B_d, found by one
+    `_product_record`; a survey unit keys its solutions and adds one
+    record for its cell, an empty one too.  If all of a unit's degrees are
+    tabled (`_product_plan`), only the cells whose P + Q or |P - Q| (the
+    configured signs) is in one of their tables reach `decompose`.
+    Otherwise every cell does, save that a unit with two or more degrees d
+    whose witnesses' primes are at most B_d <= 2**11 skips those degrees
+    for a Z with a prime above their largest B_d, found by one
     `arith.smooth` test.  Each unit walks its own `_pairs` stream, as its
-    keep reads its own tables; a cube unit walks its `_cube_pairs`.
+    keep reads its own tables; a cube unit, whose cells skip the keep,
+    reads none.
     """
     M, row, plan = cfg.max_value, _MODES[cfg.mode], _product_plan(cfg)
     signs, survey = _signs(cfg), cfg.mode == "survey"
     for unit in units:
         n, m = unit["e1"], unit["e2"]
         cell = (n, m, unit["d"]) if survey else (n, m)
-        if survey:  # every cell is reported, empty ones included
-            acc.setdefault(("survey", cell), {"mode": "survey", "cell": list(cell),
-                                              "count": 0, "solutions": []})
         caps = plan.caps[cell]
-        if not caps:
-            continue
-        cube = unit["kind"] == "cube"
         tables = ([_product_table(M, d, plan.tables[d][0]) for d, _ in caps]
-                  if not cube and all(d in plan.tables for d, _ in caps) else [])
+                  if unit["kind"] != "cube" and all(d in plan.tables for d, _ in caps)
+                  else [])
 
         # A degree-d witness of spread <= cap has least factor b <= iroot(Z, d)
         # <= iroot(M, d), so every factor, and so every prime of Z, is at most
@@ -1091,9 +1085,9 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
             ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
             return reduce(np.logical_or, (member(t) for t in ts for member in tables))
 
-        cells = (_cube_pairs(M, row.relation, unit, ordered=survey) if cube else
-                 _pairs(M, row.relation, [_span(unit)], ordered=survey,
-                        keep=keep if tables else None))
+        sols: Dict[Tuple, Record] = {}  # a survey cell's, by `_solution_sort_key`
+        cells = _pairs(M, row.relation, [unit], ordered=survey,
+                       keep=keep if tables else None) if caps else ()
         for P, Q in cells:
             for sign in signs:
                 Z = P + Q if sign == "plus" else P - Q
@@ -1105,10 +1099,12 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
                         continue
                     if survey:
                         sol = _product_record(cfg, sign, P, Q, Z, d, (n, m))
-                        _merge_into(acc, {"mode": "survey", "cell": list(cell),
-                                          "count": 1, "solutions": [sol]})
+                        sols[_solution_sort_key(sol)] = sol
                     else:
                         _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
+        if survey:
+            _merge_into(acc, {"mode": "survey", "cell": list(cell), "count": len(sols),
+                              "solutions": [sols[k] for k in sorted(sols)]})
 
 
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
@@ -1143,7 +1139,7 @@ def _run_pillai_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """
     B, M, plan = cfg.difference, cfg.max_value, _product_plan(cfg)
     light = [dc for dc in plan.caps[()] if dc[0] not in plan.tables]
-    tables = [((d, c), _product_table(M, d, c).values) for d, (c, _) in plan.tables.items()]
+    tables = [((d, c), _product_values(M, d, c)) for d, (c, _) in plan.tables.items()]
     for unit in units:
         zlo, zhi = unit["xlo"], unit["xhi"]
         held: Dict[int, Tuple[Tuple[int, int], ...]] = {}  # value -> its tables' (d, cap)
@@ -1207,7 +1203,7 @@ def _check_memory(cfg: SearchConfig, plan: List[List[Unit]],
                   for d, (cap, bound) in _product_plan(cfg).tables.items()]
         what, est = "product value tables need", per * sum(counts)
         need = f"more than {per * limit}" if max(counts, default=0) > limit else f"about {est}"
-    exps = {e for g in plan for u in g if u["kind"] in ("fcpair", "fcone", "product")
+    exps = {e for g in plan for u in g if u["e1"]  # fcwild and pillai index none
             and u["xlo"] <= u["xhi"] for e in (u["e1"], u["e2"])}
     powers = _POWER_ENTRY_BYTES * sum(arith.iroot(M, e)[0] + 1 if e else 2 for e in exps)
     if est + powers > share:

@@ -61,6 +61,11 @@ def _keep_all(P, Q):
     return np.ones(np.broadcast_shapes(P.shape, Q.shape), dtype=bool)
 
 
+def _unit(n, m, lo, hi, kind="product"):
+    """A plan unit (n, m) over the bases [lo, hi], as `_pairs` takes it."""
+    return {"kind": kind, "e1": n, "e2": m, "xlo": lo, "xhi": hi}
+
+
 @pytest.mark.parametrize("ordered", [False, True])
 @pytest.mark.parametrize("n, m", [(3, 3), (2, 2), (3, 4), (4, 3), (2, 5)])
 @pytest.mark.parametrize("relation", ["coprime", "nonmaxgcd", "maxgcd"])
@@ -90,10 +95,10 @@ def test_pairs_against_brute_force(relation, n, m, ordered):
     # the int64 cell blocks, with a prefilter that keeps everything, visit
     # the same pairs as the scalar loop, the two halves apart or in one stream
     for keep in (None,) if relation == "maxgcd" else (None, _keep_all):
-        got = list(search._pairs(M, relation, [(n, m, lo, mid)], ordered, keep))
-        got += search._pairs(M, relation, [(n, m, mid + 1, hi)], ordered, keep)
-        both = list(search._pairs(M, relation, [(n, m, lo, mid), (n, m, mid + 1, hi)],
-                                  ordered, keep))
+        got = list(search._pairs(M, relation, [_unit(n, m, lo, mid)], ordered, keep))
+        got += search._pairs(M, relation, [_unit(n, m, mid + 1, hi)], ordered, keep)
+        both = list(search._pairs(M, relation, [_unit(n, m, lo, mid),
+                                                _unit(n, m, mid + 1, hi)], ordered, keep))
         assert len(got) == len(set(got)) and sorted(both) == sorted(got)
         assert set(got) == want
     assert want
@@ -187,7 +192,7 @@ def test_fc_pair_unit_prefilter_matches_scalar_loop(coeffs, cells, monkeypatch):
         for u in (u for u in units if u["kind"] == kind):
             search._run_fc_units(cfg, [u], fast)
             e1, e2, xlo, xhi = u["e1"], u["e2"], u["xlo"], u["xhi"]
-            pairs = (search._pairs(M, "coprime", [(e1, e2, xlo, xhi)]) if e2
+            pairs = (search._pairs(M, "coprime", [_unit(e1, e2, xlo, xhi)]) if e2
                      else ((x**e1, 1) for x in range(xlo, xhi + 1)))
             full = search._fc_e3(cfg, e1) > 4
             for P, Q in pairs:
@@ -296,11 +301,12 @@ def test_fc_cube_cells_match_a_walk_of_their_units(monkeypatch):
     assert len(got) == len(set(got)) and set(got) == want
     assert (14, 7, 4) in want  # 14**3 - 7**4 = 7**3, not coprime
     assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 10
-    # the runner solves the coprime cells alone
+    # the runner solves the coprime cells alone, P >= Q as `_pairs` gives them
     tried = []
     monkeypatch.setattr(search, "_fc_try_pair", lambda cfg, P, Q, *rest: tried.append((P, Q)))
     search._run_fc_units(cfg, units, {})
-    assert sorted(tried) == sorted((x**3, y**e2) for x, y, e2 in want if math.gcd(x, y) == 1)
+    assert sorted(tried) == sorted((max(x**3, y**e2), min(x**3, y**e2))
+                                   for x, y, e2 in want if math.gcd(x, y) == 1)
 
 
 def test_one_chunk_of_every_fc_kind_matches_its_units_alone():
@@ -381,6 +387,64 @@ def test_product_cube_units_where_the_one_cap_is_degree_3_spread_0(mode, extra, 
     units = search._mode_units(cfg)
     assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "cube"} == cubes
     assert all(plan.caps[u["e1"], u["e2"]] == [(3, 0)] for u in units if u["kind"] == "cube")
+
+
+def test_no_maxgcd_plan_has_a_cube_unit():
+    # `_pairs` tests no relation on the maxgcd rows, which hold it by
+    # construction, so a cube unit there would skip the test.  Unit (3, 3)
+    # walks its rows instead and finds nothing: y**n (w**n +/- 1) is never a
+    # positive n-th power for w >= 1, at spread 0 no record at all.
+    for extra in ({}, {"degree": (2, 10), "max_spread": 0},
+                  {"degree": (3, 6), "max_spread": 0}):
+        cfg = make_config("maxgcd-spread1", max_bits=36, **extra)
+        units = search._mode_units(cfg)
+        assert units and all(u["kind"] == "product" for u in units), extra
+    assert search._product_plan(cfg).caps[3, 3] == [(3, 0)]
+    assert (3, 3) in {(u["e1"], u["e2"]) for u in units}
+    assert _records(cfg, n_chunks=4) == []
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("gbtz", {"max_bits": 31}), ("survey", SURVEY_30),
+    ("fermat-catalan", {"max_bits": 30}),
+    ("fermat-catalan", {"max_bits": 36, "f_bound": Fraction(7, 6)})], ids=str)
+def test_pairs_of_cube_units_are_their_related_cube_cells(mode, extra):
+    # a cube unit's rows are its `_cube_cells`, through the one relation test
+    # and orientation of `_pairs`, with no keep: for the mode's own relation
+    # (fc's is coprime) and order, and for the other ones too
+    cfg = make_config(mode, **extra)
+    M, own = cfg.max_value, search._MODES[mode].relation or "coprime"
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
+    assert units
+    cells = [(x**3, y**e2, math.gcd(x, y)) for x, y, e2 in search._cube_cells(M, units)]
+    for relation, ordered in itertools.product(("coprime", "nonmaxgcd"), (False, True)):
+        related = [(P, Q) for P, Q, g in cells
+                   if (g == 1 if relation == "coprime" else P % Q != 0 and Q % P != 0)]
+        want = sorted((P, Q) if ordered or P >= Q else (Q, P) for P, Q in related)
+        for keep in (None, lambda P, Q: np.zeros(P.shape, dtype=bool)):
+            assert sorted(search._pairs(M, relation, units, ordered, keep)) == want
+        if relation == own and cells:  # the relation drops cells
+            assert len(related) < len(cells), relation
+    if extra.get("f_bound") == Fraction(7, 6):  # no x**3 +/- y**3 is a cube
+        assert [(u["e1"], u["e2"]) for u in units] == [(3, 3)] and cells == []
+    else:  # cells of either order, none coprime: x**3 +/- y**m = z**3, m >= 4,
+        # has no known primitive solution (Beukers 2006)
+        assert {P < Q for P, Q, _ in cells} == {False, True}
+        assert all(g > 1 for _, _, g in cells)
+
+
+def test_survey_unit_keys_each_solution_once(monkeypatch):
+    # a unit gathers its cell's solutions by key and adds one record: no
+    # merge re-keys and re-sorts a growing cell for each solution
+    cfg = make_config("survey", max_bits=20, n_range=(2, 5), m_range=(2, 5),
+                      degree=(2, 5), f_bound=Fraction(3, 2))
+    calls, key = [], search._solution_sort_key
+    monkeypatch.setattr(search, "_solution_sort_key", lambda sol: calls.append(1) or key(sol))
+    records = search.run_chunk(cfg.semantic_dict(), search._mode_units(cfg))
+    assert len(records) == 64 and max(r["count"] for r in records) > 300
+    assert len(calls) == sum(r["count"] for r in records) == 1845
+    monkeypatch.undo()
+    assert records == _records(cfg, n_chunks=16)
 
 
 def test_fc_at_2_44_finds_the_catalog():
@@ -493,10 +557,10 @@ def _scalar_product_unit(cfg, unit, acc):
     floor_s = 1 if cfg.mode == "nonmaxgcd3" else 0
     if unit["kind"] == "cube":  # its range is of y: walk (y**m, x**3) for every x
         pairs = ((Q, P) for P, Q in search._pairs(
-            M, relation, [(m, n, unit["xlo"], unit["xhi"])], ordered=True))
+            M, relation, [_unit(m, n, unit["xlo"], unit["xhi"])], ordered=True))
         pairs = ((P, Q) if survey or P >= Q else (Q, P) for P, Q in pairs)
     else:
-        pairs = search._pairs(M, relation, [(n, m, unit["xlo"], unit["xhi"])],
+        pairs = search._pairs(M, relation, [_unit(n, m, unit["xlo"], unit["xhi"])],
                               ordered=survey)
     for P, Q in pairs:
         for sign in search._signs(cfg):
@@ -536,9 +600,10 @@ def test_product_unit_prefilter_matches_scalar_loop(mode, extra, cells,
     filtered = Counter()  # units whose walk takes the table keep, and the others
     pairs = search._pairs
 
-    def counted_pairs(*args, keep=None, **kwargs):
-        filtered[keep is not None] += 1
-        return pairs(*args, keep=keep, **kwargs)
+    def counted_pairs(M, relation, units, *args, keep=None, **kwargs):
+        # a cube unit reads no table, so only the others count
+        filtered[keep is not None] += sum(u["kind"] != "cube" for u in units)
+        return pairs(M, relation, units, *args, keep=keep, **kwargs)
 
     fast, slow = {}, {}
     for u in units:
@@ -877,8 +942,8 @@ def test_product_units_with_an_untabled_degree_walk_every_cell(monkeypatch):
         walks = any(d not in tabled for d, _ in caps)
         kinds[walks] += 1
         cells = [[(Z, d, s) for Z in (P + Q, P - Q) if 1 <= Z <= M for d, s in caps]
-                 for P, Q in search._pairs(M, "coprime", [(unit["e1"], unit["e2"],
-                                                          unit["xlo"], unit["xhi"])])]
+                 for P, Q in search._pairs(M, "coprime", [_unit(unit["e1"], unit["e2"],
+                                                               unit["xlo"], unit["xhi"])])]
         want = [c for cell in cells for c in cell]
         calls.clear()
         search._run_product_units(cfg, [unit], {})
@@ -1191,6 +1256,23 @@ def test_fc_power_set_refused_up_front(monkeypatch):
     assert arith.iroot(cfg.max_value, 3)[0] > 2**41
     with pytest.raises(MemoryError, match="fc prime-power set needs about [0-9]+ bytes "
                        "per worker and the power tables about "
+                       f"{search._POWER_ENTRY_BYTES * entries} more"):
+        search._check_memory(cfg, plan, 1)
+
+
+def test_check_memory_counts_the_cube_table_of_cube_units(monkeypatch):
+    # gbtz's only units with exponent 3 are cube units (3, m), and their rows
+    # index `_powers(M, 3)`
+    cfg = make_config("gbtz", max_bits=40)
+    plan = search.plan_chunks(cfg, 4)
+    units = [u for g in plan for u in g]
+    assert {u["kind"] for u in units if 3 in (u["e1"], u["e2"])} == {"cube"}
+    exps = {e for u in units for e in (u["e1"], u["e2"])}
+    assert 3 in exps and all(u["xlo"] <= u["xhi"] for u in units)
+    entries = sum(arith.iroot(cfg.max_value, e)[0] + 1 for e in exps)
+    assert entries > arith.iroot(cfg.max_value, 3)[0] > 10000
+    monkeypatch.setattr(search, "MEMORY_BUDGET", 1)
+    with pytest.raises(MemoryError, match="the power tables about "
                        f"{search._POWER_ENTRY_BYTES * entries} more"):
         search._check_memory(cfg, plan, 1)
 
