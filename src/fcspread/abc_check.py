@@ -224,8 +224,10 @@ def report(t: AbcTriple,
 # Sieved brute-force scanning
 
 
-def radical_sieve(limit: int, memory_budget: int = search.MEMORY_BUDGET) -> np.ndarray:
+def radical_sieve(limit: int, memory_budget: Optional[int] = None) -> np.ndarray:
     """rad(n) for n in 0..limit as int64 (rad(0) = 0, rad(1) = 1).
+
+    The budget defaults to `search.MEMORY_BUDGET` as it stands at the call.
 
     Only the primes p <= isqrt(limit) are sieved: each multiplies rad over
     its multiples and `smooth` by its full power.  What is left of n after
@@ -235,6 +237,7 @@ def radical_sieve(limit: int, memory_budget: int = search.MEMORY_BUDGET) -> np.n
     if limit < 1:
         raise ValueError("limit must be >= 1")
     est = (limit + 1) * 24  # rad, smooth and the quotient n // smooth(n)
+    memory_budget = search.MEMORY_BUDGET if memory_budget is None else memory_budget
     if est > memory_budget:
         raise MemoryError(
             f"radical sieve to {limit} needs about {est} bytes, "
@@ -316,9 +319,10 @@ def _partner_splits(
         yield c, sorted_unique(np.minimum(s, c - s)).tolist()
 
 
-def _scan_tables(limit: int, memory_budget: int) -> Tuple[np.ndarray, ...]:
+def _scan_tables(limit: int, memory_budget: Optional[int]) -> Tuple[np.ndarray, ...]:
     """rad(n), ln n and ln rad(n) for n <= limit; the budget is checked first."""
     est = (limit + 1) * 24  # the sieve plus two log tables
+    memory_budget = search.MEMORY_BUDGET if memory_budget is None else memory_budget
     if est > memory_budget:
         raise MemoryError(f"scan tables to {limit} need about {est} bytes, "
                           f"over the budget of {memory_budget} bytes")
@@ -326,7 +330,7 @@ def _scan_tables(limit: int, memory_budget: int) -> Tuple[np.ndarray, ...]:
     return (rad,) + _log_tables(rad)
 
 
-def _coprime_splits(limit: int, memory_budget: int, explicit: bool
+def _coprime_splits(limit: int, memory_budget: Optional[int], explicit: bool
                     ) -> Iterator[Tuple[int, int, int, int, int, int]]:
     """(a, b, c, r(a), r(b), r(c)) for the coprime splits a + b = c <= limit
     that pass the log filter of _partner_splits, by c then a.
@@ -354,8 +358,7 @@ def _coprime_splits(limit: int, memory_budget: int, explicit: bool
                 yield a, b, c, int(rad[a]), int(rad[b]), int(rad[c])
 
 
-def brute_force_scan(limit: int,
-                     memory_budget: int = search.MEMORY_BUDGET) -> List[AbcTriple]:
+def brute_force_scan(limit: int, memory_budget: Optional[int] = None) -> List[AbcTriple]:
     """All violations of the explicit inequality among a + b = c <= limit.
 
     A violation needs c^8 >= max_rad^8 * rad(abc)^7.  With r* = rad(*) and
@@ -379,7 +382,7 @@ def brute_force_scan(limit: int,
             if not _explicit_pass(c, ra, rb, rc)]
 
 
-def count_high_quality(limit: int, memory_budget: int = search.MEMORY_BUDGET) -> int:
+def count_high_quality(limit: int, memory_budget: Optional[int] = None) -> int:
     """Number of coprime triples with quality > 1 (c > rad(abc)), c <= limit.
 
     r(a) r(b) r(c) < c gives min(r(a), r(b)) < (c / r(c))^(1/2), so the
@@ -413,7 +416,7 @@ def excess_pairs(limit: int, q_bound: RationalLike,
     q_boundF, epsF = Fraction(q_bound), Fraction(eps)
     if epsF <= 0 or q_boundF <= 0:
         raise ValueError("eps and the gcd quality bound must be positive")
-    rad, lg, lgr = _scan_tables(limit, search.MEMORY_BUDGET)
+    rad, lg, lgr = _scan_tables(limit, None)
     radical = rad.tolist().__getitem__
     config = {"limit": limit, "q_bound": q_boundF, "eps": epsF}
     one_eps = 1.0 + float(epsF)

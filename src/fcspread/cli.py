@@ -353,6 +353,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
 
 
+def _decomposition_key(rec: Dict[str, Any]) -> Tuple:
+    return rec["degree"], tuple(rec["factors"])
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     merged = _merge_options(args, ("degree", "max_spread"), {"value": args.value})
     if "degree" not in merged:
@@ -378,7 +382,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 records.append(decomposition_record(dec))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    records.sort(key=lambda r: (r["degree"], r["factors"]))
+    records.sort(key=_decomposition_key)
     sys.stderr.write(f"decompose {args.value}: {len(records)} decompositions\n")
     return _emit(args, "decompose", params, records)
 
@@ -463,9 +467,8 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
 
 def _cmd_abc_scan(args: argparse.Namespace) -> int:
     limit = _int_option(_merge_options(args, ("limit",)), "limit", 10**5)
-    budget = search.MEMORY_BUDGET if args.memory_budget is None else args.memory_budget
     try:
-        violations = abc_check.brute_force_scan(limit, budget)
+        violations = abc_check.brute_force_scan(limit, args.memory_budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     records = [abc_check.abc_record("abc-scan", t.a, t.b, {"limit": limit})
@@ -509,19 +512,19 @@ _ABC_KINDS = {"abc check": "abc-check", "abc scan": "abc-scan", "abc filter": "a
 def _record_check(
     sub: str, config: Dict[str, Any], search_cfg: Optional[SearchConfig]
 ) -> Tuple[Callable[[int, Dict[str, Any]], List[str]],
-           Optional[Tuple[Callable, Callable]], Optional[int]]:
-    """(check, order, size) of the records of a `sub` log.
+           Optional[Callable[[Dict[str, Any]], Tuple]], Optional[int]]:
+    """(check, key, size) of the records of a `sub` log.
 
     check(i, rec) lists the problems of the i-th record.  A search, abc or
     decompose record is rebuilt from its identity; a catalog, gen or radical
     log is a function of its config, so its whole section is rebuilt; a
-    factor record is checked as a certificate.  order is (repeat key, sort
-    key) of a sorted log, whose records are unique; size is the record count
-    that the config decides.
+    factor record is checked as a certificate.  key is the one key of a
+    sorted log, which names and orders its records; size is the record
+    count that the config decides.
     """
     if search_cfg is not None:
         return (lambda i, rec: search.verify_record(rec, search_cfg),
-                (search._record_key, search._record_sort_key), None)
+                search._record_sort_key, None)
     if sub in _ABC_KINDS:
         kind = _ABC_KINDS[sub]
 
@@ -529,13 +532,10 @@ def _record_check(
             return rec["c"], rec["a"]
 
         return (lambda i, rec: abc_check.verify_abc_record(rec, config, kind),
-                None if kind == "abc-check" else (by_c, by_c), None)
+                None if kind == "abc-check" else by_c, None)
     if sub == "decompose":
-        def by_degree(rec: Dict[str, Any]) -> Tuple:
-            return rec["degree"], tuple(rec["factors"])
-
         return (lambda i, rec: _verify_decomposition(rec, config),
-                (by_degree, by_degree), None)
+                _decomposition_key, None)
     if sub == "factor":
         return lambda i, rec: _verify_factorization(rec, config), None, 1
     cmd, _, name = sub.partition(" ")
@@ -556,8 +556,8 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
 
     Each record is rebuilt by the function that wrote it and compared field
     by field (search._compare); see _record_check for what each log kind
-    rebuilds from.  A log whose records are sorted must hold each once, in
-    order.
+    rebuilds from.  A sorted log's keys must strictly increase: each record
+    once, in order.
     """
     problems: List[str] = []
     if not lines:
@@ -589,11 +589,10 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
     elif _sha256(config) != header.get("config_digest"):
         problems.append("config digest does not match the config")
     try:
-        check, order, size = _record_check(sub, config, search_cfg)
+        check, key, size = _record_check(sub, config, search_cfg)
     except Exception as exc:  # the header comes from disk, treat as hostile
         return 0, problems + [f"header: cannot rebuild records: {type(exc).__name__}: {exc}"]
     checked = 0
-    seen: set = set()  # repeat keys of a sorted log, whose records are unique
     last: Optional[Tuple] = None
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -606,14 +605,12 @@ def verify_log_lines(lines: Sequence[str]) -> Tuple[int, List[str]]:
         checked += 1
         try:
             probs = check(checked - 1, rec)
-            if order is not None:
-                key, sort_key = order[0](rec), order[1](rec)
-                if key in seen:
-                    probs.append("record repeats an earlier record")
-                elif last is not None and sort_key < last:  # general coeffs can tie
-                    probs.append("record sorts before the record above it")
-                seen.add(key)
-                last = sort_key
+            if key is not None:
+                here = key(rec)
+                if last is not None and here <= last:
+                    probs.append("record repeats an earlier record" if here == last
+                                 else "record sorts before the record above it")
+                last = here
         except Exception as exc:  # records come from disk, treat as hostile
             probs = [f"verification raised {type(exc).__name__}: {exc}"]
         problems.extend(f"line {lineno}: {p}" for p in probs)

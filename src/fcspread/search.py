@@ -123,7 +123,7 @@ FORMAT_VERSION = 2
 # The bytes a search plan, its tables and the abc sieve tables may take.
 MEMORY_BUDGET = 4 << 30
 
-# JSON-ready dicts: a plan unit, a record, and a chunk's records by `_record_key`.
+# JSON-ready dicts: a plan unit, a record, and a chunk's records by `_record_sort_key`.
 Unit = Dict[str, Any]
 Record = Dict[str, Any]
 Acc = Dict[Tuple, Record]
@@ -643,11 +643,16 @@ def _spread_cap(n: int, m: int, d: int, f_bound: Fraction, strict: bool) -> int:
 
 
 def _record_sort_key(rec: Record) -> Tuple:
+    """The key that names a record and orders the records of one search.
+
+    Two records of one search share it only when they are one record: an fc
+    record's values in slot order follow its largest-first values, and a
+    product record's z is p + q or p - q by its sign.
+    """
     if rec["mode"] == "survey":
         return (tuple(rec["cell"]),)
     if "values" in rec:
-        vs = sorted(rec["values"], reverse=True)
-        return (vs[0], vs[1], vs[2], rec["sign"])
+        return (*sorted(rec["values"], reverse=True), rec["sign"], tuple(rec["values"]))
     if rec["mode"] == "pillai":
         return rec["z"], rec["x"], tuple(rec["z_witness"]), tuple(rec["x_witness"])
     return _solution_sort_key(rec)
@@ -658,17 +663,6 @@ def _solution_sort_key(sol: Record) -> Tuple:
             sol["d"])
 
 
-def _record_key(rec: Record) -> Tuple:
-    if rec["mode"] == "survey":
-        return ("survey", tuple(rec["cell"]))
-    if "values" in rec:
-        return ("fc", tuple(rec["values"]), tuple(rec["coeffs"]))
-    if rec["mode"] == "pillai":
-        return ("pillai", rec["x"], rec["z"], tuple(rec["x_witness"]),
-                tuple(rec["z_witness"]))
-    return (rec["mode"], rec["sign"], rec["p"], rec["q"], rec["z"], rec["d"])
-
-
 def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
     """Add a record to `acc`; a survey cell joins its copies' solutions in a new record.
 
@@ -676,7 +670,7 @@ def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
     """
     if rec is None:
         return
-    key = _record_key(rec)
+    key = _record_sort_key(rec)
     cur = acc.setdefault(key, rec)
     if cur is not rec and rec["mode"] == "survey":
         sols = {_solution_sort_key(s): s for s in cur["solutions"] + rec["solutions"]}
@@ -809,7 +803,7 @@ def _fc_try_pair(cfg: SearchConfig, P: int, Q: int, power_set: frozenset,
 
     Each layout of `_fc_layouts` whose third value passes `_usable_power`
     (1, or a power <= M: a square, a cube or in `power_set`) is tried; layouts
-    giving one triple, as (P, Q) and (Q, P) do when A == B, merge by `_record_key`.
+    giving one triple, as (P, Q) and (Q, P) do when A == B, merge by `_record_sort_key`.
     """
     M = cfg.max_value
     for a, b, c, slots in _fc_layouts(cfg.coeffs):
@@ -1311,7 +1305,7 @@ def run_chunk(cfg_dict: Dict[str, Any], units: List[Unit]) -> List[Record]:
     run = {"fermat-catalan": _run_fc_units, "pillai": _run_pillai_units}.get(
         cfg.mode, _run_product_units)
     run(cfg, units, acc)
-    return sorted(acc.values(), key=_record_sort_key)
+    return [acc[k] for k in sorted(acc)]
 
 
 def _run_chunk_task(args: Tuple[int, Dict[str, Any], List[Unit]]):
@@ -1394,7 +1388,7 @@ def merge_records(chunk_results: Sequence[Sequence[Record]]) -> List[Record]:
     for records in chunk_results:
         for rec in records:
             _merge_into(acc, rec)
-    return sorted(acc.values(), key=_record_sort_key)
+    return [acc[k] for k in sorted(acc)]
 
 
 def run_chunked(cfg: SearchConfig, n_chunks: int = 1,
@@ -1422,6 +1416,10 @@ def run_chunked(cfg: SearchConfig, n_chunks: int = 1,
         n_chunks = state["n_chunks"]
     plan = plan_chunks(cfg, n_chunks)
     _check_memory(cfg, plan, threads)
+    # the tables of earlier runs in this process, which _check_memory does not count
+    for table in (_powers, _powers_i64, _power_value_set, _product_values,
+                  _product_table, _fc_keep):
+        table.cache_clear()
     plan_digest = _sha256(plan)
     if resume:
         if state["plan_digest"] != plan_digest:

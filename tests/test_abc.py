@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fcspread import abc_check, arith
+from fcspread import abc_check, arith, search
 from fcspread.abc_check import (
     AbcTriple,
     brute_force_scan,
@@ -276,6 +276,16 @@ def test_count_memory_budget(monkeypatch):
     monkeypatch.setattr(abc_check, "radical_sieve", no_sieve)
     with pytest.raises(MemoryError, match="scan tables"):
         count_high_quality(10**6, memory_budget=10**7)
+
+
+def test_scans_read_the_budget_at_call_time(monkeypatch):
+    # the scans, the count and the sieve take the budget as it stands, as
+    # excess_pairs does, not as it stood at import
+    monkeypatch.setattr(search, "MEMORY_BUDGET", 1000)
+    for scan in (brute_force_scan, count_high_quality, radical_sieve,
+                 lambda limit: excess_pairs(limit, 1, "1/10")):
+        with pytest.raises(MemoryError, match="over the budget of 1000 bytes"):
+            scan(10**5)
 
 
 def test_count_high_quality():

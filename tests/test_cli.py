@@ -165,6 +165,35 @@ def test_search_checkpoint_resume_reproduces_log(tmp_path):
     assert resumed.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("coeffs", [(1, 11, 5), (1, 11, 4)])
+def test_search_fc_tied_records_keep_one_order(tmp_path, coeffs):
+    # Two records hold one value set in two slot orders.  A tie needs
+    # C**2 > AB: its two slot layouts force the values in proportion to
+    # (B**2 + AC, C**2 - AB, A**2 + BC), (9, 1, 4) and (25, 1, 9) here.
+    argv = ["search", "fc", "--max-bits", "14", "--f-bound", "2", "--threads", "1",
+            "--coeffs", ",".join(map(str, coeffs))]
+    fresh = [_run(tmp_path, argv + ["--chunks", str(n)], name=f"{n}.jsonl")[4].read_bytes()
+             for n in (1, 2, 3, 16)]
+    assert fresh == [fresh[0]] * 4
+    ckpt = tmp_path / "run.ckpt"
+    cfg = search.make_config("fermat-catalan", max_bits=14, f_bound="2", coeffs=coeffs)
+    assert not search.run_chunked(cfg, n_chunks=16, checkpoint_path=str(ckpt),
+                                  max_chunks=3).completed
+    resumed = _run(tmp_path, argv + ["--checkpoint", str(ckpt), "--resume"],
+                   name="resumed.jsonl")[4]
+    assert resumed.read_bytes() == fresh[0]
+
+    # the tied pair leads the log; the reverse order, which one chunk gave
+    # before the key took the slot order, is refused
+    lines = fresh[0].decode().splitlines()
+    tied = [json.loads(line)["values"] for line in lines[1:3]]
+    assert sorted(tied[0]) == sorted(tied[1]) and tied[0] < tied[1]
+    swapped = [lines[0], lines[2], lines[1]] + lines[3:]
+    assert cli.verify_log_lines(swapped) == (
+        len(lines) - 1, ["line 3: record sorts before the record above it"])
+    assert cli.verify_log_lines(lines) == (len(lines) - 1, [])
+
+
 # sha256 of the log and of the checkpoint each search writes: neither the
 # merge nor the checkpoint digests may change a byte of them.
 @pytest.mark.parametrize("argv, log_sha, ckpt_sha", [

@@ -12,7 +12,7 @@ FAST = record_digests.load(slow=False)
 
 def test_the_corpus_covers_both_chunk_counts_and_keeps_its_slow_entries():
     entries = record_digests.load()
-    assert all(e["chunks"] == [1, 16] for e in entries)
+    assert all({1, 16} <= set(e["chunks"]) for e in entries)
     assert 0 < len(FAST) < len(entries)
 
 

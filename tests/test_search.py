@@ -549,8 +549,8 @@ def _scalar_product_unit(cfg, unit, acc):
     survey = cfg.mode == "survey"
     if survey:
         cell = [n, m, unit["d"]]
-        acc.setdefault(("survey", tuple(cell)),
-                       {"mode": "survey", "cell": cell, "count": 0, "solutions": []})
+        search._merge_into(acc, {"mode": "survey", "cell": cell, "count": 0,
+                                 "solutions": []})
     caps = search._product_plan(cfg).caps[tuple(cell) if survey else (n, m)]
     M = cfg.max_value
     relation = "coprime" if cfg.mode == "gbtz" else "nonmaxgcd"
@@ -1234,6 +1234,23 @@ def test_product_tables_refused_up_front(monkeypatch):
     pillai = search._product_plan(make_config("pillai", max_bits=16, difference=1))
     assert pillai.caps[()] == [(d, 0) for d in range(2, 17)]
     assert set(pillai.tables) == set(range(3, 17))
+
+
+def test_run_frees_the_tables_of_earlier_runs():
+    # _check_memory counts only the tables of the run it checks, so a run
+    # that passes it starts from empty tables, statistics included
+    tables = (search._powers, search._powers_i64, search._power_value_set,
+              search._product_values, search._product_table, search._fc_keep)
+    pillai = make_config("pillai", difference=1, max_bits=16, max_spread=2)
+    run_chunked(pillai)
+    alone = [t.cache_info() for t in tables]
+    assert alone[3].currsize and not alone[0].currsize
+    for cfg in (make_config("gbtz", max_bits=24, f_bound=2),
+                make_config("fermat-catalan", max_bits=20)):
+        run_chunked(cfg)
+        assert all(t.cache_info().currsize for t in tables[:2])
+    run_chunked(pillai)
+    assert [t.cache_info() for t in tables] == alone
 
 
 def test_fc_power_set_refused_up_front(monkeypatch):
