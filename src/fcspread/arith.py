@@ -393,32 +393,32 @@ def cube_sieve(n: int) -> bool:
     return n % 7 not in (3, 4) and n % 9 not in (3, 4, 5, 6)
 
 
-def power_cube_splits(y: int, e: int) -> List[Tuple[int, int]]:
-    """`cube_splits` of y**e, y >= 1; [] without factoring y where `cube_sieve` fails."""
-    if not cube_sieve(pow(y, e, 63)):  # y**e modulo 63 = 7 * 9
-        return []
-    return cube_splits(y**e, [(p, k * e) for p, k in factorize(y)])
+def power_cube_splits(y: int, e: int, primitive: bool) -> List[Tuple[int, int]]:
+    """`cube_splits` of y**e, y >= 1: if `primitive`, a +/- b holds all or none of each prime
+    p != 3 of y**e and one 3 fewer; [] without factoring y where `cube_sieve` fails."""
+    sieved = cube_sieve(pow(y, e, 63))  # y**e modulo 63 = 7 * 9
+    return cube_splits(y**e, [(p, k * e) for p, k in factorize(y)], primitive) if sieved else []
 
 
-def cube_splits(n: int, factors: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def cube_splits(n: int, factors: List[Tuple[int, int]], primitive: bool) -> List[Tuple[int, int]]:
     """Every (a, b), a, b >= 1, with a**3 + b**3 or a**3 - b**3 equal to n >= 1.
 
-    `factors` is n's factorization; a sum comes in both orders.  A divisor d
-    of n with n <= d**3 <= 4n is a + b, one with d**3 < n is a - b, and
-    fixes ab by n = d (d**2 -/+ 3ab); a, b solve a quadratic, in integers.
+    `factors` is n's factorization; a sum comes in both orders; `primitive`
+    keeps gcd(a, b) = 1 alone.  A divisor d of n with n <= d**3 <= 4n is a + b,
+    one with d**3 < n is a - b, and fixes ab by n = d (d**2 -/+ 3ab); a, b
+    solve a quadratic, in integers.  Coprime a, b make gcd(d, n / d) divide 3,
+    with one 3 in n / d if 3 | d: d holds all or none of each p**e exactly
+    dividing n, p != 3, and 3**(e - 1) (no split if e = 1).  A split of gcd g
+    is g times a primitive one of n / g**3, so if p**k exactly divides g,
+    v_p(d) is k or e - 2k, and v_3(d) k if e = 3k or e - 2k - 1 if e - 3k >= 2.
     """
-    hi = iroot(4 * n, 3)[0]
-    divisors = [1]
-    for p, e in factors:  # d * p**k for k <= e, while at most hi
-        more = []
-        for d in divisors:
-            for _ in range(e):
-                d *= p
-                if d > hi:
-                    break
-                more.append(d)
-        divisors += more
-    out = []
+    hi, divisors, out = iroot(4 * n, 3)[0], [1], []
+    for p, e in factors:  # d * p**v for each v above (k = 0 alone if primitive)
+        pv = set()  # no v of a k > 0 is one of k = 0, so primitive d give primitive splits
+        for k in range(1 if primitive else e // 3 + 1):  # p**k exactly divides g
+            if p != 3 or e - 3 * k != 1:  # n / g**3 holds p**(e - 3k)
+                pv |= {p**k, p**(e - 2 * k)} if p != 3 else {3**(e - 2 * k - (e > 3 * k))}
+        divisors = [m for d in divisors for q in pv if (m := d * q) <= hi]
     for d in divisors:
         sign = 1 if d**3 >= n else -1
         ab, r = divmod(sign * (d * d - n // d), 3)

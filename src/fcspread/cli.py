@@ -747,8 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("input", metavar="PATH")
     p_ver.set_defaults(handler=_cmd_verify_log)
 
-    for op in ("factor", "radical"):
-        p_op = sub.add_parser(op, help=f"{op} of n")
+    for op, what in (("factor", "prime factorization"), ("radical", "radical")):
+        p_op = sub.add_parser(op, help=f"{what} of n")
         p_op.add_argument("n", type=int)
         _add_common(p_op)
         p_op.set_defaults(handler=_cmd_factor, op=op)

@@ -36,9 +36,11 @@ they test P +/- Q against:
   A pair unit (3, e2) whose third term must be a cube (`_fc_cube_unit`)
   runs as a cube unit over a range of y, a kind the product modes share:
   its `_pairs` rows are the sides x of x**3 +/- w**3 = y**e2 (`_cube_cells`,
-  by `arith.cube_splits`, after a residue sieve mod 7 and 9).  A chunk's
-  fc units run in one loop, `_run_fc_units`: both streams and fcwild's
-  (1, 1) feed one `_fc_try_pair`.
+  by `arith.cube_splits`, after a residue sieve mod 7 and 9), primitive
+  ones under the coprime relation, from divisors that hold each prime
+  p != 3 of y**e2 whole or not at all.  A chunk's fc units run in one
+  loop, `_run_fc_units`: both streams and fcwild's (1, 1) feed one
+  `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  Each mode's row of `_MODES` gives
@@ -553,8 +555,8 @@ def _prefiltered_cells(M: int, spans: Iterable[Span], keep: Keep,
 _span = itemgetter("e1", "e2", "xlo", "xhi")  # a unit's Span
 
 
-def _cube_cells(M: int, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
-    """The cells (x, y, e2) of the cube units `units`, coprime or not.
+def _cube_cells(M: int, units: List[Unit], primitive: bool) -> Iterator[Tuple[int, int, int]]:
+    """The cells (x, y, e2) of the cube units `units`, gcd(x, y) = 1 if `primitive`.
 
     Per y in a unit's [xlo, xhi], the cells (x, y) of unit (3, e2) where
     x**3 + y**e2 or |x**3 - y**e2| may be a cube: x in [2, max base] a side
@@ -562,11 +564,17 @@ def _cube_cells(M: int, units: List[Unit]) -> Iterator[Tuple[int, int, int]]:
     each x once.  Complete: if x**3 + y**e2 = w**3, w >= 1, then y**e2 =
     w**3 - x**3 is a difference of cubes with x its smaller side; if
     x**3 - y**e2 = w**3, a difference with x its larger side; and if
-    y**e2 - x**3 = w**3, a sum x**3 + w**3.
+    y**e2 - x**3 = w**3, a sum x**3 + w**3.  A prime of x divides y exactly
+    when it divides w, as y**e2 = +/-x**3 +/- w**3, so gcd(x, y) = 1 exactly
+    when the split is primitive: then its a +/- b holds each prime p != 3 of
+    y**e2 whole or not at all, and 3 to one less than y**e2 does.  A split
+    of gcd g is g times a primitive split of y**e2 / g**3: if p**k and p**e
+    exactly divide g and y**e2, its a +/- b holds p k or e - 2k times (3: k
+    if e = 3k, e - 2k - 1 if e - 3k >= 2); `arith.cube_splits` tries only those.
     """
     xhi = _max_base(M, 3)
     for e2, y in ((u["e2"], y) for u in units for y in range(u["xlo"], u["xhi"] + 1)):
-        for x in {x for split in arith.power_cube_splits(y, e2) for x in split}:
+        for x in {x for split in arith.power_cube_splits(y, e2, primitive) for x in split}:
             if 2 <= x <= xhi:
                 yield x, y, e2
 
@@ -576,14 +584,15 @@ def _pairs(M: int, relation: str, units: Sequence[Unit], ordered: bool = False,
     """Yield (P, Q) for the power pairs P = x**n, Q = y**m <= M of each unit (n, m).
 
     A unit's rows of cells (x, y) come from one source: a cube unit's
-    `_cube_cells`; under "maxgcd", the multiples x = w*y of each y in [xlo,
-    xhi], w >= 1, which for n == m are exactly the pairs whose smaller power
-    divides the larger (the plan makes no cube unit there); else the
-    `_blocks` cells, x in [xlo, xhi].  All but the multiples are tested for
-    the relation: "coprime" (gcd(x, y) == 1) or "nonmaxgcd" (neither power
-    divides the other).  Each pair comes once with P >= Q, unless `ordered`:
-    then every (x**n, y**m) comes as it is.  Both bounds must lie in the
-    base range of the table they index.
+    `_cube_cells`, of primitive splits alone under "coprime"; under
+    "maxgcd", the multiples x = w*y of each y in [xlo, xhi], w >= 1, which
+    for n == m are exactly the pairs whose smaller power divides the larger
+    (the plan makes no cube unit there); else the `_blocks` cells, x in
+    [xlo, xhi].  All but the multiples are tested for the relation:
+    "coprime" (gcd(x, y) == 1) or "nonmaxgcd" (neither power divides the
+    other).  Each pair comes once with P >= Q, unless `ordered`: then every
+    (x**n, y**m) comes as it is.  Both bounds must lie in the base range of
+    the table they index.
 
     With a block predicate `keep`, the `_blocks` cells of all the units form
     one stream, `_prefiltered_cells`, and only kept cells are visited; the
@@ -604,9 +613,9 @@ def _pairs(M: int, relation: str, units: Sequence[Unit], ordered: bool = False,
         rows = ((n, m, x, range(y0, min(x, y1) if same else y1))
                 for (n, m, _, _), x0, x1, y0, y1, same in _blocks(M, spans, ordered)
                 for x in range(x0, x1))
-    if cubes:  # a call without cube units pays no `_cube_cells` setup
-        rows = chain(rows, ((3, m, x, (y,)) for x, y, m in _cube_cells(M, cubes)))
     coprime, nonmax = relation == "coprime", relation == "nonmaxgcd"
+    if cubes:  # a call without cube units pays no `_cube_cells` setup
+        rows = chain(rows, ((3, m, x, (y,)) for x, y, m in _cube_cells(M, cubes, coprime)))
     for n, m, x, ys in rows:
         P, pm = _powers(M, n)[x], _powers(M, m)
         for y in ys:

@@ -2,8 +2,9 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -245,6 +246,10 @@ def _brute_cube_splits(n, cubes):
         (cubes[n - b**3], b) for b in range(1, top) if n - b**3 in cubes}
 
 
+def _of_gcd_1(splits, primitive):
+    return {s for s in splits if not primitive or math.gcd(*s) == 1}
+
+
 def test_cube_splits_against_brute_force():
     limit = 1 << 16
     want = {}
@@ -256,18 +261,58 @@ def test_cube_splits_against_brute_force():
                     want.setdefault(n, set()).add(pair)
     assert len(want) > 100 and any(len(v) > 2 for v in want.values())  # 1729
     for n in range(1, limit):
-        got = arith.cube_splits(n, arith.factorize(n))
-        assert len(got) == len(set(got)) and set(got) == want.get(n, set()), n
+        for primitive in (False, True):  # primitive: the splits of gcd 1 alone
+            got = arith.cube_splits(n, arith.factorize(n), primitive)
+            assert len(got) == len(set(got)) and set(got) == _of_gcd_1(
+                want.get(n, set()), primitive), (n, primitive)
     cubes = {a**3: a for a in range(1, math.isqrt(60**6 // 3) + 3)}
     hits = 0
     for y in range(2, 61):
         for e in range(3, 7):
-            n = y**e
-            got = arith.cube_splits(n, [(p, k * e) for p, k in arith.factorize(y)])
-            assert len(got) == len(set(got)), n
-            assert set(got) == _brute_cube_splits(n, cubes), n
-            hits += bool(got)
+            n, want = y**e, _brute_cube_splits(y**e, cubes)
+            for primitive in (False, True):
+                got = arith.cube_splits(n, [(p, k * e) for p, k in arith.factorize(y)], primitive)
+                assert len(got) == len(set(got)), n
+                assert set(got) == _of_gcd_1(want, primitive), n
+            hits += bool(want)
     assert hits > 10, hits  # e.g. 2**3 + 2**3 = 2**4, 14**3 - 7**3 = 7**4
+
+
+def test_cube_splits_in_both_modes_on_scaled_splits_powers_and_one_3():
+    # the walk tries only the d = a +/- b whose exponents a split can have:
+    # against the brute force on coprime a**3 +/- b**3 scaled by g**3, on
+    # y**m and on n with v_3(n) = 1, which no split has (3 or 6 mod 9)
+    rng, scaled, one_3 = random.Random(34), set(), set()
+    while len(scaled) < 720:
+        a, b = rng.randrange(1, 100), rng.randrange(1, 100)
+        if math.gcd(a, b) == 1 and a != b:
+            scaled |= {g**3 * abs(a**3 + s * b**3) for s in (1, -1) for g in (1, 2, 3, 6, 9, 10)}
+            one_3 |= {3 * abs(a**3 + s * b**3) for s in (1, -1) if (a**3 + s * b**3) % 3}
+    powers = {y**m for y in range(2, 300) for m in range(1, 9) if y**m <= 1 << 30}
+    one_3 |= {3 * k for k in range(1, 3000) if k % 3}
+    values = scaled | powers | one_3
+    cubes = {a**3: a for a in range(1, math.isqrt(max(values) // 3) + 3)}
+    found = Counter()
+    for n in sorted(values):
+        want, factors = _brute_cube_splits(n, cubes), arith.factorize(n)
+        for primitive in (False, True):
+            got = arith.cube_splits(n, factors, primitive)
+            assert len(got) == len(set(got)), (n, primitive)
+            assert set(got) == _of_gcd_1(want, primitive), (n, primitive)
+        found["primitive"] += any(math.gcd(*s) == 1 for s in want)
+        found["not primitive"] += any(math.gcd(*s) > 1 for s in want)
+        found["one 3"] += n in one_3 and not want
+    assert found["one 3"] == len(one_3) > 2000, found
+    assert found["primitive"] > 100 and found["not primitive"] > 500, found
+    # past the brute force's reach, y**m up to 299**8: the primitive splits
+    # are the coprime ones of all splits, and each is a split
+    for y, m in product(range(2, 300), range(1, 9)):
+        if y**m > 1 << 30:
+            factors = [(p, k * m) for p, k in arith.factorize(y)]
+            every = arith.cube_splits(y**m, factors, False)
+            assert all(y**m in (a**3 + b**3, a**3 - b**3) for a, b in every), (y, m)
+            assert sorted(arith.cube_splits(y**m, factors, True)) == sorted(
+                s for s in every if math.gcd(*s) == 1), (y, m)
 
 
 def test_cube_sieve_drops_no_cube_split():
@@ -287,10 +332,11 @@ def test_cube_sieve_drops_no_cube_split():
     skipped = 0
     for y in range(1, 201):
         for e in range(4, 10):
-            want = arith.cube_splits(y**e, arith.factorize(y**e))
-            assert arith.power_cube_splits(y, e) == want, (y, e)
+            for primitive in (False, True):
+                want = arith.cube_splits(y**e, arith.factorize(y**e), primitive)
+                assert arith.power_cube_splits(y, e, primitive) == want, (y, e, primitive)
+                assert arith.cube_sieve(y**e) or want == []
             skipped += not arith.cube_sieve(y**e)
-            assert arith.cube_sieve(y**e) or want == []
     assert skipped > 300, skipped
     # unit (3, 4) skips 4/9 of its y
     assert sum(not arith.cube_sieve(y**4) for y in range(63)) == 28

@@ -948,6 +948,7 @@ def test_stdout_log_and_stderr_manifest(capsys):
 def test_no_subcommand_and_help(capsys):
     assert cli.run([]) == EXIT_USAGE
     assert cli.run(["--help"]) == EXIT_OK
+    assert "prime factorization of n" in capsys.readouterr().out
     assert cli.run(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
 

@@ -297,7 +297,7 @@ def test_fc_cube_cells_match_a_walk_of_their_units(monkeypatch):
     want = {(x, y, u["e2"]) for u in units for y in range(u["xlo"], u["xhi"] + 1)
             for x in range(2, xhi + 1)
             if {y**u["e2"] - x**3, x**3 - y**u["e2"], x**3 + y**u["e2"]} & cubes}
-    got = list(search._cube_cells(M, units))
+    got = list(search._cube_cells(M, units, False))
     assert len(got) == len(set(got)) and set(got) == want
     assert (14, 7, 4) in want  # 14**3 - 7**4 = 7**3, not coprime
     assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 10
@@ -350,7 +350,7 @@ def test_product_cube_cells_match_a_walk_of_their_units(mode, extra, monkeypatch
     want = {(x, y, u["e2"]) for u in units for y in range(u["xlo"], u["xhi"] + 1)
             for x in range(2, xhi + 1)
             if {x**3 + y**u["e2"], abs(x**3 - y**u["e2"])} & cubes}
-    got = list(search._cube_cells(M, units))
+    got = list(search._cube_cells(M, units, False))
     assert len(got) == len(set(got)) and set(got) == want
     assert sum(math.gcd(x, y) > 1 for x, y, _ in want) > 2
     calls = []
@@ -416,7 +416,7 @@ def test_pairs_of_cube_units_are_their_related_cube_cells(mode, extra):
     M, own = cfg.max_value, search._MODES[mode].relation or "coprime"
     units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
     assert units
-    cells = [(x**3, y**e2, math.gcd(x, y)) for x, y, e2 in search._cube_cells(M, units)]
+    cells = [(x**3, y**e2, math.gcd(x, y)) for x, y, e2 in search._cube_cells(M, units, False)]
     for relation, ordered in itertools.product(("coprime", "nonmaxgcd"), (False, True)):
         related = [(P, Q) for P, Q, g in cells
                    if (g == 1 if relation == "coprime" else P % Q != 0 and Q % P != 0)]
@@ -431,6 +431,43 @@ def test_pairs_of_cube_units_are_their_related_cube_cells(mode, extra):
         # has no known primitive solution (Beukers 2006)
         assert {P < Q for P, Q, _ in cells} == {False, True}
         assert all(g > 1 for _, _, g in cells)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("fermat-catalan", {"max_bits": 30}), ("fermat-catalan", {"max_bits": 30, "min_exp": 3}),
+    ("gbtz", {"max_bits": 30}), ("gbtz", {"max_bits": 28, "f_bound": Fraction(5, 4)}),
+    ("survey", SURVEY_30)], ids=str)
+def test_coprime_cube_cells_are_the_coprime_cells_of_all_splits(mode, extra, monkeypatch):
+    # under the coprime relation `_pairs` walks the primitive splits alone:
+    # they must give every coprime cell of the all-splits walk.  The plan's
+    # own cube units have none (x**3 +/- w**3 = y**m, m >= 3, has no known
+    # primitive solution), so the y from theirs up to the max base of x
+    # are also walked with e2 = 1 and 2, where x**3 +/- w**3 = y or y**2
+    # has many (2**3 + 1 = 3**2)
+    cfg = make_config(mode, **extra)
+    M = cfg.max_value
+    units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
+    ys = {"xlo": min(u["xlo"] for u in units), "xhi": search._max_base(M, 3)}
+    for e2 in (None, 1, 2):
+        some = [dict(units[0], e2=e2, **ys)] if e2 else units
+        every = list(search._cube_cells(M, some, False))
+        coprime = list(search._cube_cells(M, some, True))
+        want = {(x, y, m) for x, y, m in every if math.gcd(x, y) == 1}
+        assert len(coprime) == len(set(coprime)) and set(coprime) == want, e2
+        assert len(want) > 10 if e2 else not want, (e2, len(want))
+        assert len(want) < len(every), e2  # and cells of gcd > 1 are dropped
+        # `_pairs` takes the primitive splits under "coprime" only (not at
+        # e2 = 1, whose power table would hold every base up to M)
+        for relation in ("coprime", "nonmaxgcd") if e2 != 1 else ():
+            related = [(x**3, y**m) for x, y, m in every
+                       if search._related(relation, x**3, y**m)]
+            modes, splits = set(), arith.power_cube_splits
+            monkeypatch.setattr(arith, "power_cube_splits", lambda y, e, primitive: (
+                modes.add(primitive) or splits(y, e, primitive)))
+            assert sorted(search._pairs(M, relation, some)) == sorted(
+                (max(P, Q), min(P, Q)) for P, Q in related), (e2, relation)
+            assert modes == {relation == "coprime"}, (e2, relation)
+            monkeypatch.undo()
 
 
 def test_survey_unit_keys_each_solution_once(monkeypatch):
