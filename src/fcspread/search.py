@@ -38,9 +38,9 @@ they test P +/- Q against:
   its `_pairs` rows are the sides x of x**3 +/- w**3 = y**e2 (`_cube_cells`,
   by `arith.cube_splits`, after a residue sieve mod 7 and 9), primitive
   ones under the coprime relation, from divisors that hold each prime
-  p != 3 of y**e2 whole or not at all.  A chunk's fc units run in one
-  loop, `_run_fc_units`: both streams and fcwild's (1, 1) feed one
-  `_fc_try_pair`.
+  p != 3 of y**e2 whole or not at all; by Euler, (3, 3) has none and is
+  not planned.  A chunk's fc units run in one loop, `_run_fc_units`: both
+  streams and fcwild's (1, 1) feed one `_fc_try_pair`.
 * product-target modes (gbtz, nonmaxgcd3, fp, maxgcd-spread1) and survey
   (both orders of each pair, one record per (n, m, d) cell) fix the third
   term to be a bounded-spread product.  Each mode's row of `_MODES` gives
@@ -61,8 +61,9 @@ they test P +/- Q against:
   relation test and `decompose` see only true hits.  Under these two
   relations, in a mode whose least spread is 0, a unit (3, e2) whose one
   (degree, cap) is (3, 0) asks whether x**3 +/- y**e2 is a cube: it is a
-  cube unit, like fc's, and its `_pairs` rows are its `_cube_cells`.  The
-  maxgcd relation, larger bounds and units with an untabled degree run the
+  cube unit, like fc's, and its `_pairs` rows are its `_cube_cells`, save
+  (3, 3), which has no y and no unit but survey's empty cell.  The maxgcd
+  relation, larger bounds and units with an untabled degree run the
   scalar `_pairs` loop; there, a unit with two or more degrees d whose
   witnesses' primes are at most B_d = iroot(M, d) + cap <= 2**11 calls
   `decompose` at them only for a Z with no prime above their largest B_d
@@ -78,17 +79,18 @@ they test P +/- Q against:
 
 Each record is a pure function of its identity, built by one function per
 mode that the scan calls on every hit and `verify_record` on a stored
-record's identity, reporting each field that differs; each returns None
-where the search writes no record: `_fc_candidate` from the values,
-`_product_record` from (sign, p, q, z, d) and `_pillai_record` from the
-two witnesses.  A plan holds the units of one mode, and `run_chunk` hands
+record's identity, reporting each field that differs: `_fc_candidate`
+from the values, `_product_record` from (sign, p, q, z, d) and
+`_pillai_record` from the two witnesses, each None where the search writes
+no record, and `_survey_record` from a cell and its solutions, each kept
+once, in order.  A plan holds the units of one mode, and `run_chunk` hands
 a chunk to that mode's one runner: `_run_fc_units`, `_run_pillai_units`
 or `_run_product_units`.  Chunking partitions the (exponent pair, base
 sub-range) space and pillai's range of Z: every unit but fcwild carries a
 range that `plan_chunks` splits, survey cells included.  Records with one
-key are equal whichever chunk wrote them (survey cells join their
-solutions), so the final record set is byte-identical no matter the chunk
-plan, thread count or completion order.
+key are equal whichever chunk wrote them (a survey cell's copies join in
+one `_survey_record`), so the final record set is byte-identical no matter
+the chunk plan, thread count or completion order.
 """
 
 from __future__ import annotations
@@ -211,8 +213,8 @@ class SearchConfig:
 
         Folding here, not in `make_config`, gives one search one digest
         however the config was built: a mode with a degree floor in `_MODES`
-        scans degrees from its floor up, and one with a spread ceiling caps
-        the spread there.
+        scans degrees from its floor up, one with a spread ceiling caps the
+        spread there, and pillai reads no spread cap as cap 0.
         """
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -243,6 +245,8 @@ class SearchConfig:
             rng = getattr(self, name)
             if rng is not None and not (len(rng) == 2 and 1 <= rng[0] <= rng[1]):
                 raise ValueError(f"bad {name} range {rng}")
+        if row.relation is not None and self.degree is None:
+            raise ValueError(f"{self.mode} mode needs a degree range")
         if self.mode == "nonmaxgcd3" and self.degree != (3, 3):
             raise ValueError("nonmaxgcd3 mode takes degree 3 only")
         if self.max_spread is not None and self.max_spread < 0:
@@ -264,6 +268,8 @@ class SearchConfig:
         if ceiling is not None and self.max_spread is not None and (
                 self.max_spread >= ceiling):
             object.__setattr__(self, "max_spread", None)
+        if self.mode == "pillai" and self.max_spread is None:  # no cap reads as 0
+            object.__setattr__(self, "max_spread", 0)
 
     def semantic_dict(self) -> Dict[str, Any]:
         """The mode, the format and the fields the mode reads."""
@@ -292,18 +298,10 @@ _INT_FIELDS = ("max_bits", "min_exp", "max_exp", "min_exp_cap", "max_spread",
 
 
 def make_config(mode: str, **overrides: Any) -> SearchConfig:
-    """Build a SearchConfig from mode defaults plus keyword overrides.
-
-    None overrides fall back to the mode default, so CLI plumbing can pass
-    absent flags straight through.
-    """
+    """Build a SearchConfig from mode defaults plus keyword overrides."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    values: Dict[str, Any] = dict(_MODES[mode].defaults)
-    for k, v in overrides.items():
-        if v is not None or k not in values:
-            values[k] = v
-    values.pop("mode", None)
+    values: Dict[str, Any] = dict(_MODES[mode].defaults, **overrides)
     for key in ("f_bound", "m_bound"):
         if values.get(key) is not None:
             values[key] = Fraction(values[key])
@@ -571,6 +569,7 @@ def _cube_cells(M: int, units: List[Unit], primitive: bool) -> Iterator[Tuple[in
     of gcd g is g times a primitive split of y**e2 / g**3: if p**k and p**e
     exactly divide g and y**e2, its a +/- b holds p k or e - 2k times (3: k
     if e = 3k, e - 2k - 1 if e - 3k >= 2); `arith.cube_splits` tries only those.
+    Unit (3, 3) has none: x**3 + y**3 = w**3 has no positive solution (Euler).
     """
     xhi = _max_base(M, 3)
     for e2, y in ((u["e2"], y) for u in units for y in range(u["xlo"], u["xhi"] + 1)):
@@ -672,6 +671,13 @@ def _solution_sort_key(sol: Record) -> Tuple:
             sol["d"])
 
 
+def _survey_record(cell: Sequence[int], solutions: Iterable[Record]) -> Record:
+    """The record of a survey cell: its solutions, each once, by `_solution_sort_key`."""
+    sols = {_solution_sort_key(s): s for s in solutions}
+    return {"mode": "survey", "cell": list(cell), "count": len(sols),
+            "solutions": [sols[k] for k in sorted(sols)]}
+
+
 def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
     """Add a record to `acc`; a survey cell joins its copies' solutions in a new record.
 
@@ -682,8 +688,7 @@ def _merge_into(acc: Acc, rec: Optional[Record]) -> None:
     key = _record_sort_key(rec)
     cur = acc.setdefault(key, rec)
     if cur is not rec and rec["mode"] == "survey":
-        sols = {_solution_sort_key(s): s for s in cur["solutions"] + rec["solutions"]}
-        acc[key] = dict(cur, solutions=[sols[k] for k in sorted(sols)], count=len(sols))
+        acc[key] = _survey_record(cur["cell"], cur["solutions"] + rec["solutions"])
 
 
 # ---------------------------------------------------------------------------
@@ -901,10 +906,11 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
     the e1 == e2 triangle of an unordered scan.  Under the coprime or
     non-maxgcd relation, in a mode whose least spread is 0, a unit with
     e1 = 3 whose one (degree, cap) is (3, 0) asks whether x**3 +/- y**e2 is
-    a cube: it runs as a cube unit, over the bases y of its second power,
-    at a cost of one per y, and its cells are those of `_cube_cells`.  A degree d is tabled when its build bound
-    (`_table_states`) is at most the cells the planned units test at d;
-    past that, walking them costs less.
+    a cube: it runs as a cube unit, over the bases y of its second power
+    (none for (3, 3)), at a cost of one per y, and its cells are those of
+    `_cube_cells`.  A degree d is tabled when its build bound (`_table_states`)
+    is at most the cells the planned units test at d; past that, walking
+    them costs less.
 
     pillai plans no unit here.  Its one cell, (), gives each degree d the
     largest spread c <= max_spread with (1 + c)/d + 1/hi under the bound,
@@ -916,7 +922,7 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
     survey, first = cfg.mode == "survey", row.first_base
     plan = _ProductPlan([], {}, {}, {}, {})
     if cfg.mode == "pillai":
-        (lo, hi), s = _pillai_degrees(cfg), cfg.max_spread or 0
+        (lo, hi), s = _pillai_degrees(cfg), cfg.max_spread
         # the partner's 1/hi is the 1/n + 1/m of two exponents 2 hi
         caps = [(d, min(_spread_cap(2 * hi, 2 * hi, d, cfg.f_bound, cfg.f_strict), s))
                 for d in range(lo, hi + 1)]
@@ -950,7 +956,8 @@ def _product_plan(cfg: SearchConfig) -> _ProductPlan:
         yhi = _max_base(M, m)
         if (n == 3 and caps == [(3, 0)] and row.min_spread == 0
                 and row.relation != "maxgcd"):  # tests no table at d = 3
-            kind, xhi, cost, tested = "cube", yhi, max(0, yhi - first + 1), 0
+            xhi = yhi if m != 3 else 0  # (3, 3) has no cube cell (`_cube_cells`)
+            kind, cost, tested = "cube", max(0, xhi - first + 1), 0
         else:
             xhi = _max_base(M, n) if caps else 0
             cost = max(0, xhi - first + 1) * max(0, yhi - first + 1)
@@ -1052,10 +1059,10 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
     """Test x**n +/- y**m against bounded-spread products of each unit's degrees.
 
     A (Z, d) with a witness of at least the mode's least spread goes to
-    `_product_record`; a survey unit keys its solutions and adds one
-    record for its cell, an empty one too.  If all of a unit's degrees are
-    tabled (`_product_plan`), only the cells whose P + Q or |P - Q| (the
-    configured signs) is in one of their tables reach `decompose`.
+    `_product_record`; a survey unit adds its cell's `_survey_record`, an
+    empty one too.  If all of a unit's degrees are tabled (`_product_plan`),
+    only the cells whose P + Q or |P - Q| (the configured signs) is in one
+    of their tables reach `decompose`.
     Otherwise every cell does, save that a unit with two or more degrees d
     whose witnesses' primes are at most B_d <= 2**11 skips those degrees
     for a Z with a prime above their largest B_d, found by one
@@ -1088,7 +1095,7 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
             ts = [P + Q if sign == "plus" else np.abs(P - Q) for sign in signs]
             return reduce(np.logical_or, (member(t) for t in ts for member in tables))
 
-        sols: Dict[Tuple, Record] = {}  # a survey cell's, by `_solution_sort_key`
+        sols: List[Record] = []  # a survey cell's
         cells = _pairs(M, row.relation, [unit], ordered=survey,
                        keep=keep if tables else None) if caps else ()
         for P, Q in cells:
@@ -1101,19 +1108,17 @@ def _run_product_units(cfg: SearchConfig, units: List[Unit], acc: Acc) -> None:
                     if not (wits and any(w.spread >= row.min_spread for w in wits)):
                         continue
                     if survey:
-                        sol = _product_record(cfg, sign, P, Q, Z, d, (n, m))
-                        sols[_solution_sort_key(sol)] = sol
+                        sols.append(_product_record(cfg, sign, P, Q, Z, d, (n, m)))
                     else:
                         _merge_into(acc, _product_record(cfg, sign, P, Q, Z, d))
         if survey:
-            _merge_into(acc, {"mode": "survey", "cell": list(cell), "count": len(sols),
-                              "solutions": [sols[k] for k in sorted(sols)]})
+            _merge_into(acc, _survey_record(cell, sols))
 
 
 def _pillai_record(cfg: SearchConfig, xdec: ProductDecomposition,
                    zdec: ProductDecomposition) -> Optional[Record]:
     """The record the scan writes for witnesses of X and Z; None if it writes none."""
-    (lo, hi), s_cap = _pillai_degrees(cfg), cfg.max_spread or 0
+    (lo, hi), s_cap = _pillai_degrees(cfg), cfg.max_spread
     w = xdec.weight + zdec.weight
     if (zdec.value - xdec.value != cfg.difference or zdec.value > cfg.max_value
             or not _weight_ok(cfg, w)):
@@ -1230,7 +1235,8 @@ def _mode_units(cfg: SearchConfig) -> List[Unit]:
         for e1 in range(cfg.min_exp, top + 1):
             xhi = _max_base(M, e1)
             for e2 in chain((0,), range(e1, top + 1)):  # e2 = 0: fcone
-                if _fc_pair_needed(cfg, e1, e2):
+                if _fc_pair_needed(cfg, e1, e2) and not (  # no cube cell (`_cube_cells`)
+                        e2 == 3 and _fc_cube_unit(cfg, e1, e2)):
                     n2 = _max_base(M, e2) - 1 if e2 else 1
                     units.append({"kind": "fcpair" if e2 else "fcone",
                                   "e1": e1, "e2": e2, "xlo": 2, "xhi": xhi,
@@ -1475,10 +1481,10 @@ def run_chunked(cfg: SearchConfig, n_chunks: int = 1,
 def verify_record(rec: Record, cfg: SearchConfig) -> List[str]:
     """Rebuild a record from its identity and compare; returns a list of problems.
 
-    The identity is the values of an fc record, the two witnesses of a
-    pillai record and (sign, p, q, z, d) of a product record or survey
-    solution.  Its integers pass through int(), so that a stored 1.0 or
-    true differs from the rebuilt 1; a field missing from `rec` raises.
+    The identity is the values of an fc record, the witnesses of a pillai
+    record, (sign, p, q, z, d) of a product record or a survey solution and
+    the cell and solutions of a survey record.  Integers pass through int(),
+    so a stored 1.0 or true differs from the rebuilt 1; a missing field raises.
     """
     mode = rec.get("mode")
     if mode != cfg.mode:
@@ -1487,14 +1493,8 @@ def verify_record(rec: Record, cfg: SearchConfig) -> List[str]:
         n, m, d = (int(v) for v in rec["cell"])
         if (n, m, d) not in _product_plan(cfg).caps:
             return ["cell outside the survey ranges"]
-        sols = rec["solutions"]
-        problems = [] if len(sols) == rec["count"] else ["count != len(solutions)"]
-        keys = [_solution_sort_key(sol) for sol in sols]
-        if keys != sorted(set(keys)):
-            problems.append("solutions repeat or are out of order")
-        problems += _compare({k: v for k, v in rec.items() if k != "count"},
-                             {"mode": mode, "cell": [n, m, d], "solutions": sols})
-        for sol in sols:
+        problems = _compare(rec, _survey_record((n, m, d), rec["solutions"]))
+        for sol in rec["solutions"]:
             problems.extend(f"cell {rec['cell']}: {p}"
                             for p in _verify_product(sol, cfg, d, (n, m)))
         return problems

@@ -317,11 +317,15 @@ def test_search_config_file_precedence(tmp_path, capsys):
         ("fc", {"f_bound": None}),  # a null is not the dataclass default
         ("fc", {"f_strict": None}),
         ("gbtz", {"f_bound": None}),
+        ("pillai", {"f_bound": None, "difference": 1}),  # not the mode default either
+        ("gbtz", {"sign": None}),
+        ("fc", {"max_bits": None}),
+        ("gbtz", {"degree": None}),
         ("nonmaxgcd3", {"degree": [3, 5]}),  # the degree-3 mode
         ("fc", {"difference": 3}),  # a field fc does not read
     ):
         shaped = tmp_path / "shape.json"
-        shaped.write_text(json.dumps(dict(shape, max_bits=10)))
+        shaped.write_text(json.dumps(dict({"max_bits": 10}, **shape)))
         assert cli.run(["search", mode, "--config", str(shaped), "--threads", "1",
                         "--output", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -843,6 +847,38 @@ def test_verify_log_reports_bad_header(tmp_path, capsys, corrupt, problem):
     assert f"{bad}: {problem}" in captured.out
     assert "Traceback" not in captured.err
     assert cli.verify_log_lines(["[1]"]) == (0, ["header: not a JSON object"])
+
+
+def test_verify_log_reports_untrusted_lines(tmp_path):
+    """Each bad header or record line is reported as a problem, never raised."""
+    _, _, _, _, out = _run(tmp_path, ["factor", "360"], name="f.jsonl")
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+
+    def verify(head, *records):
+        return cli.verify_log_lines([json.dumps(head) if isinstance(head, dict) else head]
+                                    + list(records or lines[1:]))
+
+    checked, problems = verify("{nope")
+    assert checked == 0 and len(problems) == 1
+    assert problems[0].startswith("header is not valid JSON: ")
+    assert verify(dict(header, version=1)) == (0, ["unsupported log version 1"])
+    checked, problems = verify(dict(header, config={"n": 720}))
+    assert problems[0] == "config digest does not match the config"
+    # a catalog header that names another catalog, with a digest of its config
+    config = {"catalog": "degree3", "max_bits": 20}
+    checked, problems = verify({**header, "subcommand": "catalog fc", "config": config,
+                                "config_digest": search._sha256(config)})
+    assert checked == 0 and len(problems) == 1
+    assert problems[0].startswith("header: cannot rebuild records: ValueError: ")
+    # a blank line is skipped and not counted; a line that is not JSON is reported
+    assert verify(header, "", lines[1], "  ") == (1, [])
+    checked, problems = verify(header, lines[1], "{nope")
+    assert checked == 1 and len(problems) == 1
+    assert problems[0].startswith("line 3: not valid JSON: ")
+    bad = dict(json.loads(lines[1]), factors=[[4, 1], [90, 1]])
+    assert verify(header, json.dumps(bad)) == (
+        1, ["line 2: factors are not strictly increasing primes"])
 
 
 def test_verify_log_refuses_a_subcommand_of_another_mode(tmp_path, capsys):

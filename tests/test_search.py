@@ -374,9 +374,22 @@ def test_survey_cube_cells_keep_their_solutions():
     assert (counts[3, 4, 3], counts[3, 5, 3], counts[3, 6, 3]) == (25, 7, 0)
 
 
+def test_no_cube_unit_3_3_but_survey_keeps_its_empty_cell():
+    # x**3 + y**3 = w**3 has no solution in positive integers (Euler), so gbtz
+    # plans no unit (3, 3) where the bound would make it a cube unit
+    cfg = make_config("gbtz", max_bits=30, f_strict=False)
+    assert (3, 3) not in {(u["e1"], u["e2"]) for u in search._mode_units(cfg)}
+    cfg = make_config("survey", max_bits=24, n_range=(3, 4), m_range=(3, 4),
+                      degree=(3, 3), f_bound=Fraction(5, 4))
+    units = {(u["e1"], u["e2"], u["d"]): u for u in search._mode_units(cfg)}
+    assert units[3, 3, 3]["kind"] == "cube" and units[3, 3, 3]["cost"] == 0
+    assert {tuple(r["cell"]): r["count"] for r in _records(cfg)}[3, 3, 3] == 0
+
+
 @pytest.mark.parametrize("mode, extra, cubes", [
     ("gbtz", {"max_bits": 30}, {(3, m) for m in range(4, 31)}),
-    ("gbtz", {"max_bits": 30, "f_bound": Fraction(5, 4)}, {(3, 3), (3, 4)}),  # (3, 5): cap 1
+    # (3, 5): cap 1; (3, 3) has no cell (Euler), so it is no unit
+    ("gbtz", {"max_bits": 30, "f_bound": Fraction(5, 4)}, {(3, 3), (3, 4)}),
     ("gbtz", {"max_bits": 30, "degree": (4, 10)}, set()),
     ("nonmaxgcd3", {"max_bits": 30}, set()),  # its least spread is 1
     ("fp", {"max_bits": 34}, set()),
@@ -385,7 +398,7 @@ def test_product_cube_units_where_the_one_cap_is_degree_3_spread_0(mode, extra, 
     cfg = make_config(mode, **extra)
     plan = search._product_plan(cfg)
     units = search._mode_units(cfg)
-    assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "cube"} == cubes
+    assert {(u["e1"], u["e2"]) for u in units if u["kind"] == "cube"} == cubes - {(3, 3)}
     assert all(plan.caps[u["e1"], u["e2"]] == [(3, 0)] for u in units if u["kind"] == "cube")
 
 
@@ -415,6 +428,9 @@ def test_pairs_of_cube_units_are_their_related_cube_cells(mode, extra):
     cfg = make_config(mode, **extra)
     M, own = cfg.max_value, search._MODES[mode].relation or "coprime"
     units = [u for u in search._mode_units(cfg) if u["kind"] == "cube"]
+    if extra.get("f_bound") == Fraction(7, 6):  # its one cube unit, (3, 3), is not planned
+        assert units == []
+        units = [{"kind": "cube", "e1": 3, "e2": 3, "xlo": 2, "xhi": search._max_base(M, 3)}]
     assert units
     cells = [(x**3, y**e2, math.gcd(x, y)) for x, y, e2 in search._cube_cells(M, units, False)]
     for relation, ordered in itertools.product(("coprime", "nonmaxgcd"), (False, True)):
@@ -732,13 +748,23 @@ def test_make_config_defaults_and_validation():
         make_config("fermat-catalan", coeffs=(1, 2))
     # None stands for "not given" only where the dataclass default is None
     for name in ("f_bound", "f_strict", "min_exp", "max_exp", "min_exp_cap",
-                 "coeffs"):
+                 "coeffs", "max_bits", "sign", "degree"):
         with pytest.raises(ValueError, match=name):
             make_config("gbtz", **{name: None})
     for name in ("max_bits", "sign"):
         with pytest.raises(ValueError, match=name):
             SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None}))
     assert make_config("gbtz", max_spread=None).max_spread is None
+    # a product mode built without a degree range is refused, not a TypeError later
+    for mode, extra in (("gbtz", {}), ("fp", {}), ("maxgcd-spread1", {}),
+                        ("survey", {"n_range": (3, 4), "m_range": (3, 4)})):
+        with pytest.raises(ValueError, match=f"{mode} mode needs a degree range"):
+            SearchConfig(mode=mode, max_bits=20, **extra)
+    # pillai reads no spread cap as cap 0, so both builds are one search
+    direct = SearchConfig(mode="pillai", max_bits=16, difference=1, sign="plus",
+                          f_bound=Fraction(41, 42), f_strict=False, max_spread=None)
+    assert direct.max_spread == 0
+    assert direct.digest() == make_config("pillai", max_bits=16, difference=1).digest()
     # nonmaxgcd3 is the degree-3 mode; another degree range is refused
     assert make_config("nonmaxgcd3").degree == (3, 3)
     for degree in ((4, 6), (3, 5), (2, 3)):
@@ -1878,9 +1904,9 @@ def test_verify_record_flags_tampering():
     assert verify_record(rec, cfg) == []
     sols = rec["solutions"]
     assert verify_record(dict(rec, solutions=sols[::-1]), cfg) == [
-        "solutions repeat or are out of order"]
+        "stored solutions wrong"]
     assert verify_record(dict(rec, solutions=sols + sols[-1:], count=len(sols) + 1),
-                         cfg) == ["solutions repeat or are out of order"]
+                         cfg) == ["stored count wrong", "stored solutions wrong"]
     assert verify_record(dict(rec, cell=[float(v) for v in rec["cell"]]), cfg) == [
         "stored cell wrong"]
 
