@@ -8,18 +8,21 @@ small-denominator parameters get the same exact integer treatment, anything
 else is decided by escalating-precision evaluation that reports "borderline"
 instead of guessing when the margin stays inside its own error bound.
 
-The three sieve scans read one set of tables, rad(n), ln n and ln rad(n)
-from a numpy radical sieve, refused over a memory budget before any is
-built.  The explicit scan and the quality count walk the coprime splits a +
-b = c <= limit through sound log-space prefilters (derived from the target
+The explicit scan and the quality count walk the coprime splits a + b = c
+<= limit through sound log-space prefilters (derived from the target
 inequality, with a slack that can only over-include) that bound the smaller
-radical of a and b, so each c visits only its few small-radical partners.
-The excess pairs, of any gcd, take ln rad(abc) from the tables in one numpy
-pass per c.  Every survivor is decided in exact integers.
+radical of a and b, so each c visits only its few small-radical partners,
+in one blocked join shared by both.  The scan reads rad(n), ln n and ln
+rad(n) of the small-radical set T = {n : rad(n) <= limit^(8/15)} only,
+which holds every term of a violation; the count and the excess pairs, of
+any gcd, read those tables for every n from a numpy radical sieve.  Each
+set of tables is refused over a memory budget before it passes it.  Every
+survivor is decided in exact integers.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,50 +276,170 @@ def _log_tables(rad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return lg, lgr
 
 
+# Bytes a member of the small-radical set holds in the scan: n, rad(n),
+# ln n and ln rad(n), 8 each, and up to 16 slots of the join's table.
+_MEMBER_BYTES = 48
+# Members held as Python ints before they move into int64 arrays.
+_MEMBER_BLOCK = 1 << 12
+
+
+def small_radical_set(limit: int, radical_bound: int,
+                      memory_budget: Optional[int] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, rad(n)) as int64 arrays, by n, for the n <= limit with rad(n) <=
+    radical_bound.
+
+    The budget defaults to `search.MEMORY_BUDGET` as it stands at the call.
+    Members are counted at _MEMBER_BYTES each, what one holds through the
+    scan, while the set grows, and the build is refused before its arrays
+    pass the budget.
+
+    A depth-first walk over the squarefree kernels r <= radical_bound makes
+    each member once.  A node is a member n of kernel r whose primes are
+    all below primes[i]; it takes each prime p = primes[j], j >= i, with
+    r p <= radical_bound and n p <= limit, and each n p^e <= limit is a
+    member of kernel r p.  A member goes on the stack only if the least
+    prime it may take next, primes[j + 1], keeps both bounds.
+    """
+    if limit < 1 or radical_bound < 1:
+        raise ValueError("limit and radical_bound must be >= 1")
+    memory_budget = search.MEMORY_BUDGET if memory_budget is None else memory_budget
+    primes = arith._small_primes(min(radical_bound, limit))
+    blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    ns, rads = [1], [1]
+    stack = [(1, 1, 0)]
+    while True:
+        if len(ns) >= _MEMBER_BLOCK or not stack:
+            held += len(ns)
+            if held * _MEMBER_BYTES > memory_budget:
+                raise MemoryError(
+                    f"small-radical set to {limit} holds at least {held} members, "
+                    f"about {held * _MEMBER_BYTES} bytes, "
+                    f"over the budget of {memory_budget} bytes"
+                )
+            blocks.append((np.array(ns, dtype=np.int64), np.array(rads, dtype=np.int64)))
+            ns, rads = [], []
+            if not stack:
+                break
+        n, r, i = stack.pop()
+        top = bisect.bisect_right(primes, min(radical_bound // r, limit // n), i)
+        for j in range(i, top):
+            p = primes[j]
+            rp, m = r * p, n * p
+            q = primes[j + 1] if j + 1 < len(primes) else limit + 1
+            while m <= limit:
+                ns.append(m)
+                rads.append(rp)
+                if q * rp <= radical_bound and q * m <= limit:
+                    stack.append((m, rp, j + 1))
+                m *= p
+    n_all, rad_all = (np.concatenate(column) for column in zip(*blocks))
+    blocks.clear()
+    order = np.argsort(n_all)
+    return n_all[order], rad_all[order]
+
+
 # Float prefilters may only over-include; this slack dwarfs the rounding
 # error of summing a handful of float64 logs.
 _LOG_SLACK = 1e-9
 
+# (c, partner) pairs formed at once by the partner join: enough to spread
+# numpy's cost per call thin, few enough that the join's temporaries stay
+# small next to the tables.
+_PAIR_BLOCK = 1 << 14
+
+
+def _slot(values: np.ndarray, bits: int) -> np.ndarray:
+    """Fibonacci hash: the top `bits` bits of each value times 2^64 / phi, mod 2^64."""
+    return (values.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)
+
 
 def _partner_splits(
-    lg: np.ndarray, lgr: np.ndarray, cs: np.ndarray, explicit: bool
+    lg: np.ndarray, lgr: np.ndarray, cs: np.ndarray, explicit: bool,
+    members: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[int, List[int]]]:
     """(c, ascending a <= c/2 whose split passes the log filter) for c in cs.
 
-    lg and lgr are the log tables of n and rad(n).  The filter is the pair
-    test of brute_force_scan when `explicit`, else that of
+    lg and lgr are ln n and ln rad(n): of every n, indexed by n, when
+    `members` is None, else of the ascending `members`, which must hold
+    every c of cs and every term of a split the filter keeps.  The filter
+    is the pair test of brute_force_scan when `explicit`, else that of
     count_high_quality.  A passing split's smaller lgr is at most the reach
     of c, so its smaller-radical term is a partner s < c with lgr[s] <=
-    reach: the partners are drawn once, sorted by lgr, and each c visits
-    the prefix up to its reach instead of every split.  The pair test sees
-    exactly the floats the full walk gave it (float addition commutes), so
-    the kept splits are the full walk's.
+    reach: the partners are drawn once, sorted by lgr, and each c takes
+    the prefix up to its reach instead of every split.  The (c, s) pairs of
+    consecutive c are formed together, about _PAIR_BLOCK at a time, and b =
+    c - s is looked up among the members.  A b that is no member cannot
+    pass the filter, so it gets ln rad(b) = inf and fails.  The pair test
+    sees exactly the floats the full walk gave it (float addition
+    commutes), so the kept splits are the full walk's.
 
     Reach of the explicit test 15 (x + y) <= bound(c): min(x, y) <= bound(c)
     / 30.  Reach of the quality test x + y + lgr[c] < lg[c] + slack:
     min(x, y) < (lg[c] + slack - lgr[c]) / 2.  Both hold up to float
     rounding of order 1e-14, and each reach adds its own _LOG_SLACK on top
-    of the slack inside the test, so it can only over-include.
+    of the slack inside the test, so it can only over-include.  Each reach
+    is positive (lg[c] >= lgr[c]), so every c has the partner 1 and a block
+    holds at most _PAIR_BLOCK of them.
     """
-    if explicit:
-        reach = (8.0 * lg[cs] - 7.0 * lgr[cs] + _LOG_SLACK) / 30.0 + _LOG_SLACK
-
-        def keep(c: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return 15.0 * (x + y) <= 8.0 * lg[c] - 7.0 * lgr[c] + _LOG_SLACK
+    if members is None:
+        at_c, first = cs, 1  # n = 0 of the tables is no partner
     else:
-        reach = (lg[cs] + _LOG_SLACK - lgr[cs]) / 2.0 + _LOG_SLACK
+        at_c, first = np.searchsorted(members, cs), 0
+    lgc, lgrc = lg[at_c], lgr[at_c]
+    if explicit:
+        bound = 8.0 * lgc - 7.0 * lgrc + _LOG_SLACK
+        reach = bound / 30.0 + _LOG_SLACK
+    else:
+        bound = lgc + _LOG_SLACK
+        reach = (bound - lgrc) / 2.0 + _LOG_SLACK
+    at_s = np.flatnonzero(lgr[first:] <= reach.max(initial=0.0)) + first
+    at_s = at_s[np.argsort(lgr[at_s], kind="stable")]
+    partners = at_s if members is None else members[at_s]
+    partner_lgr = lgr[at_s]
+    if members is None:
+        ln_rad = lgr.__getitem__
+    else:
+        bits = (8 * len(members)).bit_length()
+        hashed = np.zeros(1 << bits, dtype=bool)
+        hashed[_slot(members, bits)] = True
 
-        def keep(c: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return x + y + lgr[c] < lg[c] + _LOG_SLACK
+        def ln_rad(b: np.ndarray) -> np.ndarray:
+            # every member's slot is set, so the slots only sift out
+            # non-members (at least 7 in 8 of them) before the exact search
+            y = np.full(len(b), np.inf)
+            maybe = np.flatnonzero(hashed[_slot(b, bits)])
+            at_b = np.searchsorted(members, b[maybe])  # b < c, so inside members
+            y[maybe] = np.where(members[at_b] == b[maybe], lgr[at_b], np.inf)
+            return y
 
-    partners = np.flatnonzero(lgr[1:] <= reach.max(initial=0.0)) + 1
-    partners = partners[np.argsort(lgr[partners], kind="stable")]
-    partner_lgr = lgr[partners]
-    for c, top in zip(cs.tolist(), reach.tolist()):
-        s = partners[: np.searchsorted(partner_lgr, top, side="right")]
-        s = s[s < c]
-        s = s[keep(c, lgr[s], lgr[c - s])]
-        yield c, sorted_unique(np.minimum(s, c - s)).tolist()
+    counts = np.searchsorted(partner_lgr, reach, side="right")
+    ends = np.cumsum(counts)
+    c_list = cs.tolist()
+    start = 0
+    while start < len(c_list):
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
+        k = counts[start:stop]
+        ci = np.repeat(np.arange(start, stop), k)
+        j = np.arange(ends[stop - 1] - base) - np.repeat(ends[start:stop] - k - base, k)
+        s, c = partners[j], cs[ci]
+        live = s < c
+        ci, j, s = ci[live], j[live], s[live]
+        b = c[live] - s
+        x, y = partner_lgr[j], ln_rad(b)
+        if explicit:
+            keep = 15.0 * (x + y) <= bound[ci]
+        else:
+            keep = x + y + lgrc[ci] < bound[ci]
+        span = c_list[stop - 1]  # keys below 2^14 * limit, well inside int64
+        key = sorted_unique((ci[keep] - start) * span + np.minimum(s, b)[keep])
+        cuts = np.searchsorted(key // span, np.arange(stop - start + 1)).tolist()
+        a_list = (key % span).tolist()
+        for t, c_t in enumerate(c_list[start:stop]):
+            yield c_t, a_list[cuts[t] : cuts[t + 1]]
+        start = stop
 
 
 def _scan_tables(limit: int, memory_budget: Optional[int]) -> Tuple[np.ndarray, ...]:
@@ -330,35 +453,41 @@ def _scan_tables(limit: int, memory_budget: Optional[int]) -> Tuple[np.ndarray, 
     return (rad,) + _log_tables(rad)
 
 
-def _coprime_splits(limit: int, memory_budget: Optional[int], explicit: bool
+def _coprime_splits(rad: np.ndarray, lg: np.ndarray, lgr: np.ndarray,
+                    explicit: bool, members: Optional[np.ndarray] = None
                     ) -> Iterator[Tuple[int, int, int, int, int, int]]:
-    """(a, b, c, r(a), r(b), r(c)) for the coprime splits a + b = c <= limit
+    """(a, b, c, r(a), r(b), r(c)) for the coprime splits a + b = c, c >= 3,
     that pass the log filter of _partner_splits, by c then a.
 
-    Only the c with 2^j r(c)^k <= c^w are walked: (j, k, w) = (7, 15, 8)
-    for the explicit test, (1, 1, 1) for the quality test.  The scan and
-    the count each argue that every c they keep passes that mask.
+    rad, lg and lgr are rad(n), ln n and ln rad(n), of every n or of the
+    `members` only, as _partner_splits reads them.  Only the c with 2^j
+    r(c)^k <= c^w are walked: (j, k, w) = (7, 15, 8) for the explicit
+    test, (1, 1, 1) for the quality test.  The scan and the count each
+    argue that every c they keep passes that mask.
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    rad, lg, lgr = _scan_tables(limit, memory_budget)
     k, lead, w, slack = ((15.0, 7.0 * math.log(2.0), 8.0, _LOG_SLACK) if explicit
                          else (1.0, math.log(2.0), 1.0, 2 * _LOG_SLACK))
     block = 1 << 16  # keeps the c-mask temporaries small next to the tables
-    cs = np.concatenate([
+    at_c = np.concatenate([
         np.flatnonzero(
             k * lgr[lo : lo + block] + lead <= w * lg[lo : lo + block] + slack
         ) + lo
-        for lo in range(3, limit + 1, block)
+        for lo in range(0, len(lg), block)
     ])
-    for c, splits in _partner_splits(lg, lgr, cs, explicit):
+    cs = at_c if members is None else members[at_c]
+
+    def radical(n: int) -> int:
+        return int(rad[n if members is None else np.searchsorted(members, n)])
+
+    for c, splits in _partner_splits(lg, lgr, cs[cs >= 3], explicit, members):
         for a in splits:
             b = c - a
             if math.gcd(a, b) == 1:
-                yield a, b, c, int(rad[a]), int(rad[b]), int(rad[c])
+                yield a, b, c, radical(a), radical(b), radical(c)
 
 
-def brute_force_scan(limit: int, memory_budget: Optional[int] = None) -> List[AbcTriple]:
+def brute_force_scan(limit: int, memory_budget: Optional[int] = None,
+                     stats: Optional[Dict[str, int]] = None) -> List[AbcTriple]:
     """All violations of the explicit inequality among a + b = c <= limit.
 
     A violation needs c^8 >= max_rad^8 * rad(abc)^7.  With r* = rad(*) and
@@ -376,10 +505,36 @@ def brute_force_scan(limit: int, memory_budget: Optional[int] = None) -> List[Ab
     the split test is 15 (ln r(a) + ln r(b)) <= 8 ln c - 7 ln r(c) + slack,
     and the partner reach is that bound / 30 plus a slack of its own, so it
     can only over-include (argued in _partner_splits).
+
+    Every term the walk needs lies in T = {n <= limit : rad(n) <= R}, R =
+    iroot(limit^8, 15), so only T is built (small_radical_set: 17,801
+    members at 10^6, 365,841 at 10^8), never tables of every n.  A c of
+    the c-mask has 15 ln r(c) <= 8 ln c - 7 ln 2 + slack, so r(c) <
+    c^(8/15) <= limit^(8/15): the factor 2^(-7/15) dwarfs slack and
+    rounding.  A partner has ln r(s) <= (8 ln limit + slack) / 30 + slack,
+    so r(s) <= limit^(4/15) up to rounding, below R.  A kept split has
+    ln r(s) >= 0 and ln r(c) >= ln 2, so its test gives 15 ln r(b) <= 8 ln
+    c - 7 ln 2 + slack and r(b) < c^(8/15) as for c: its b is in T, and a b
+    that is not cannot pass the test.  So the candidates are the full
+    split walk's.
+
+    `stats`, if given, receives "terms" (|T|), "radical_bound" (R) and
+    "candidates" (the coprime splits that reach the exact check).
     """
-    return [AbcTriple(a, b, c)
-            for a, b, c, ra, rb, rc in _coprime_splits(limit, memory_budget, True)
-            if not _explicit_pass(c, ra, rb, rc)]
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    radical_bound = arith.iroot(limit**8, 15)[0]
+    members, rad = small_radical_set(limit, radical_bound, memory_budget)
+    lg, lgr = np.log(members.astype(np.float64)), np.log(rad.astype(np.float64))
+    violations, candidates = [], 0
+    for a, b, c, ra, rb, rc in _coprime_splits(rad, lg, lgr, True, members):
+        candidates += 1
+        if not _explicit_pass(c, ra, rb, rc):
+            violations.append(AbcTriple(a, b, c))
+    if stats is not None:
+        stats.update(terms=len(members), radical_bound=radical_bound,
+                     candidates=candidates)
+    return violations
 
 
 def count_high_quality(limit: int, memory_budget: Optional[int] = None) -> int:
@@ -388,10 +543,15 @@ def count_high_quality(limit: int, memory_budget: Optional[int] = None) -> int:
     r(a) r(b) r(c) < c gives min(r(a), r(b)) < (c / r(c))^(1/2), so the
     splits come from _partner_splits.  For c >= 3, r(b) >= 2 since b >= 2,
     so only c with 2 r(c) < c can count; that c-mask carries twice the
-    slack of the pair test, so float rounding can only over-include.
+    slack of the pair test, so float rounding can only over-include.  The
+    terms are not bounded by a power of c below 1, so this count reads the
+    sieve's tables of every n <= limit.
     """
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
     return sum(1 for a, b, c, ra, rb, rc
-               in _coprime_splits(limit, memory_budget, False) if ra * rb * rc < c)
+               in _coprime_splits(*_scan_tables(limit, memory_budget), False)
+               if ra * rb * rc < c)
 
 
 # ---------------------------------------------------------------------------

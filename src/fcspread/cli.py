@@ -467,19 +467,25 @@ def _cmd_abc_check(args: argparse.Namespace) -> int:
 
 def _cmd_abc_scan(args: argparse.Namespace) -> int:
     limit = _int_option(_merge_options(args, ("limit",)), "limit", 10**5)
+    stats: Dict[str, int] = {}
     try:
-        violations = abc_check.brute_force_scan(limit, args.memory_budget)
+        violations = abc_check.brute_force_scan(limit, args.memory_budget, stats)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     records = [abc_check.abc_record("abc-scan", t.a, t.b, {"limit": limit})
                for t in violations]
-    sys.stderr.write(f"abc scan: {len(records)} violations up to {limit}\n")
+    sys.stderr.write(
+        f"abc scan: {len(records)} violations up to {limit}; "
+        f"{stats['terms']} terms with rad <= {stats['radical_bound']}, "
+        f"{stats['candidates']} candidates checked exactly\n"
+    )
     return _emit(
         args,
         "abc scan",
         {"limit": limit},
         records,
         EXIT_FINDINGS if records else EXIT_OK,
+        candidates=stats["candidates"],
     )
 
 

@@ -233,6 +233,11 @@ class SearchConfig:
                     isinstance(v, int) and not isinstance(v, bool)
                     for v in (value if isinstance(value, tuple) else [value])):
                 raise ValueError(f"{name} must hold integers")
+        # make_config has turned an int or a fraction string into a Fraction
+        for name in ("f_bound", "m_bound"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Fraction):
+                raise ValueError(f"{name} must be a Fraction, not {value!r}")
         if not isinstance(self.f_strict, bool):
             raise ValueError("f_strict must be true or false")
         if not 1 <= self.max_bits <= 128:
@@ -303,6 +308,10 @@ def make_config(mode: str, **overrides: Any) -> SearchConfig:
         raise ValueError(f"unknown mode {mode!r}")
     values: Dict[str, Any] = dict(_MODES[mode].defaults, **overrides)
     for key in ("f_bound", "m_bound"):
+        # a float is a binary value: 1.2 would be just under 6/5
+        if isinstance(values.get(key), (bool, float)):
+            raise ValueError(f"{key} must be an integer or a fraction string, "
+                             f"not {values[key]!r}")
         if values.get(key) is not None:
             values[key] = Fraction(values[key])
     for key in ("degree", "n_range", "m_range", "coeffs"):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -177,6 +178,68 @@ def test_radical_sieve_budget():
         radical_sieve(0)
 
 
+@pytest.mark.parametrize("limit", [1, 2, 10, 600, 1000, 2**15, 10**5])
+def test_small_radical_set_matches_the_sieve(limit):
+    # at 2^15, limit^8 = 2^120 is an exact 15th power: R = 256 is a member;
+    # at 600, R = 30 = 2 * 3 * 5 is itself a kernel the walk must reach
+    bound = arith.iroot(limit**8, 15)[0]
+    members, rad = abc_check.small_radical_set(limit, bound)
+    sieve = radical_sieve(limit)
+    want = np.flatnonzero(sieve[1:] <= bound) + 1
+    assert members.dtype == rad.dtype == np.int64
+    assert members.tolist() == want.tolist()
+    assert rad.tolist() == sieve[want].tolist()
+    assert limit != 2**15 or (bound, members[-1]) == (256, 2**15)
+    assert limit != 600 or (bound, members[-1], rad[-1]) == (30, 600, 30)
+    with pytest.raises(ValueError):
+        abc_check.small_radical_set(0, 1)
+
+
+@pytest.mark.parametrize("limit", [10, 100, 1000, 10**4, 10**5, 10**6])
+def test_scan_over_t_matches_the_sieve_walk(monkeypatch, limit):
+    # the scan over T gives the exact check the candidate splits that the
+    # same walk over the sieve's tables of every n <= limit gives, and so
+    # the same records
+    seen = []
+    walk = abc_check._coprime_splits
+
+    def spy(*args):
+        for split in walk(*args):
+            seen.append(split)
+            yield split
+
+    monkeypatch.setattr(abc_check, "_coprime_splits", spy)
+    stats = {}
+    records = brute_force_scan(limit, stats=stats)
+    rad, lg, lgr = abc_check._scan_tables(limit, None)
+    full = list(walk(rad, lg, lgr, True))
+    assert seen == full
+    assert records == [AbcTriple(a, b, c) for a, b, c, ra, rb, rc in full
+                       if not abc_check._explicit_pass(c, ra, rb, rc)]
+    bound = arith.iroot(limit**8, 15)[0]
+    assert stats == {"terms": int(np.count_nonzero(rad[1:] <= bound)),
+                     "radical_bound": bound, "candidates": len(full)}
+    assert limit != 10**6 or (stats["terms"], len(full)) == (17801, 6)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_partner_join_blocks_of_any_size(monkeypatch, block):
+    # a block never splits the pairs of one c: a c with more pairs than a
+    # block gets a block of its own, and the splits do not change
+    limit = 3000
+    rad = radical_sieve(limit)
+    lg, lgr = abc_check._log_tables(rad)
+    bound = arith.iroot(limit**8, 15)[0]
+    members = np.flatnonzero(rad[1:] <= bound) + 1
+    cs = np.arange(3, limit + 1)
+    runs = [(lg, lgr, cs, False), (lg, lgr, cs, True),
+            (lg[members], lgr[members], members[members >= 3], True, members)]
+    want = [list(abc_check._partner_splits(*run)) for run in runs]
+    monkeypatch.setattr(abc_check, "_PAIR_BLOCK", block)
+    assert [list(abc_check._partner_splits(*run)) for run in runs] == want
+    assert sum(len(a) for _, a in want[0]) > 100
+
+
 def test_scan_small_limits():
     assert brute_force_scan(3) == []
     assert brute_force_scan(10**5) == []
@@ -228,16 +291,15 @@ def test_partner_splits_match_full_split_filter(explicit):
 
 
 def test_scan_candidates_match_full_walk(monkeypatch):
-    # brute_force_scan hands the partner walk exactly the c of its c-mask
-    # (built in blocks; this limit spans three) and gets the full walk's
-    # candidate pairs back
+    # brute_force_scan hands the partner walk exactly the c of its c-mask,
+    # drawn from T, and gets the full walk's candidate pairs back
     limit = 150000
     seen, seen_cs = [], []
     walk = abc_check._partner_splits
 
-    def spy(lg, lgr, cs, explicit):
+    def spy(lg, lgr, cs, explicit, *members):
         seen_cs.extend(cs.tolist())
-        for c, splits in walk(lg, lgr, cs, explicit):
+        for c, splits in walk(lg, lgr, cs, explicit, *members):
             seen.extend((c, a) for a in splits)
             yield c, splits
 
@@ -257,16 +319,28 @@ def test_scan_candidates_match_full_walk(monkeypatch):
 
 
 def test_scan_memory_budget(monkeypatch):
-    # sieve fits but the log tables do not
-    with pytest.raises(MemoryError):
-        brute_force_scan(10**5, memory_budget=10**6)
-
+    # the scan builds T, never the sieve, and counts T's arrays as it grows:
+    # T holds 81,121 members at 10^7, refused under budgets they exceed
     def no_sieve(*args):
-        raise AssertionError("the sieve was built before the budget check")
+        raise AssertionError("the scan built the sieve")
 
     monkeypatch.setattr(abc_check, "radical_sieve", no_sieve)
-    with pytest.raises(MemoryError, match="scan tables"):
-        brute_force_scan(10**6, memory_budget=10**7)
+    need = 81121 * abc_check._MEMBER_BYTES
+    stats = {}
+    assert brute_force_scan(10**7, memory_budget=need, stats=stats) == []
+    assert stats["terms"] == 81121
+    with pytest.raises(MemoryError, match=f"over the budget of {need - 1} bytes"):
+        brute_force_scan(10**7, memory_budget=need - 1)
+    # refused before anything past the budget is built: under a budget of
+    # 1 MB the scan allocates well under the 3.9 MB that T's arrays need
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="over the budget of 1000000 bytes"):
+            brute_force_scan(10**7, memory_budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_count_memory_budget(monkeypatch):

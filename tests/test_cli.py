@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import fcspread
-from fcspread import cli, search
+from fcspread import abc_check, cli, search
 from fcspread.cli import EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from fcspread.search import FORMAT_VERSION
 
@@ -425,6 +425,26 @@ def test_config_file_values_are_checked(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_config_file_float_bound_is_refused(tmp_path, capsys):
+    # a float is a binary value: 1.2 is just under 6/5, so a non-strict bound
+    # of "1.2" would drop weight-6/5 solutions; the exact string runs
+    cfg = tmp_path / "cfg.json"
+    for mode, doc, key, exact in (("gbtz", {}, "f_bound", "6/5"),
+                                  ("pillai", {"difference": 1}, "m_bound", "1/10")):
+        argv = ["search", mode, "--max-bits", "12", "--threads", "1", "--config",
+                str(cfg), "--output", str(tmp_path / "x.jsonl")]
+        value = {"f_bound": 1.2, "m_bound": 0.1}[key]
+        cfg.write_text(json.dumps(dict(doc, **{key: value})))
+        assert cli.run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {key} must be an integer or a fraction string, not {value}\n")
+        cfg.write_text(json.dumps(dict(doc, **{key: exact})))
+        assert cli.run(argv) == EXIT_OK
+        capsys.readouterr()
+        header = json.loads((tmp_path / "x.jsonl").read_text().splitlines()[0])
+        assert header["config"][key] == exact
+
+
 # ---------------------------------------------------------------------------
 # decompose, gen, catalog
 
@@ -571,12 +591,19 @@ def test_abc_check_stdin(tmp_path, monkeypatch):
     assert [(r["a"], r["b"], r["c"]) for r in records] == [(3, 125, 128)]
 
 
-def test_abc_scan_cli(tmp_path, monkeypatch):
-    code, header, records, _, out = _run(
+def test_abc_scan_cli(tmp_path, monkeypatch, capsys):
+    code, header, records, manifest, out = _run(
         tmp_path, ["abc", "scan", "--limit", "100000"]
     )
     assert code == EXIT_OK and records == []
     assert header["config"] == {"limit": 100000}
+    # |T| and the candidates go to stderr and the manifest, not the log
+    stats = {}
+    abc_check.brute_force_scan(100000, stats=stats)
+    assert capsys.readouterr().err == (
+        f"abc scan: 0 violations up to 100000; {stats['terms']} terms with rad "
+        f"<= {stats['radical_bound']}, {stats['candidates']} candidates checked exactly\n")
+    assert manifest["totals"]["candidates"] == stats["candidates"]
     assert _verify(out) == EXIT_OK
     assert cli.run(["abc", "scan", "--limit", "2",
                     "--output", str(tmp_path / "x")]) == EXIT_USAGE
@@ -831,6 +858,8 @@ def test_verify_log_rebuilds_every_log_kind(tmp_path, capsys, name):
     (lambda h: h["config"].update(format={"a": 1}), "header: invalid search config"),
     (lambda h: h["config"].update(format=2**70), "header: invalid search config"),
     (lambda h: h["config"].pop("format"), "header: invalid search config"),
+    # a float bound, even one equal to the log's exact bound 1
+    (lambda h: h["config"].update(f_bound=1.0), "header: invalid search config"),
 ])
 def test_verify_log_reports_bad_header(tmp_path, capsys, corrupt, problem):
     _, _, _, _, out = _run(
@@ -931,7 +960,7 @@ README_EXAMPLES = [
     pytest.param("abc check --input triples.txt --classic 1/4",
                  EXIT_USAGE, (0, 3, 3, 1), "triples.txt", None, id="abc-check"),
     pytest.param("abc scan --limit 1000000",
-                 EXIT_OK, (0, 0, 0, 0), None, None, id="abc-scan"),
+                 EXIT_OK, (0, 6, 0, 0), None, None, id="abc-scan"),
     pytest.param("abc filter --limit 100 --eps 1/5 --q-bound 1",
                  EXIT_OK, (0, 41, 41, 0), None, None, id="abc-filter"),
     pytest.param("factor 720", EXIT_OK, (0, 1, 1, 0), None, None, id="factor"),

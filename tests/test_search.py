@@ -755,6 +755,17 @@ def test_make_config_defaults_and_validation():
         with pytest.raises(ValueError, match=name):
             SearchConfig(mode="gbtz", **dict({"max_bits": 20}, **{name: None}))
     assert make_config("gbtz", max_spread=None).max_spread is None
+    # an exact bound is an int, a fraction string or a Fraction, never a
+    # float's binary value or a bool, however the config is built
+    for name, value in (("f_bound", 1.2), ("f_bound", 1.0), ("m_bound", 0.1),
+                        ("m_bound", True)):
+        with pytest.raises(ValueError, match=name):
+            make_config("pillai", difference=1, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            SearchConfig(**dict({"mode": "pillai", "max_bits": 16, "difference": 1,
+                                 "sign": "plus", "f_bound": Fraction(41, 42),
+                                 "f_strict": False}, **{name: value}))
+    assert make_config("pillai", difference=1, m_bound="1/10").m_bound == Fraction(1, 10)
     # a product mode built without a degree range is refused, not a TypeError later
     for mode, extra in (("gbtz", {}), ("fp", {}), ("maxgcd-spread1", {}),
                         ("survey", {"n_range": (3, 4), "m_range": (3, 4)})):
